@@ -59,6 +59,7 @@ from .errors import (
     BeyondSupport,
     Divergence,
     DomainError,
+    GridError,
     NonConvergence,
     NonPositiveMrl,
     OriginSingularity,

@@ -30,17 +30,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .distributions import (
-    Dist,
-    Erlang,
-    Exponential,
-    MrlExponential,
-    MrlLinear,
-    MrlReciprocalLinear,
-    Pareto,
-)
+from .distributions import Dist
 from .errors import (
     BeyondSupport,
+    GridError,
     NonPositiveMrl,
     OriginSingularity,
     UnsupportedCapability,
@@ -166,7 +159,7 @@ def mrl_average(
     """Running average (1/t) * int mu over [origin, t] for the convention."""
     origin = _origin(d, conv)
     if t <= origin:
-        raise ValueError(f"mrl_average needs t above the convention origin {origin!r}")
+        raise GridError(f"mrl_average needs t above the convention origin {origin!r}")
     if (
         conv is not Convention.SUPPORT_START
         and d.support[0] == 0.0
@@ -240,7 +233,7 @@ def hazard_ai(d: Dist, t: float) -> float:
     when the density is available.
     """
     if t <= 0.0:
-        raise ValueError("hazard_ai needs t > 0")
+        raise GridError("hazard_ai needs t > 0")
     r = hazard(d, t)
     cumulative = -math.log(d.survival(t))
     if cumulative <= 0.0:
@@ -256,22 +249,7 @@ def mrlai_closed_form(spec, t: float):
     Returns None for every other spec.  The Pareto value applies under the
     formal integration convention.
     """
-    if isinstance(spec, Exponential):
-        return 1.0
-    if isinstance(spec, Pareto):
-        return 2.0
-    if isinstance(spec, MrlLinear):
-        return (spec.a + spec.b * t) / (spec.a + 0.5 * spec.b * t)
-    if isinstance(spec, MrlReciprocalLinear):
-        a, b = spec.a, spec.b
-        return b * t / ((a + b * t) * math.log((a + b * t) / a))
-    if isinstance(spec, MrlExponential):
-        b = spec.b
-        return b * t * math.exp(b * t) / math.expm1(b * t)
-    if isinstance(spec, Erlang) and spec.k == 2:
-        s = spec.rate * t
-        return s * (s + 2.0) / ((s + 1.0) * (s + math.log1p(s)))
-    return None
+    return spec.closed_L(t)
 
 
 @dataclass(frozen=True)
@@ -304,10 +282,10 @@ def profile(
     """
     ts = tuple(float(t) for t in grid)
     if not ts:
-        raise ValueError("empty grid")
+        raise GridError("empty grid")
     origin = _origin(d, conv)
     if ts[0] <= origin:
-        raise ValueError(f"grid must start above the convention origin {origin!r}")
+        raise GridError(f"grid must start above the convention origin {origin!r}")
 
     mu_support = _mu_on_support(d, ts, cfg, method)
     mu_vals = tuple(_mrl_point(d, t, conv, cfg, method, mu_support) for t in ts)
@@ -382,5 +360,5 @@ def _integral_on_grid(d, ts, conv, cfg, method, mu_support):
         return d.mean - u if u < s0 else mu_support(u)
 
     origin = _origin(d, conv)
-    table = cumulative_on_grid(mu_true, ts, cfg, origin=origin, integrand_id=d.lineage)
+    table = cumulative_on_grid(mu_true, ts, cfg, origin=origin)
     return list(table.values)

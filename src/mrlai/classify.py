@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .ageing import Convention, hazard_ai, profile
+from .errors import GridError
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
@@ -46,13 +47,13 @@ class Grid:
 
     def __post_init__(self):
         if not (self.t_min < self.t_max):
-            raise ValueError("t_min must be below t_max")
+            raise GridError("t_min must be below t_max")
         if self.n_points < 16:
-            raise ValueError("n_points must be at least 16")
+            raise GridError("n_points must be at least 16")
         if self.spacing not in ("linear", "log"):
-            raise ValueError("spacing must be 'linear' or 'log'")
+            raise GridError("spacing must be 'linear' or 'log'")
         if self.spacing == "log" and self.t_min <= 0:
-            raise ValueError("log spacing needs t_min > 0")
+            raise GridError("log spacing needs t_min > 0")
 
     def points(self):
         n = self.n_points

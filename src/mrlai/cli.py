@@ -6,9 +6,10 @@ pair of spec files, ``reproduce`` replays the worked-example corpus, and
 ``plotdata`` emits plot-ready CSV.
 
 Grids are written ``min:max:step`` or ``min:max/n`` with an optional
-``:log`` suffix on the second form.  All numbers print with 12 significant
-digits; every output format renders the same strings, so values round-trip
-bit-equal between table, CSV and JSON.
+``:log`` suffix on the second form; ``classify`` needs at least 16
+points.  All numbers print with 12 significant digits; every output
+format renders the same strings, so values round-trip bit-equal between
+table, CSV and JSON.
 
 Exit codes: 0 success (a failing order verdict is still a successful run),
 1 the corpus replay found mismatches, 2 usage or spec error.
@@ -61,6 +62,8 @@ def _parse_grid(text: str):
             hi = lo + step * (n - 1)
         if n < 2 or not lo < hi:
             raise ValueError("need min < max and at least 2 points")
+        if spacing == "log" and lo <= 0:
+            raise ValueError("log spacing needs min > 0")
         return lo, hi, n, spacing
     except (ValueError, TypeError) as exc:
         raise SystemExit(f"error: bad grid {text!r}: {exc}")
@@ -69,8 +72,6 @@ def _parse_grid(text: str):
 def _grid_points(parsed):
     lo, hi, n, spacing = parsed
     if spacing == "log":
-        if lo <= 0:
-            raise SystemExit("error: log spacing needs min > 0")
         import math
 
         la, lb = math.log(lo), math.log(hi)

@@ -7,6 +7,11 @@ reciprocal-linear, exponential, or piecewise MRL), or a composite
 (mixture, convolution, order statistic, positive scaling).  Specs
 round-trip through a JSON grammar tagged by a ``family`` key.
 
+Each spec class is the one record of its family: it validates itself,
+builds its ``Dist``, rescales itself and carries its published closed
+ageing intensity, so the dispatchers here (``validate``, ``build``) and
+in the other modules stay generic.
+
 ``build`` turns a validated spec into a ``Dist``: an immutable object
 exposing the survival function, an optional density, the support, the
 mean, and whatever closed forms the family admits (tail integral, mean
@@ -26,7 +31,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 
 from .errors import SpecError, UnsupportedCapability
@@ -62,75 +67,441 @@ __all__ = [
 ]
 
 
+def _require(condition, path, message):
+    if not condition:
+        raise SpecError(path, message)
+
+
+def _finite(x, path):
+    _require(isinstance(x, (int, float)) and not isinstance(x, bool), path, "must be a number")
+    _require(math.isfinite(x), path, "must be finite")
+    return float(x)
+
+
+def _holds(tag):
+    """A field holding spec nodes (tag "family") or MRL pieces (tag "kind")."""
+    return field(metadata={"tag": tag})
+
+
+class _Family:
+    """Base of every spec class.
+
+    Each subclass is the only record of its family and provides
+    ``_validated(path)`` (check the parameters, return a normalised copy)
+    and ``_build()`` (realise the validated spec as a ``Dist``).  It
+    overrides the two methods below where the family has the property.
+    Subclassing registers the family in the JSON grammar.
+    """
+
+    def rescaled(self, a):
+        """Spec of a * X in the same family, or None."""
+        return None
+
+    def closed_L(self, t):
+        """Published closed-form ageing intensity at t, or None."""
+        return None
+
+
 # ---------------------------------------------------------------------------
-# spec grammar
+# closed-form and MRL-specified families
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Family):
     rate: float
     family = "exponential"
 
+    def _validated(self, path):
+        rate = _finite(self.rate, f"{path}.rate")
+        _require(rate > 0, f"{path}.rate", "must be positive")
+        return Exponential(rate)
+
+    def _build(self):
+        lam = self.rate
+        return Dist(
+            self,
+            lambda t: math.exp(-lam * t),
+            (0.0, math.inf),
+            density=lambda t: lam * math.exp(-lam * t),
+            tail=lambda t: math.exp(-lam * t) / lam,
+            mean=1.0 / lam,
+            mrl=lambda t: 1.0 / lam,
+            mrl_integral=lambda t: t / lam,
+        )
+
+    def rescaled(self, a):
+        return Exponential(self.rate / a)
+
+    def closed_L(self, t):
+        return 1.0
+
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(_Family):
     shape: float
     scale: float
     family = "weibull"
 
+    def _validated(self, path):
+        shape = _finite(self.shape, f"{path}.shape")
+        scale = _finite(self.scale, f"{path}.scale")
+        _require(shape > 0, f"{path}.shape", "must be positive")
+        _require(scale > 0, f"{path}.scale", "must be positive")
+        return Weibull(shape, scale)
+
+    def _build(self):
+        alpha, beta = self.shape, self.scale
+
+        def survival(t):
+            return math.exp(-((t / beta) ** alpha))
+
+        def density(t):
+            if t == 0.0:
+                if alpha > 1:
+                    return 0.0
+                return 1.0 / beta if alpha == 1 else math.inf
+            z = (t / beta) ** alpha
+            return alpha / t * z * math.exp(-z)
+
+        return Dist(
+            self,
+            survival,
+            (0.0, math.inf),
+            density=density,
+            mean=beta * math.gamma(1.0 + 1.0 / alpha),
+        )
+
+    def rescaled(self, a):
+        return Weibull(self.shape, a * self.scale)
+
 
 @dataclass(frozen=True)
-class Pareto:
+class Pareto(_Family):
     shape: float
     scale: float
     family = "pareto"
 
+    def _validated(self, path):
+        shape = _finite(self.shape, f"{path}.shape")
+        scale = _finite(self.scale, f"{path}.scale")
+        _require(
+            shape > 1, f"{path}.shape", "must exceed 1 (shape <= 1 means an infinite mean)"
+        )
+        _require(scale > 0, f"{path}.scale", "must be positive")
+        return Pareto(shape, scale)
+
+    def _build(self):
+        a, b = self.shape, self.scale
+        mean = a * b / (a - 1.0)
+
+        def tail(t):
+            if t < b:
+                return mean - t
+            return t * (b / t) ** a / (a - 1.0)
+
+        def mrl_integral(t):
+            # int_0^t of the true MRL: (mean - u) below the support start
+            if t <= b:
+                return mean * t - 0.5 * t * t
+            on_support = (t * t - b * b) / (2.0 * (a - 1.0))
+            return mean * b - 0.5 * b * b + on_support
+
+        formal = FormalExtension(
+            survival=lambda t: (b / t) ** a,
+            tail=lambda t: b**a * t ** (1.0 - a) / (a - 1.0),
+            mrl=lambda t: t / (a - 1.0),
+            mrl_integral=lambda t: t * t / (2.0 * (a - 1.0)),
+        )
+        return Dist(
+            self,
+            lambda t: (b / t) ** a,
+            (b, math.inf),
+            density=lambda t: a * b**a / t ** (a + 1.0),
+            tail=tail,
+            mean=mean,
+            mrl=lambda t: t / (a - 1.0),
+            mrl_integral=mrl_integral,
+            formal=formal,
+        )
+
+    def rescaled(self, a):
+        return Pareto(self.shape, a * self.scale)
+
+    def closed_L(self, t):
+        return 2.0  # under the formal integration convention
+
+
+def _erlang_terms(k, lam, t):
+    """Cumulants e^{-lam t} (lam t)^i / i! for i < k."""
+    terms = []
+    p = math.exp(-lam * t)
+    for i in range(k):
+        terms.append(p)
+        p *= lam * t / (i + 1)
+    return terms
+
 
 @dataclass(frozen=True)
-class Erlang:
+class Erlang(_Family):
     k: int
     rate: float
     family = "erlang"
 
+    def _validated(self, path):
+        _require(
+            isinstance(self.k, int) and not isinstance(self.k, bool) and self.k >= 1,
+            f"{path}.k",
+            "must be a positive integer",
+        )
+        rate = _finite(self.rate, f"{path}.rate")
+        _require(rate > 0, f"{path}.rate", "must be positive")
+        return Erlang(self.k, rate)
+
+    def _build(self):
+        k, lam = self.k, self.rate
+        logc = (k - 1) * math.log(lam) + math.log(lam) - math.lgamma(k)
+
+        def survival(t):
+            return math.fsum(_erlang_terms(k, lam, t))
+
+        def density(t):
+            if t == 0.0:
+                return lam if k == 1 else 0.0
+            return math.exp(logc + (k - 1) * math.log(t) - lam * t)
+
+        def tail(t):
+            terms = _erlang_terms(k, lam, t)
+            return math.fsum((k - i) * p for i, p in enumerate(terms)) / lam
+
+        def mrl(t):
+            return tail(t) / survival(t)
+
+        mrl_integral = None
+        if k == 1:
+            mrl_integral = lambda t: t / lam
+        elif k == 2:
+            mrl_integral = lambda t: (lam * t + math.log1p(lam * t)) / (lam * lam)
+        elif k == 3:
+            # antiderivative of ((lam t)^2 + 4 lam t + 6) / (lam ((lam t)^2 + 2 lam t + 2))
+            def mrl_integral(t):
+                s = lam * t
+                val = (
+                    math.log(s * s + 2.0 * s + 2.0)
+                    + 2.0 * math.atan(s + 1.0)
+                    + s
+                    - math.log(2.0)
+                    - math.pi / 2.0
+                )
+                return val / (lam * lam)
+
+        return Dist(
+            self,
+            survival,
+            (0.0, math.inf),
+            density=density,
+            tail=tail,
+            mean=k / lam,
+            mrl=mrl,
+            mrl_integral=mrl_integral,
+        )
+
+    def rescaled(self, a):
+        return Erlang(self.k, self.rate / a)
+
+    def closed_L(self, t):
+        if self.k != 2:
+            return None
+        s = self.rate * t
+        return s * (s + 2.0) / ((s + 1.0) * (s + math.log1p(s)))
+
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Family):
     lo: float
     hi: float
     family = "uniform"
 
+    def _validated(self, path):
+        lo = _finite(self.lo, f"{path}.lo")
+        hi = _finite(self.hi, f"{path}.hi")
+        _require(lo >= 0, f"{path}.lo", "must be non-negative")
+        _require(hi > lo, f"{path}.hi", "must exceed lo")
+        return Uniform(lo, hi)
+
+    def _build(self):
+        lo, hi = self.lo, self.hi
+        width = hi - lo
+        mean = 0.5 * (lo + hi)
+
+        def tail(t):
+            if t < lo:
+                return mean - t
+            if t >= hi:
+                return 0.0
+            return (hi - t) ** 2 / (2.0 * width)
+
+        def mrl_integral(t):
+            if t <= lo:
+                return mean * t - 0.5 * t * t
+            below = mean * lo - 0.5 * lo * lo
+            u = min(t, hi)
+            return below + 0.5 * (hi * (u - lo) - 0.5 * (u * u - lo * lo))
+
+        return Dist(
+            self,
+            lambda t: (hi - t) / width,
+            (lo, hi),
+            density=lambda t: 1.0 / width,
+            tail=tail,
+            mean=mean,
+            mrl=lambda t: 0.5 * (hi - t),
+            mrl_integral=mrl_integral,
+        )
+
+    def rescaled(self, a):
+        return Uniform(a * self.lo, a * self.hi)
+
 
 @dataclass(frozen=True)
-class MrlLinear:
+class MrlLinear(_Family):
     """Mean residual life a + b*t with a > 0, b >= 0."""
 
     a: float
     b: float
     family = "mrl_linear"
 
+    def _validated(self, path):
+        a = _finite(self.a, f"{path}.a")
+        b = _finite(self.b, f"{path}.b")
+        _require(a > 0, f"{path}.a", "must be positive")
+        _require(b >= 0, f"{path}.b", "must be non-negative")
+        return MrlLinear(a, b)
+
+    def _build(self):
+        a, b = self.a, self.b
+        if b == 0.0:
+            # the exponential with mean a; a itself stays the exact mean
+            return Exponential(1.0 / a)._build().relabel(self, mean=a)
+        c = 1.0 + 1.0 / b
+
+        return Dist(
+            self,
+            lambda t: (a / (a + b * t)) ** c,
+            (0.0, math.inf),
+            density=lambda t: (b + 1.0) * a**c / (a + b * t) ** (c + 1.0),
+            tail=lambda t: a * (a / (a + b * t)) ** (1.0 / b),
+            mean=a,
+            mrl=lambda t: a + b * t,
+            mrl_integral=lambda t: a * t + 0.5 * b * t * t,
+        )
+
+    def rescaled(self, a):
+        return MrlLinear(a * self.a, self.b)
+
+    def closed_L(self, t):
+        return (self.a + self.b * t) / (self.a + 0.5 * self.b * t)
+
 
 @dataclass(frozen=True)
-class MrlReciprocalLinear:
+class MrlReciprocalLinear(_Family):
     """Mean residual life 1/(a + b*t) with a > 0, b > 0."""
 
     a: float
     b: float
     family = "mrl_reciprocal_linear"
 
+    def _validated(self, path):
+        a = _finite(self.a, f"{path}.a")
+        b = _finite(self.b, f"{path}.b")
+        _require(a > 0, f"{path}.a", "must be positive")
+        _require(b > 0, f"{path}.b", "must be positive")
+        return MrlReciprocalLinear(a, b)
+
+    def _build(self):
+        a, b = self.a, self.b
+
+        def survival(t):
+            return (a + b * t) / a * math.exp(-(a * t + 0.5 * b * t * t))
+
+        return Dist(
+            self,
+            survival,
+            (0.0, math.inf),
+            density=lambda t: ((a + b * t) ** 2 - b) / a * math.exp(-(a * t + 0.5 * b * t * t)),
+            tail=lambda t: math.exp(-(a * t + 0.5 * b * t * t)) / a,
+            mean=1.0 / a,
+            mrl=lambda t: 1.0 / (a + b * t),
+            mrl_integral=lambda t: math.log((a + b * t) / a) / b,
+        )
+
+    def rescaled(self, a):
+        return MrlReciprocalLinear(self.a / a, self.b / (a * a))
+
+    def closed_L(self, t):
+        a, b = self.a, self.b
+        return b * t / ((a + b * t) * math.log((a + b * t) / a))
+
 
 @dataclass(frozen=True)
-class MrlExponential:
+class MrlExponential(_Family):
     """Mean residual life exp(a + b*t) with b != 0."""
 
     a: float
     b: float
     family = "mrl_exponential"
 
+    def _validated(self, path):
+        a = _finite(self.a, f"{path}.a")
+        b = _finite(self.b, f"{path}.b")
+        _require(b != 0, f"{path}.b", "must be non-zero")
+        return MrlExponential(a, b)
+
+    def _build(self):
+        # For b > 0 the defining formula exp(a + bt) is not a realisable MRL:
+        # the inversion integral int 1/mu stays bounded, so mu(t) * survival(t)
+        # tends to the positive constant K below instead of 0.  The closed
+        # mrl/mrl_integral keep the defining formulas (which is what the
+        # published intensity bt e^{bt}/(e^{bt}-1) is built from), while tail
+        # and mean describe the reconstructed survival itself.
+        a, b = self.a, self.b
+
+        def survival(t):
+            return math.exp(math.exp(-a) * math.expm1(-b * t) / b - b * t)
+
+        def density(t):
+            return survival(t) * (math.exp(-a - b * t) + b)
+
+        offset = math.exp(a) * math.exp(-math.exp(-a) / b) if b > 0 else 0.0
+
+        def tail(t):
+            return math.exp(a + b * t) * survival(t) - offset
+
+        return Dist(
+            self,
+            survival,
+            (0.0, math.inf),
+            density=density,
+            tail=tail,
+            mean=math.exp(a) - offset,
+            mrl=lambda t: math.exp(a + b * t),
+            mrl_integral=lambda t: math.exp(a) * math.expm1(b * t) / b,
+        )
+
+    def rescaled(self, a):
+        return MrlExponential(self.a + math.log(a), self.b / a)
+
+    def closed_L(self, t):
+        b = self.b
+        return b * t * math.exp(b * t) / math.expm1(b * t)
+
 
 # Piece kinds for MrlPiecewise.  Each knows its own value, slope and the
 # closed antiderivatives of mu and 1/mu, so the piecewise survival and the
-# ageing-intensity denominator never need numerical integration.
+# ageing-intensity denominator never need numerical integration.  Each also
+# rescales itself (mu_{aX}(t) = a * mu_X(t / a)) and knows whether it stays
+# positive on an unbounded last piece; every kind is monotone in t, so that
+# and the endpoint values decide positivity.
 
 
 @dataclass(frozen=True)
@@ -154,6 +525,12 @@ class PieceLinear:
         if self.b == 0.0:
             return (t - s) / self.a
         return math.log(self.mu(t) / self.mu(s)) / self.b
+
+    def rescaled(self, a):
+        return PieceLinear(a * self.a, self.b)
+
+    def positive_at_infinity(self):
+        return self.b >= 0
 
 
 @dataclass(frozen=True)
@@ -183,6 +560,13 @@ class PieceExpAffine:
         anti = lambda u: (self.r * u - math.log(self.mu(u))) / (self.r * self.p)
         return anti(t) - anti(s)
 
+    def rescaled(self, a):
+        return PieceExpAffine(a * self.p, a * self.q, self.r / a)
+
+    def positive_at_infinity(self):
+        # constant when q*r == 0; else the limit is p (r < 0) or sign(q) * inf
+        return self.q * self.r == 0 or (self.p if self.r < 0 else self.q) > 0
+
 
 @dataclass(frozen=True)
 class PieceSqrtAffine:
@@ -209,6 +593,12 @@ class PieceSqrtAffine:
         )
         return anti(t) - anti(s)
 
+    def rescaled(self, a):
+        return PieceSqrtAffine(a * self.p, math.sqrt(a) * self.q)
+
+    def positive_at_infinity(self):
+        return self.q >= 0
+
 
 @dataclass(frozen=True)
 class PieceRecipLinear:
@@ -233,86 +623,231 @@ class PieceRecipLinear:
     def int_inv_mu(self, s, t):
         return self.a * (t - s) + 0.5 * self.b * (t * t - s * s)
 
+    def rescaled(self, a):
+        return PieceRecipLinear(self.a / a, self.b / (a * a))
+
+    def positive_at_infinity(self):
+        return True  # recip_linear with positive a, b stays positive
+
 
 _PIECE_KINDS = {
-    "linear": PieceLinear,
-    "exp_affine": PieceExpAffine,
-    "sqrt_affine": PieceSqrtAffine,
-    "recip_linear": PieceRecipLinear,
+    cls.kind: cls for cls in (PieceLinear, PieceExpAffine, PieceSqrtAffine, PieceRecipLinear)
 }
 
 
 @dataclass(frozen=True)
-class MrlPiecewise:
+class MrlPiecewise(_Family):
     """MRL given piecewise: pieces[i] applies on [breakpoints[i-1], breakpoints[i])."""
 
     breakpoints: tuple
-    pieces: tuple
+    pieces: tuple = _holds("kind")
     family = "mrl_piecewise"
 
+    def _validated(self, path):
+        bps = tuple(_finite(b, f"{path}.breakpoints[{i}]") for i, b in enumerate(self.breakpoints))
+        _require(all(b > 0 for b in bps), f"{path}.breakpoints", "must be positive")
+        _require(
+            all(b2 > b1 for b1, b2 in zip(bps, bps[1:])),
+            f"{path}.breakpoints",
+            "must be strictly increasing",
+        )
+        pieces = tuple(self.pieces)
+        _require(
+            len(pieces) == len(bps) + 1,
+            f"{path}.pieces",
+            f"need exactly {len(bps) + 1} pieces for {len(bps)} breakpoints",
+        )
+        for i, piece in enumerate(pieces):
+            _require(
+                type(piece) in _PIECE_KINDS.values(),
+                f"{path}.pieces[{i}]",
+                f"unknown piece type {type(piece).__name__}",
+            )
+            for f in fields(piece):
+                _finite(getattr(piece, f.name), f"{path}.pieces[{i}].{f.name}")
+            lo = 0.0 if i == 0 else bps[i - 1]
+            hi = bps[i] if i < len(bps) else math.inf
+            _require(
+                piece.mu(lo) > 0
+                and (piece.positive_at_infinity() if math.isinf(hi) else piece.mu(hi) >= 0),
+                f"{path}.pieces[{i}]",
+                f"mean residual life must stay positive on [{lo!r}, {hi!r})",
+            )
+        return MrlPiecewise(bps, pieces)
+
+    def _build(self):
+        bps = self.breakpoints
+        pieces = self.pieces
+        starts = (0.0,) + bps
+
+        # prefix constants so per-point evaluation is O(log pieces)
+        int_mu_at = [0.0]
+        int_inv_at = [0.0]
+        for i, bp in enumerate(bps):
+            int_mu_at.append(int_mu_at[-1] + pieces[i].int_mu(starts[i], bp))
+            int_inv_at.append(int_inv_at[-1] + pieces[i].int_inv_mu(starts[i], bp))
+
+        def _index(t):
+            return bisect.bisect_right(bps, t)
+
+        def mu(t):
+            return pieces[_index(t)].mu(t)
+
+        def mrl_integral(t):
+            i = _index(t)
+            return int_mu_at[i] + pieces[i].int_mu(starts[i], t)
+
+        def inv_integral(t):
+            i = _index(t)
+            return int_inv_at[i] + pieces[i].int_inv_mu(starts[i], t)
+
+        mu0 = pieces[0].mu(0.0)
+
+        def survival(t):
+            return mu0 / mu(t) * math.exp(-inv_integral(t))
+
+        def density(t):
+            i = _index(t)
+            return survival(t) * (pieces[i].mu_prime(t) + 1.0) / pieces[i].mu(t)
+
+        return Dist(
+            self,
+            survival,
+            (0.0, math.inf),
+            density=density,
+            tail=lambda t: mu(t) * survival(t),
+            mean=mu0,
+            mrl=mu,
+            mrl_integral=mrl_integral,
+        )
+
+    def rescaled(self, a):
+        return MrlPiecewise(
+            tuple(a * bp for bp in self.breakpoints), tuple(p.rescaled(a) for p in self.pieces)
+        )
+
+
+# ---------------------------------------------------------------------------
+# composites (assembled by the reliability operations in ``ops``)
+# ---------------------------------------------------------------------------
+
 
 @dataclass(frozen=True)
-class Mixture:
+class Mixture(_Family):
     weights: tuple
-    components: tuple
+    components: tuple = _holds("family")
     family = "mixture"
 
+    def _validated(self, path):
+        weights = tuple(_finite(w, f"{path}.weights[{i}]") for i, w in enumerate(self.weights))
+        _require(len(weights) >= 2, f"{path}.weights", "a mixture needs at least two components")
+        _require(
+            len(weights) == len(self.components),
+            f"{path}.components",
+            "weights and components must have equal length",
+        )
+        for i, w in enumerate(weights):
+            _require(w > 0, f"{path}.weights[{i}]", "must be positive")
+        _require(
+            abs(sum(weights) - 1.0) <= 1e-12,
+            f"{path}.weights",
+            f"must sum to 1 (got {sum(weights)!r})",
+        )
+        comps = tuple(
+            validate(c, f"{path}.components[{i}]") for i, c in enumerate(self.components)
+        )
+        # deterministic component order: sort by serialised form, weights riding along
+        pairs = sorted(
+            zip(weights, comps),
+            key=lambda wc: (json.dumps(spec_to_dict(wc[1]), sort_keys=True), wc[0]),
+        )
+        return Mixture(tuple(w for w, _ in pairs), tuple(c for _, c in pairs))
+
+    def _build(self):
+        return ops.mixture(
+            list(self.weights), [build(c, validated=True) for c in self.components]
+        )
+
+    def rescaled(self, a):
+        comps = tuple(c.rescaled(a) for c in self.components)
+        return None if any(c is None for c in comps) else Mixture(self.weights, comps)
+
 
 @dataclass(frozen=True)
-class Convolution:
-    components: tuple
+class Convolution(_Family):
+    components: tuple = _holds("family")
     family = "convolution"
 
+    def _validated(self, path):
+        comps = tuple(
+            validate(c, f"{path}.components[{i}]") for i, c in enumerate(self.components)
+        )
+        _require(len(comps) >= 2, f"{path}.components", "needs at least two summands")
+        return Convolution(comps)
+
+    def _build(self):
+        dists = [build(c, validated=True) for c in self.components]
+        out = dists[0]
+        for d in dists[1:]:
+            out = ops.convolution(out, d)
+        return out
+
 
 @dataclass(frozen=True)
-class OrderStatistic:
-    base: object
+class OrderStatistic(_Family):
+    base: object = _holds("family")
     k: int
     n: int
     family = "order_statistic"
 
+    def _validated(self, path):
+        base = validate(self.base, f"{path}.base")
+        _require(
+            isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1,
+            f"{path}.n",
+            "must be a positive integer",
+        )
+        _require(
+            isinstance(self.k, int) and not isinstance(self.k, bool) and 1 <= self.k <= self.n,
+            f"{path}.k",
+            f"must lie in [1, n={self.n}]",
+        )
+        return OrderStatistic(base, self.k, self.n)
+
+    def _build(self):
+        return ops.order_statistic(build(self.base, validated=True), self.k, self.n)
+
+    def rescaled(self, a):
+        inner = self.base.rescaled(a)
+        return None if inner is None else OrderStatistic(inner, self.k, self.n)
+
 
 @dataclass(frozen=True)
-class Scaled:
-    base: object
+class Scaled(_Family):
+    base: object = _holds("family")
     factor: float
     family = "scaled"
 
+    def _validated(self, path):
+        factor = _finite(self.factor, f"{path}.factor")
+        _require(factor > 0, f"{path}.factor", "must be positive")
+        base = validate(self.base, f"{path}.base")
+        # flatten nested scalings
+        while isinstance(base, Scaled):
+            factor *= base.factor
+            base = base.base
+        return Scaled(base, factor)
 
-_FAMILIES = {
-    cls.family: cls
-    for cls in (
-        Exponential,
-        Weibull,
-        Pareto,
-        Erlang,
-        Uniform,
-        MrlLinear,
-        MrlReciprocalLinear,
-        MrlExponential,
-        MrlPiecewise,
-        Mixture,
-        Convolution,
-        OrderStatistic,
-        Scaled,
-    )
-}
+    def _build(self):
+        return ops.scale(build(self.base, validated=True), self.factor)
+
+
+_FAMILIES = {cls.family: cls for cls in _Family.__subclasses__()}
 
 
 # ---------------------------------------------------------------------------
-# validation
+# dispatch
 # ---------------------------------------------------------------------------
-
-
-def _require(condition, path, message):
-    if not condition:
-        raise SpecError(path, message)
-
-
-def _finite(x, path):
-    _require(isinstance(x, (int, float)) and not isinstance(x, bool), path, "must be a number")
-    _require(math.isfinite(x), path, "must be finite")
-    return float(x)
 
 
 def validate(spec, path: str = "spec"):
@@ -321,162 +856,18 @@ def validate(spec, path: str = "spec"):
     Normalisation flattens nested Scaled wrappers and sorts mixture
     components into a deterministic order.
     """
-    if isinstance(spec, Exponential):
-        rate = _finite(spec.rate, f"{path}.rate")
-        _require(rate > 0, f"{path}.rate", "must be positive")
-        return Exponential(rate)
-    if isinstance(spec, Weibull):
-        shape = _finite(spec.shape, f"{path}.shape")
-        scale = _finite(spec.scale, f"{path}.scale")
-        _require(shape > 0, f"{path}.shape", "must be positive")
-        _require(scale > 0, f"{path}.scale", "must be positive")
-        return Weibull(shape, scale)
-    if isinstance(spec, Pareto):
-        shape = _finite(spec.shape, f"{path}.shape")
-        scale = _finite(spec.scale, f"{path}.scale")
-        _require(
-            shape > 1, f"{path}.shape", "must exceed 1 (shape <= 1 means an infinite mean)"
-        )
-        _require(scale > 0, f"{path}.scale", "must be positive")
-        return Pareto(shape, scale)
-    if isinstance(spec, Erlang):
-        _require(
-            isinstance(spec.k, int) and not isinstance(spec.k, bool) and spec.k >= 1,
-            f"{path}.k",
-            "must be a positive integer",
-        )
-        rate = _finite(spec.rate, f"{path}.rate")
-        _require(rate > 0, f"{path}.rate", "must be positive")
-        return Erlang(spec.k, rate)
-    if isinstance(spec, Uniform):
-        lo = _finite(spec.lo, f"{path}.lo")
-        hi = _finite(spec.hi, f"{path}.hi")
-        _require(lo >= 0, f"{path}.lo", "must be non-negative")
-        _require(hi > lo, f"{path}.hi", "must exceed lo")
-        return Uniform(lo, hi)
-    if isinstance(spec, MrlLinear):
-        a = _finite(spec.a, f"{path}.a")
-        b = _finite(spec.b, f"{path}.b")
-        _require(a > 0, f"{path}.a", "must be positive")
-        _require(b >= 0, f"{path}.b", "must be non-negative")
-        return MrlLinear(a, b)
-    if isinstance(spec, MrlReciprocalLinear):
-        a = _finite(spec.a, f"{path}.a")
-        b = _finite(spec.b, f"{path}.b")
-        _require(a > 0, f"{path}.a", "must be positive")
-        _require(b > 0, f"{path}.b", "must be positive")
-        return MrlReciprocalLinear(a, b)
-    if isinstance(spec, MrlExponential):
-        a = _finite(spec.a, f"{path}.a")
-        b = _finite(spec.b, f"{path}.b")
-        _require(b != 0, f"{path}.b", "must be non-zero")
-        return MrlExponential(a, b)
-    if isinstance(spec, MrlPiecewise):
-        return _validate_piecewise(spec, path)
-    if isinstance(spec, Mixture):
-        return _validate_mixture(spec, path)
-    if isinstance(spec, Convolution):
-        comps = tuple(
-            validate(c, f"{path}.components[{i}]") for i, c in enumerate(spec.components)
-        )
-        _require(len(comps) >= 2, f"{path}.components", "needs at least two summands")
-        return Convolution(comps)
-    if isinstance(spec, OrderStatistic):
-        base = validate(spec.base, f"{path}.base")
-        _require(
-            isinstance(spec.n, int) and not isinstance(spec.n, bool) and spec.n >= 1,
-            f"{path}.n",
-            "must be a positive integer",
-        )
-        _require(
-            isinstance(spec.k, int) and not isinstance(spec.k, bool) and 1 <= spec.k <= spec.n,
-            f"{path}.k",
-            f"must lie in [1, n={spec.n}]",
-        )
-        return OrderStatistic(base, spec.k, spec.n)
-    if isinstance(spec, Scaled):
-        factor = _finite(spec.factor, f"{path}.factor")
-        _require(factor > 0, f"{path}.factor", "must be positive")
-        base = validate(spec.base, f"{path}.base")
-        # flatten nested scalings
-        while isinstance(base, Scaled):
-            factor *= base.factor
-            base = base.base
-        return Scaled(base, factor)
-    raise SpecError(path, f"unknown spec type {type(spec).__name__}")
+    if not isinstance(spec, _Family):
+        raise SpecError(path, f"unknown spec type {type(spec).__name__}")
+    return spec._validated(path)
 
 
-def _validate_mixture(spec, path):
-    weights = tuple(_finite(w, f"{path}.weights[{i}]") for i, w in enumerate(spec.weights))
-    _require(len(weights) >= 2, f"{path}.weights", "a mixture needs at least two components")
-    _require(
-        len(weights) == len(spec.components),
-        f"{path}.components",
-        "weights and components must have equal length",
-    )
-    for i, w in enumerate(weights):
-        _require(w > 0, f"{path}.weights[{i}]", "must be positive")
-    _require(
-        abs(sum(weights) - 1.0) <= 1e-12,
-        f"{path}.weights",
-        f"must sum to 1 (got {sum(weights)!r})",
-    )
-    comps = tuple(
-        validate(c, f"{path}.components[{i}]") for i, c in enumerate(spec.components)
-    )
-    # deterministic component order: sort by serialised form, weights riding along
-    pairs = sorted(
-        zip(weights, comps), key=lambda wc: (json.dumps(spec_to_dict(wc[1]), sort_keys=True), wc[0])
-    )
-    return Mixture(tuple(w for w, _ in pairs), tuple(c for _, c in pairs))
-
-
-def _validate_piecewise(spec, path):
-    bps = tuple(_finite(b, f"{path}.breakpoints[{i}]") for i, b in enumerate(spec.breakpoints))
-    _require(all(b > 0 for b in bps), f"{path}.breakpoints", "must be positive")
-    _require(
-        all(b2 > b1 for b1, b2 in zip(bps, bps[1:])),
-        f"{path}.breakpoints",
-        "must be strictly increasing",
-    )
-    pieces = tuple(spec.pieces)
-    _require(
-        len(pieces) == len(bps) + 1,
-        f"{path}.pieces",
-        f"need exactly {len(bps) + 1} pieces for {len(bps)} breakpoints",
-    )
-    for i, piece in enumerate(pieces):
-        _require(
-            type(piece) in _PIECE_KINDS.values(),
-            f"{path}.pieces[{i}]",
-            f"unknown piece type {type(piece).__name__}",
-        )
-        for f in fields(piece):
-            _finite(getattr(piece, f.name), f"{path}.pieces[{i}].{f.name}")
-        lo = 0.0 if i == 0 else bps[i - 1]
-        hi = bps[i] if i < len(bps) else math.inf
-        _require(
-            _piece_positive_on(piece, lo, hi),
-            f"{path}.pieces[{i}]",
-            f"mean residual life must stay positive on [{lo!r}, {hi!r})",
-        )
-    return MrlPiecewise(bps, pieces)
-
-
-def _piece_positive_on(piece, lo, hi):
-    # every supported piece kind is monotone in t, so endpoint checks suffice
-    if piece.mu(lo) <= 0:
-        return False
-    if math.isinf(hi):
-        if isinstance(piece, PieceLinear):
-            return piece.b >= 0
-        if isinstance(piece, PieceExpAffine):
-            limit = piece.p if piece.r < 0 else (math.inf if piece.q > 0 else -math.inf)
-            return (limit > 0) if piece.q * piece.r != 0 else piece.mu(lo) > 0
-        if isinstance(piece, PieceSqrtAffine):
-            return piece.q >= 0
-        return True  # recip_linear with positive a, b stays positive
-    return piece.mu(hi) >= 0
+def build(spec, *, validated: bool = False) -> Dist:
+    """Realise a spec as an evaluatable Dist."""
+    if not validated:
+        spec = validate(spec)
+    if not isinstance(spec, _Family):
+        raise SpecError("spec", f"cannot build {type(spec).__name__}")
+    return spec._build()
 
 
 # ---------------------------------------------------------------------------
@@ -485,100 +876,53 @@ def _piece_positive_on(piece, lo, hi):
 
 
 def spec_to_dict(spec) -> dict:
-    if isinstance(spec, Mixture):
-        return {
-            "family": spec.family,
-            "weights": list(spec.weights),
-            "components": [spec_to_dict(c) for c in spec.components],
-        }
-    if isinstance(spec, Convolution):
-        return {"family": spec.family, "components": [spec_to_dict(c) for c in spec.components]}
-    if isinstance(spec, OrderStatistic):
-        return {"family": spec.family, "base": spec_to_dict(spec.base), "k": spec.k, "n": spec.n}
-    if isinstance(spec, Scaled):
-        return {"family": spec.family, "base": spec_to_dict(spec.base), "factor": spec.factor}
-    if isinstance(spec, MrlPiecewise):
-        return {
-            "family": spec.family,
-            "breakpoints": list(spec.breakpoints),
-            "pieces": [
-                {"kind": p.kind, **{f.name: getattr(p, f.name) for f in fields(p)}}
-                for p in spec.pieces
-            ],
-        }
-    return {"family": spec.family, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
+    """JSON form of a spec or a piece: its tag, then its fields in order."""
+    tag = "family" if isinstance(spec, _Family) else "kind"
+    body = {f.name: _to_json(getattr(spec, f.name)) for f in fields(spec)}
+    return {tag: getattr(spec, tag), **body}
 
 
-def _from_dict_scalar(cls, d, path):
-    names = [f.name for f in fields(cls)]
-    extra = set(d) - {"family", *names}
-    if extra:
-        raise SpecError(path, f"unknown keys {sorted(extra)} for family '{cls.family}'")
-    missing = [n for n in names if n not in d]
-    if missing:
-        raise SpecError(path, f"missing keys {missing} for family '{cls.family}'")
-    return cls(**{n: d[n] for n in names})
+def _to_json(value):
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return spec_to_dict(value) if is_dataclass(value) else value
 
 
 def spec_from_dict(d, path: str = "spec"):
     """Parse one spec node from its JSON dict form.  Unknown keys are rejected."""
+    return _node_from_dict(d, path, "family")
+
+
+def _node_from_dict(d, path, tag):
+    # tag "family" reads a spec node, tag "kind" an MRL piece
     if not isinstance(d, dict):
         raise SpecError(path, "expected a JSON object")
-    family = d.get("family")
-    if family not in _FAMILIES:
-        raise SpecError(f"{path}.family", f"unknown family {family!r}")
-    cls = _FAMILIES[family]
-    if cls is Mixture:
-        extra = set(d) - {"family", "weights", "components"}
-        if extra:
-            raise SpecError(path, f"unknown keys {sorted(extra)} for family 'mixture'")
-        comps = tuple(
-            spec_from_dict(c, f"{path}.components[{i}]")
-            for i, c in enumerate(d.get("components", ()))
-        )
-        return Mixture(tuple(d.get("weights", ())), comps)
-    if cls is Convolution:
-        extra = set(d) - {"family", "components"}
-        if extra:
-            raise SpecError(path, f"unknown keys {sorted(extra)} for family 'convolution'")
-        comps = tuple(
-            spec_from_dict(c, f"{path}.components[{i}]")
-            for i, c in enumerate(d.get("components", ()))
-        )
-        return Convolution(comps)
-    if cls is OrderStatistic:
-        extra = set(d) - {"family", "base", "k", "n"}
-        if extra:
-            raise SpecError(path, f"unknown keys {sorted(extra)} for family 'order_statistic'")
-        return OrderStatistic(spec_from_dict(d.get("base", {}), f"{path}.base"), d.get("k"), d.get("n"))
-    if cls is Scaled:
-        extra = set(d) - {"family", "base", "factor"}
-        if extra:
-            raise SpecError(path, f"unknown keys {sorted(extra)} for family 'scaled'")
-        return Scaled(spec_from_dict(d.get("base", {}), f"{path}.base"), d.get("factor"))
-    if cls is MrlPiecewise:
-        extra = set(d) - {"family", "breakpoints", "pieces"}
-        if extra:
-            raise SpecError(path, f"unknown keys {sorted(extra)} for family 'mrl_piecewise'")
-        pieces = []
-        for i, pd in enumerate(d.get("pieces", ())):
-            ppath = f"{path}.pieces[{i}]"
-            if not isinstance(pd, dict):
-                raise SpecError(ppath, "expected a JSON object")
-            kind = pd.get("kind")
-            if kind not in _PIECE_KINDS:
-                raise SpecError(f"{ppath}.kind", f"unknown piece kind {kind!r}")
-            pcls = _PIECE_KINDS[kind]
-            names = [f.name for f in fields(pcls)]
-            extra = set(pd) - {"kind", *names}
-            if extra:
-                raise SpecError(ppath, f"unknown keys {sorted(extra)} for piece kind '{kind}'")
-            missing = [n for n in names if n not in pd]
-            if missing:
-                raise SpecError(ppath, f"missing keys {missing} for piece kind '{kind}'")
-            pieces.append(pcls(**{n: pd[n] for n in names}))
-        return MrlPiecewise(tuple(d.get("breakpoints", ())), tuple(pieces))
-    return _from_dict_scalar(cls, d, path)
+    registry, noun = (_FAMILIES, "family") if tag == "family" else (_PIECE_KINDS, "piece kind")
+    name = d.get(tag)
+    cls = registry.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise SpecError(f"{path}.{tag}", f"unknown {noun} {name!r}")
+    fs = fields(cls)
+    extra = set(d) - {tag, *(f.name for f in fs)}
+    if extra:
+        raise SpecError(path, f"unknown keys {sorted(extra)} for {noun} '{name}'")
+    # an omitted array reads as empty, so a single-piece MRL needs no breakpoints
+    missing = [f.name for f in fs if f.name not in d and f.type != "tuple"]
+    if missing:
+        raise SpecError(path, f"missing keys {missing} for {noun} '{name}'")
+    return cls(**{f.name: _field_from_json(f, d.get(f.name, []), path) for f in fs})
+
+
+def _field_from_json(f, value, node_path):
+    # field types are the annotation strings ("tuple" marks a JSON array)
+    tag = f.metadata.get("tag")
+    if f.type != "tuple":
+        return value if tag is None else _node_from_dict(value, f"{node_path}.{f.name}", tag)
+    if not isinstance(value, list):
+        raise SpecError(f"{node_path}.{f.name}", "expected a JSON array")
+    if tag is None:
+        return tuple(value)
+    return tuple(_node_from_dict(v, f"{node_path}.{f.name}[{i}]", tag) for i, v in enumerate(value))
 
 
 def dump_spec(spec) -> str:
@@ -649,6 +993,26 @@ class Dist:
         self.formal = formal
         self.lineage = lineage or (spec.family if spec is not None else "")
         self._tail_cache = {}
+
+    def relabel(self, spec, lineage: str = "", *, mean=None) -> Dist:
+        """This distribution under another spec and lineage.
+
+        Used where a construction lands in a closed family: the closed
+        forms carry over.  ``mean`` replaces the mean when the new spec
+        states it exactly.
+        """
+        return Dist(
+            spec,
+            self._survival,
+            self.support,
+            density=self._density,
+            tail=self._tail,
+            mean=self.mean if mean is None else mean,
+            mrl=self._mrl,
+            mrl_integral=self._mrl_integral,
+            formal=self.formal,
+            lineage=lineage,
+        )
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -751,333 +1115,6 @@ class Dist:
         return f"Dist({self.lineage})"
 
 
-# ---------------------------------------------------------------------------
-# family builders
-# ---------------------------------------------------------------------------
-
-
-def build(spec, *, validated: bool = False) -> Dist:
-    """Realise a spec as an evaluatable Dist."""
-    if not validated:
-        spec = validate(spec)
-    if isinstance(spec, Exponential):
-        return _build_exponential(spec)
-    if isinstance(spec, Weibull):
-        return _build_weibull(spec)
-    if isinstance(spec, Pareto):
-        return _build_pareto(spec)
-    if isinstance(spec, Erlang):
-        return _build_erlang(spec)
-    if isinstance(spec, Uniform):
-        return _build_uniform(spec)
-    if isinstance(spec, MrlLinear):
-        return _build_mrl_linear(spec)
-    if isinstance(spec, MrlReciprocalLinear):
-        return _build_mrl_reciprocal(spec)
-    if isinstance(spec, MrlExponential):
-        return _build_mrl_exponential(spec)
-    if isinstance(spec, MrlPiecewise):
-        return _build_mrl_piecewise(spec)
-
-    from . import ops  # composites are assembled by the reliability operations
-
-    if isinstance(spec, Mixture):
-        return ops.mixture(list(spec.weights), [build(c, validated=True) for c in spec.components])
-    if isinstance(spec, Convolution):
-        dists = [build(c, validated=True) for c in spec.components]
-        out = dists[0]
-        for d in dists[1:]:
-            out = ops.convolution(out, d)
-        return out
-    if isinstance(spec, OrderStatistic):
-        return ops.order_statistic(build(spec.base, validated=True), spec.k, spec.n)
-    if isinstance(spec, Scaled):
-        return ops.scale(build(spec.base, validated=True), spec.factor)
-    raise SpecError("spec", f"cannot build {type(spec).__name__}")
-
-
-def _build_exponential(spec: Exponential) -> Dist:
-    lam = spec.rate
-    return Dist(
-        spec,
-        lambda t: math.exp(-lam * t),
-        (0.0, math.inf),
-        density=lambda t: lam * math.exp(-lam * t),
-        tail=lambda t: math.exp(-lam * t) / lam,
-        mean=1.0 / lam,
-        mrl=lambda t: 1.0 / lam,
-        mrl_integral=lambda t: t / lam,
-    )
-
-
-def _build_weibull(spec: Weibull) -> Dist:
-    alpha, beta = spec.shape, spec.scale
-
-    def survival(t):
-        return math.exp(-((t / beta) ** alpha))
-
-    def density(t):
-        if t == 0.0:
-            if alpha > 1:
-                return 0.0
-            return 1.0 / beta if alpha == 1 else math.inf
-        z = (t / beta) ** alpha
-        return alpha / t * z * math.exp(-z)
-
-    return Dist(
-        spec,
-        survival,
-        (0.0, math.inf),
-        density=density,
-        mean=beta * math.gamma(1.0 + 1.0 / alpha),
-    )
-
-
-def _build_pareto(spec: Pareto) -> Dist:
-    a, b = spec.shape, spec.scale
-    mean = a * b / (a - 1.0)
-
-    def tail(t):
-        if t < b:
-            return mean - t
-        return t * (b / t) ** a / (a - 1.0)
-
-    def mrl_integral(t):
-        # int_0^t of the true MRL: (mean - u) below the support start
-        if t <= b:
-            return mean * t - 0.5 * t * t
-        on_support = (t * t - b * b) / (2.0 * (a - 1.0))
-        return mean * b - 0.5 * b * b + on_support
-
-    formal = FormalExtension(
-        survival=lambda t: (b / t) ** a,
-        tail=lambda t: b**a * t ** (1.0 - a) / (a - 1.0),
-        mrl=lambda t: t / (a - 1.0),
-        mrl_integral=lambda t: t * t / (2.0 * (a - 1.0)),
-    )
-    return Dist(
-        spec,
-        lambda t: (b / t) ** a,
-        (b, math.inf),
-        density=lambda t: a * b**a / t ** (a + 1.0),
-        tail=tail,
-        mean=mean,
-        mrl=lambda t: t / (a - 1.0),
-        mrl_integral=mrl_integral,
-        formal=formal,
-    )
-
-
-def _erlang_terms(k, lam, t):
-    """Cumulants e^{-lam t} (lam t)^i / i! for i < k."""
-    terms = []
-    p = math.exp(-lam * t)
-    for i in range(k):
-        terms.append(p)
-        p *= lam * t / (i + 1)
-    return terms
-
-
-def _build_erlang(spec: Erlang) -> Dist:
-    k, lam = spec.k, spec.rate
-    logc = (k - 1) * math.log(lam) + math.log(lam) - math.lgamma(k)
-
-    def survival(t):
-        return math.fsum(_erlang_terms(k, lam, t))
-
-    def density(t):
-        if t == 0.0:
-            return lam if k == 1 else 0.0
-        return math.exp(logc + (k - 1) * math.log(t) - lam * t)
-
-    def tail(t):
-        terms = _erlang_terms(k, lam, t)
-        return math.fsum((k - i) * p for i, p in enumerate(terms)) / lam
-
-    def mrl(t):
-        return tail(t) / survival(t)
-
-    mrl_integral = None
-    if k == 1:
-        mrl_integral = lambda t: t / lam
-    elif k == 2:
-        mrl_integral = lambda t: (lam * t + math.log1p(lam * t)) / (lam * lam)
-    elif k == 3:
-        # antiderivative of ((lam t)^2 + 4 lam t + 6) / (lam ((lam t)^2 + 2 lam t + 2))
-        def mrl_integral(t):
-            s = lam * t
-            val = (
-                math.log(s * s + 2.0 * s + 2.0)
-                + 2.0 * math.atan(s + 1.0)
-                + s
-                - math.log(2.0)
-                - math.pi / 2.0
-            )
-            return val / (lam * lam)
-
-    return Dist(
-        spec,
-        survival,
-        (0.0, math.inf),
-        density=density,
-        tail=tail,
-        mean=k / lam,
-        mrl=mrl,
-        mrl_integral=mrl_integral,
-    )
-
-
-def _build_uniform(spec: Uniform) -> Dist:
-    lo, hi = spec.lo, spec.hi
-    width = hi - lo
-    mean = 0.5 * (lo + hi)
-
-    def tail(t):
-        if t < lo:
-            return mean - t
-        if t >= hi:
-            return 0.0
-        return (hi - t) ** 2 / (2.0 * width)
-
-    def mrl_integral(t):
-        if t <= lo:
-            return mean * t - 0.5 * t * t
-        below = mean * lo - 0.5 * lo * lo
-        u = min(t, hi)
-        return below + 0.5 * (hi * (u - lo) - 0.5 * (u * u - lo * lo))
-
-    return Dist(
-        spec,
-        lambda t: (hi - t) / width,
-        (lo, hi),
-        density=lambda t: 1.0 / width,
-        tail=tail,
-        mean=mean,
-        mrl=lambda t: 0.5 * (hi - t),
-        mrl_integral=mrl_integral,
-    )
-
-
-def _build_mrl_linear(spec: MrlLinear) -> Dist:
-    a, b = spec.a, spec.b
-    if b == 0.0:
-        d = _build_exponential(Exponential(1.0 / a))
-        return Dist(
-            spec,
-            d._survival,
-            d.support,
-            density=d._density,
-            tail=d._tail,
-            mean=a,
-            mrl=d._mrl,
-            mrl_integral=d._mrl_integral,
-        )
-    c = 1.0 + 1.0 / b
-
-    return Dist(
-        spec,
-        lambda t: (a / (a + b * t)) ** c,
-        (0.0, math.inf),
-        density=lambda t: (b + 1.0) * a**c / (a + b * t) ** (c + 1.0),
-        tail=lambda t: a * (a / (a + b * t)) ** (1.0 / b),
-        mean=a,
-        mrl=lambda t: a + b * t,
-        mrl_integral=lambda t: a * t + 0.5 * b * t * t,
-    )
-
-
-def _build_mrl_reciprocal(spec: MrlReciprocalLinear) -> Dist:
-    a, b = spec.a, spec.b
-
-    def survival(t):
-        return (a + b * t) / a * math.exp(-(a * t + 0.5 * b * t * t))
-
-    return Dist(
-        spec,
-        survival,
-        (0.0, math.inf),
-        density=lambda t: ((a + b * t) ** 2 - b) / a * math.exp(-(a * t + 0.5 * b * t * t)),
-        tail=lambda t: math.exp(-(a * t + 0.5 * b * t * t)) / a,
-        mean=1.0 / a,
-        mrl=lambda t: 1.0 / (a + b * t),
-        mrl_integral=lambda t: math.log((a + b * t) / a) / b,
-    )
-
-
-def _build_mrl_exponential(spec: MrlExponential) -> Dist:
-    # For b > 0 the defining formula exp(a + bt) is not a realisable MRL:
-    # the inversion integral int 1/mu stays bounded, so mu(t) * survival(t)
-    # tends to the positive constant K below instead of 0.  The closed
-    # mrl/mrl_integral keep the defining formulas (which is what the
-    # published intensity bt e^{bt}/(e^{bt}-1) is built from), while tail
-    # and mean describe the reconstructed survival itself.
-    a, b = spec.a, spec.b
-
-    def survival(t):
-        return math.exp(math.exp(-a) * math.expm1(-b * t) / b - b * t)
-
-    def density(t):
-        return survival(t) * (math.exp(-a - b * t) + b)
-
-    offset = math.exp(a) * math.exp(-math.exp(-a) / b) if b > 0 else 0.0
-
-    def tail(t):
-        return math.exp(a + b * t) * survival(t) - offset
-
-    return Dist(
-        spec,
-        survival,
-        (0.0, math.inf),
-        density=density,
-        tail=tail,
-        mean=math.exp(a) - offset,
-        mrl=lambda t: math.exp(a + b * t),
-        mrl_integral=lambda t: math.exp(a) * math.expm1(b * t) / b,
-    )
-
-
-def _build_mrl_piecewise(spec: MrlPiecewise) -> Dist:
-    bps = spec.breakpoints
-    pieces = spec.pieces
-    starts = (0.0,) + bps
-
-    # prefix constants so per-point evaluation is O(log pieces)
-    int_mu_at = [0.0]
-    int_inv_at = [0.0]
-    for i, bp in enumerate(bps):
-        int_mu_at.append(int_mu_at[-1] + pieces[i].int_mu(starts[i], bp))
-        int_inv_at.append(int_inv_at[-1] + pieces[i].int_inv_mu(starts[i], bp))
-
-    def _index(t):
-        return bisect.bisect_right(bps, t)
-
-    def mu(t):
-        return pieces[_index(t)].mu(t)
-
-    def mrl_integral(t):
-        i = _index(t)
-        return int_mu_at[i] + pieces[i].int_mu(starts[i], t)
-
-    def inv_integral(t):
-        i = _index(t)
-        return int_inv_at[i] + pieces[i].int_inv_mu(starts[i], t)
-
-    mu0 = pieces[0].mu(0.0)
-
-    def survival(t):
-        return mu0 / mu(t) * math.exp(-inv_integral(t))
-
-    def density(t):
-        i = _index(t)
-        return survival(t) * (pieces[i].mu_prime(t) + 1.0) / pieces[i].mu(t)
-
-    return Dist(
-        spec,
-        survival,
-        (0.0, math.inf),
-        density=density,
-        tail=lambda t: mu(t) * survival(t),
-        mean=mu0,
-        mrl=mu,
-        mrl_integral=mrl_integral,
-    )
+# Composites are assembled by the reliability operations, which build on
+# everything above; imported last to close that cycle.
+from . import ops  # noqa: E402

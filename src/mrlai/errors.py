@@ -26,6 +26,11 @@ class Divergence(ToolkitError):
     """An improper integral appears not to converge."""
 
 
+class GridError(ToolkitError, ValueError):
+    """An evaluation grid or point is unusable: too few points, log spacing
+    from zero, or not above the convention origin.  Also a ValueError."""
+
+
 class BeyondSupport(ToolkitError):
     """Evaluation was requested where the survival function is identically zero."""
 

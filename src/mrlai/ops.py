@@ -18,20 +18,9 @@ from .distributions import (
     Dist,
     Erlang,
     Exponential,
-    MrlExponential,
-    MrlLinear,
-    MrlPiecewise,
-    MrlReciprocalLinear,
     Mixture,
     OrderStatistic,
-    Pareto,
-    PieceExpAffine,
-    PieceLinear,
-    PieceRecipLinear,
-    PieceSqrtAffine,
     Scaled,
-    Uniform,
-    Weibull,
     build,
 )
 from .errors import SpecError, UnsupportedCapability
@@ -86,16 +75,9 @@ def convolution(
         merged = _erlang_merge(x.spec, y.spec)
         if merged is not None:
             d = build(merged, validated=True)
-            return Dist(
+            return d.relabel(
                 Convolution((x.spec, y.spec)),
-                d._survival,
-                d.support,
-                density=d._density,
-                tail=d._tail,
-                mean=d.mean,
-                mrl=d._mrl,
-                mrl_integral=d._mrl_integral,
-                lineage=f"convolution[{d.lineage}]({x.lineage}, {y.lineage})",
+                f"convolution[{d.lineage}]({x.lineage}, {y.lineage})",
             )
     if not x.has_density and not y.has_density:
         raise UnsupportedCapability(
@@ -165,16 +147,8 @@ def order_statistic(base: Dist, k: int, n: int) -> Dist:
     if k == 1 and isinstance(base.spec, Exponential):
         # minimum of iid exponentials is exponential with n times the rate
         d = build(Exponential(base.spec.rate * n), validated=True)
-        return Dist(
-            OrderStatistic(base.spec, k, n),
-            d._survival,
-            d.support,
-            density=d._density,
-            tail=d._tail,
-            mean=d.mean,
-            mrl=d._mrl,
-            mrl_integral=d._mrl_integral,
-            lineage=f"series[{d.lineage}]({base.lineage} x{n})",
+        return d.relabel(
+            OrderStatistic(base.spec, k, n), f"series[{d.lineage}]({base.lineage} x{n})"
         )
 
     spec = OrderStatistic(base.spec, k, n)
@@ -223,22 +197,10 @@ def scale(base: Dist, factor: float, rewrite: bool = True) -> Dist:
         raise SpecError("scaled.factor", f"must be positive and finite, got {factor!r}")
     if a == 1.0:
         return base
-    if rewrite:
-        rewritten = _rescale_spec(base.spec, a)
-        if rewritten is not None:
-            d = build(rewritten, validated=True)
-            return Dist(
-                Scaled(base.spec, a),
-                d._survival,
-                d.support,
-                density=d._density,
-                tail=d._tail,
-                mean=d.mean,
-                mrl=d._mrl,
-                mrl_integral=d._mrl_integral,
-                formal=d.formal,
-                lineage=f"scaled[{a:g}]({base.lineage})",
-            )
+    rewritten = base.spec.rescaled(a) if rewrite and base.spec is not None else None
+    if rewritten is not None:
+        d = build(rewritten, validated=True)
+        return d.relabel(Scaled(base.spec, a), f"scaled[{a:g}]({base.lineage})")
 
     s0, s1 = base.support
     density = None
@@ -253,48 +215,3 @@ def scale(base: Dist, factor: float, rewrite: bool = True) -> Dist:
         mean=a * base.mean,
         lineage=f"scaled[{a:g}]({base.lineage})",
     )
-
-
-def _rescale_spec(spec, a):
-    """Map a spec to the same family with the scale folded in, or None."""
-    if isinstance(spec, Exponential):
-        return Exponential(spec.rate / a)
-    if isinstance(spec, Weibull):
-        return Weibull(spec.shape, a * spec.scale)
-    if isinstance(spec, Pareto):
-        return Pareto(spec.shape, a * spec.scale)
-    if isinstance(spec, Erlang):
-        return Erlang(spec.k, spec.rate / a)
-    if isinstance(spec, Uniform):
-        return Uniform(a * spec.lo, a * spec.hi)
-    if isinstance(spec, MrlLinear):
-        return MrlLinear(a * spec.a, spec.b)
-    if isinstance(spec, MrlReciprocalLinear):
-        return MrlReciprocalLinear(spec.a / a, spec.b / (a * a))
-    if isinstance(spec, MrlExponential):
-        return MrlExponential(spec.a + math.log(a), spec.b / a)
-    if isinstance(spec, MrlPiecewise):
-        return MrlPiecewise(
-            tuple(a * bp for bp in spec.breakpoints),
-            tuple(_rescale_piece(p, a) for p in spec.pieces),
-        )
-    if isinstance(spec, Mixture):
-        comps = tuple(_rescale_spec(c, a) for c in spec.components)
-        return None if any(c is None for c in comps) else Mixture(spec.weights, comps)
-    if isinstance(spec, OrderStatistic):
-        inner = _rescale_spec(spec.base, a)
-        return None if inner is None else OrderStatistic(inner, spec.k, spec.n)
-    return None
-
-
-def _rescale_piece(p, a):
-    # mu_{aX}(t) = a * mu_X(t / a)
-    if isinstance(p, PieceLinear):
-        return PieceLinear(a * p.a, p.b)
-    if isinstance(p, PieceExpAffine):
-        return PieceExpAffine(a * p.p, a * p.q, p.r / a)
-    if isinstance(p, PieceSqrtAffine):
-        return PieceSqrtAffine(a * p.p, math.sqrt(a) * p.q)
-    if isinstance(p, PieceRecipLinear):
-        return PieceRecipLinear(p.a / a, p.b / (a * a))
-    raise SpecError("scaled.base", f"cannot rescale piece {type(p).__name__}")

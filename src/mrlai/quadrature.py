@@ -100,14 +100,10 @@ class CumulativeTable:
 
     grid: tuple
     values: tuple
-    integrand_id: str = ""
 
     def __post_init__(self):
         if len(self.grid) != len(self.values):
             raise ValueError("grid and values must have equal length")
-
-    def value_at(self, index: int) -> float:
-        return self.values[index]
 
 
 def _eval(f, x: float) -> float:
@@ -285,7 +281,6 @@ def cumulative_on_grid(
     grid,
     cfg: QuadConfig = DEFAULT_CONFIG,
     origin: float = 0.0,
-    integrand_id: str = "",
 ) -> CumulativeTable:
     """Prefix integrals of ``f`` from ``origin`` to each grid point.
 
@@ -310,4 +305,4 @@ def cumulative_on_grid(
             raise type(exc)(f"panel {j} [{lo!r}, {hi!r}]: {exc}") from exc
         values.append(acc)
         lo = hi
-    return CumulativeTable(grid=pts, values=tuple(values), integrand_id=integrand_id)
+    return CumulativeTable(grid=pts, values=tuple(values))

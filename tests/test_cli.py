@@ -11,6 +11,7 @@ from mrlai.cli import main
 ERLANG = '{"family":"erlang","k":2,"rate":2}'
 EXP_HALF = '{"family":"exponential","rate":0.5}'
 PARETO21 = '{"family":"pareto","shape":2,"scale":1}'
+UNIFORM13 = '{"family":"uniform","lo":1,"hi":3}'
 
 
 def run(argv, capsys):
@@ -38,6 +39,29 @@ class TestEval:
     def test_bad_grid_usage_error(self, capsys):
         code, _, err = run(["eval", ERLANG, "--grid", "nope"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", EXP_HALF, "--grid", "0.1:1/4"],
+            ["classify", EXP_HALF, "--grid", "0:1/32:log"],
+            ["classify", EXP_HALF, "--grid", "0:1/32"],
+            ["eval", UNIFORM13, "--conv", "support", "--grid", "0.5:2/4"],
+            ["eval", EXP_HALF, "--grid", "0:1/4"],
+            ["compare", EXP_HALF, UNIFORM13, "--conv", "support", "--grid", "0.5:2/8"],
+            ["plotdata", EXP_HALF, "--grid", "0:1/4"],
+            ["plotdata", EXP_HALF, "--quantity", "hazard_ai", "--grid", "0:1/4"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
+    )
+    def test_grid_unfit_for_command_is_usage_error(self, capsys, argv):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_survival_plot_may_start_at_zero(self, capsys):
+        code, _, _ = run(["plotdata", EXP_HALF, "--quantity", "survival", "--grid", "0:1/4"], capsys)
+        assert code == 0
 
     def test_bad_spec_exit_code(self, capsys):
         code, _, err = run(["eval", '{"family":"pareto","shape":1,"scale":1}'], capsys)

@@ -108,6 +108,12 @@ class TestMeans:
         d = build(Weibull(0.5, 1.0))
         assert d.mean == pytest.approx(gamma_fn(3.0), rel=1e-12)
 
+    def test_constant_mrl_keeps_its_exact_mean(self):
+        # 1/(1/a) != a in the last bit for this a, so the mean must not come
+        # from the exponential that the b = 0 case is built on
+        a = 12.953248347145237
+        assert build(MrlLinear(a, 0.0)).mean == a
+
     @pytest.mark.parametrize("spec", VALID_SPECS, ids=lambda s: s.family + repr(s)[:24])
     def test_mean_equals_tail_from_zero(self, spec):
         d = build(spec)
@@ -269,6 +275,9 @@ class TestValidation:
         assert validate(a) == validate(b)
 
 
+_EXP1 = '{"family":"exponential","rate":1}'
+
+
 class TestJsonGrammar:
     def test_documented_example(self):
         text = (
@@ -290,6 +299,49 @@ class TestJsonGrammar:
     def test_missing_keys_rejected(self):
         with pytest.raises(SpecError, match="missing"):
             load_spec('{"family":"weibull","shape":2}')
+
+    @pytest.mark.parametrize(
+        "text, path, message",
+        [
+            # a missing composite key
+            ('{"family":"order_statistic","base":{"family":"exponential","rate":1},"k":1}',
+             "spec", "missing keys ['n']"),
+            ('{"family":"scaled","factor":2}', "spec", "missing keys ['base']"),
+            ('{"family":"mixture","components":[' + _EXP1 + "," + _EXP1 + "]}",
+             "spec.weights", "at least two components"),
+            # a non-object component or base
+            ('{"family":"convolution","components":[1,' + _EXP1 + "]}",
+             "spec.components[0]", "expected a JSON object"),
+            ('{"family":"scaled","base":3,"factor":2}', "spec.base", "expected a JSON object"),
+            ('{"family":"convolution","components":' + _EXP1 + "}",
+             "spec.components", "expected a JSON array"),
+            # an unknown piece kind, an unknown piece key
+            ('{"family":"mrl_piecewise","breakpoints":[],"pieces":[{"kind":"cubic","a":1}]}',
+             "spec.pieces[0].kind", "unknown piece kind 'cubic'"),
+            ('{"family":"mrl_piecewise","breakpoints":[],"pieces":'
+             '[{"kind":"linear","a":1,"b":0,"c":2}]}',
+             "spec.pieces[0]", "unknown keys ['c'] for piece kind 'linear'"),
+            # a piece where a spec is expected, and the other way round
+            ('{"family":"convolution","components":[{"kind":"linear","a":1,"b":1},' + _EXP1 + "]}",
+             "spec.components[0].family", "unknown family None"),
+            ('{"family":"mrl_piecewise","breakpoints":[],"pieces":[' + _EXP1 + "]}",
+             "spec.pieces[0].kind", "unknown piece kind None"),
+            # errors deep in a tree name the whole path
+            ('{"family":"mixture","weights":[0.5,0.5],"components":'
+             '[{"family":"scaled","base":{"family":"zeta"},"factor":2},' + _EXP1 + "]}",
+             "spec.components[0].base.family", "unknown family 'zeta'"),
+            ('{"family":[1]}', "spec.family", "unknown family [1]"),
+        ],
+    )
+    def test_malformed_nodes_name_their_path(self, text, path, message):
+        with pytest.raises(SpecError) as info:
+            load_spec(text)
+        assert info.value.path == path
+        assert message in info.value.message
+
+    def test_single_piece_needs_no_breakpoints(self):
+        spec = load_spec('{"family":"mrl_piecewise","pieces":[{"kind":"linear","a":1,"b":1}]}')
+        assert spec == MrlPiecewise((), (PieceLinear(1.0, 1.0),))
 
     @pytest.mark.parametrize("spec", VALID_SPECS, ids=lambda s: s.family + repr(s)[:24])
     def test_round_trip(self, spec):

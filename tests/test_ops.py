@@ -10,9 +10,15 @@ from mrlai.classify import Grid, Kind, classify_mrlai
 from mrlai.distributions import (
     Erlang,
     Exponential,
+    MrlExponential,
     MrlLinear,
+    MrlPiecewise,
     MrlReciprocalLinear,
     Pareto,
+    PieceExpAffine,
+    PieceLinear,
+    PieceRecipLinear,
+    PieceSqrtAffine,
     Uniform,
     Weibull,
     build,
@@ -174,13 +180,34 @@ class TestScale:
     @pytest.mark.parametrize("rewrite", [True, False])
     def test_change_of_variables(self, rewrite):
         rng = random.Random(11)
-        specs = [Erlang(2, 2.0), Weibull(1.3, 1.0), MrlLinear(1.0, 0.5), Pareto(3.0, 1.0)]
+        specs = [
+            Erlang(2, 2.0),
+            Weibull(1.3, 1.0),
+            MrlLinear(1.0, 0.5),
+            Pareto(3.0, 1.0),
+            Exponential(0.7),
+            Uniform(0.5, 3.0),
+            MrlReciprocalLinear(1.0, 2.0),
+            MrlExponential(0.5, -0.2),
+            MrlExponential(0.2, 0.5),
+            # one piece of every kind, each probed below
+            MrlPiecewise(
+                (1.0, 2.0, 3.0),
+                (
+                    PieceLinear(1.0, 0.5),
+                    PieceExpAffine(1.0, 0.5 / math.e, 1.0),
+                    PieceSqrtAffine(1.0, 1.0),
+                    PieceRecipLinear(0.1, 0.1),
+                ),
+            ),
+        ]
         for spec in specs:
             a = rng.uniform(0.3, 3.0)
             d = build(spec)
             s = scale(d, a, rewrite=rewrite)
+            assert (spec.rescaled(a) is not None) or not rewrite
             assert s.mean == pytest.approx(a * d.mean, rel=1e-9)
-            for t in (0.5, 1.7):
+            for t in (0.5, 1.7, 2.5, 4.0):
                 tt = max(t, d.support[0] * 1.1 + 0.01)
                 assert s.survival(a * tt) == pytest.approx(d.survival(tt), rel=1e-10)
 
