@@ -25,10 +25,10 @@ For distributions supported from 0 the three conventions coincide.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .distributions import Dist
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     OriginSingularity,
     UnsupportedCapability,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, cumulative_on_grid, integrate_finite
+from .quadrature import DEFAULT_CONFIG, QuadConfig, cheb_sweep, integrate_finite
 
 __all__ = [
     "Convention",
@@ -97,7 +97,7 @@ def _formal_parts(d: Dist):
     )
 
 
-def _mrl_point(d, t, conv, cfg, method, mu_support=None):
+def _mrl_point(d, t, conv, cfg, method):
     """MRL value entering the MRLAI numerator under the given convention."""
     if conv is Convention.FORMAL:
         fm, _ = _formal_parts(d)
@@ -108,45 +108,7 @@ def _mrl_point(d, t, conv, cfg, method, mu_support=None):
             f"{d.lineage}: t={t!r} lies below the support start under the "
             "support-start convention"
         )
-    if mu_support is not None and t >= d.support[0]:
-        return mu_support(t)
     return mrl(d, t, cfg, method)
-
-
-def _mrl_integral(d, t, conv, cfg, method):
-    """G(t) = integral of the conventioned MRL from the convention's origin."""
-    s0 = d.support[0]
-    if conv is Convention.FORMAL:
-        fm, fint = _formal_parts(d)
-        if fm is not None:
-            if method != "quadrature":
-                return fint(t)
-            lo = min(t, s0)
-            below = integrate_finite(fm, 0.0, lo, cfg) if lo > 0 else 0.0
-            if t <= s0:
-                return below
-            return below + integrate_finite(
-                lambda u: mrl(d, u, cfg, method), s0, t, cfg
-            )
-        conv = Convention.ZERO
-    if conv is Convention.SUPPORT_START:
-        if t <= s0:
-            raise BeyondSupport(
-                f"{d.lineage}: support-start average needs t > {s0!r}"
-            )
-        closed = None if method == "quadrature" else d.mrl_integral_closed(t)
-        if closed is not None:
-            return closed - d.mrl_integral_closed(s0)
-        return integrate_finite(lambda u: mrl(d, u, cfg, method), s0, t, cfg)
-    # zero convention, true MRL below the support start
-    closed = None if method == "quadrature" else d.mrl_integral_closed(t)
-    if closed is not None:
-        return closed
-    below_end = min(t, s0)
-    acc = d.mean * below_end - 0.5 * below_end * below_end if below_end > 0 else 0.0
-    if t > s0:
-        acc += integrate_finite(lambda u: mrl(d, u, cfg, method), s0, t, cfg)
-    return acc
 
 
 def mrl_average(
@@ -160,14 +122,18 @@ def mrl_average(
     origin = _origin(d, conv)
     if t <= origin:
         raise GridError(f"mrl_average needs t above the convention origin {origin!r}")
-    if (
+    if _small_t(d, t, conv, method):
+        return _small_t_average(d, t, cfg, method)
+    return _evaluate(d, (t,), conv, cfg, method, need_mu=False)[1][0] / t
+
+
+def _small_t(d, t, conv, method):
+    return (
         conv is not Convention.SUPPORT_START
         and d.support[0] == 0.0
         and t < _SMALL_T_FRACTION * d.mean
         and (method == "quadrature" or d.mrl_integral_closed(t) is None)
-    ):
-        return _small_t_average(d, t, cfg, method)
-    return _mrl_integral(d, t, conv, cfg, method) / t
+    )
 
 
 def _small_t_average(d, t, cfg, method):
@@ -190,7 +156,13 @@ def mrlai(
     cfg: QuadConfig = DEFAULT_CONFIG,
     method: str = "auto",
 ) -> float:
-    """Ageing intensity L(t) = mu(t) / mrl_average(t) under the convention."""
+    """Ageing intensity L(t) = mu(t) / mrl_average(t) under the convention.
+
+    Evaluated as a one-point ``profile``.
+    """
+    if t > _origin(d, conv) and not _small_t(d, t, conv, method):
+        mu, g = _evaluate(d, (t,), conv, cfg, method)
+        return mu[0] / (g[0] / t)
     return _mrl_point(d, t, conv, cfg, method) / mrl_average(d, t, conv, cfg, method)
 
 
@@ -276,9 +248,19 @@ def profile(
 ) -> MrlProfile:
     """Evaluate the ageing quantities along a strictly increasing grid.
 
-    The denominator integrals are accumulated panel by panel and, when the
-    MRL has no closed form, its tail integrals are anchored to the grid,
-    so a whole profile costs a single pass.
+    Closed forms are used where the method allows.  Otherwise one sweep
+    from the top of the grid down to the convention origin produces mu and
+    G(t) = int mu together: it starts from a single tail integral at the
+    top grid point and covers each grid panel with adaptive 33-point
+    Chebyshev-Lobatto panels (``quadrature.cheb_sweep``).  On each panel
+    the tail T(x) = T(b) + int_x^b S is chained through the survival
+    samples, mu = T/S at the same nodes, and their Clenshaw-Curtis sum
+    gives the panel's share of G.  A panel is refined until both the
+    survival and the mu integrals meet the tolerance, so a profile costs
+    about one panel of survival samples per grid point for smooth
+    families.  Where the MRL or the tail is closed, the sweep integrates
+    the closed mu instead.  Scalar ``mrlai`` and ``mrl_average`` are
+    one-point profiles.
     """
     ts = tuple(float(t) for t in grid)
     if not ts:
@@ -287,9 +269,8 @@ def profile(
     if ts[0] <= origin:
         raise GridError(f"grid must start above the convention origin {origin!r}")
 
-    mu_support = _mu_on_support(d, ts, cfg, method)
-    mu_vals = tuple(_mrl_point(d, t, conv, cfg, method, mu_support) for t in ts)
-    g_vals = _integral_on_grid(d, ts, conv, cfg, method, mu_support)
+    mu_vals, g_vals = _evaluate(d, ts, conv, cfg, method)
+    mu_vals = tuple(mu_vals)
     mu_avg = tuple(g / t for g, t in zip(g_vals, ts))
     L = tuple(m / avg for m, avg in zip(mu_vals, mu_avg))
 
@@ -297,41 +278,6 @@ def profile(
     if with_hazard_ai and d.has_density:
         ai = tuple(_hazard_ai_or_nan(d, t) for t in ts)
     return MrlProfile(d, ts, mu_vals, mu_avg, L, ai, conv)
-
-
-def _mu_on_support(d, ts, cfg, method):
-    """On-support MRL evaluator for one grid pass.
-
-    Uses the closed form when allowed; otherwise anchors tail integrals to
-    the grid so each evaluation costs one short panel instead of a fresh
-    improper integral.
-    """
-    if method != "quadrature" and d.has_closed_mrl:
-        return d.mrl_closed
-    if method != "quadrature" and d._tail is not None:
-        return lambda u: mrl(d, u, cfg, method)
-
-    s0, s1 = d.support
-    anchors = [max(s0, 0.0)] + [t for t in ts if t > max(s0, 0.0)]
-    vals = [0.0] * len(anchors)
-    top = anchors[-1]
-    vals[-1] = d.tail(top, cfg, numeric=True) if top < s1 else 0.0
-    for j in range(len(anchors) - 2, -1, -1):
-        vals[j] = vals[j + 1] + integrate_finite(d.survival, anchors[j], anchors[j + 1], cfg)
-
-    def mu(u):
-        sv = d.survival(u)
-        if sv <= 0.0:
-            raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={u!r}")
-        k = bisect.bisect_left(anchors, u)
-        if k >= len(anchors):
-            return d.tail(u, cfg, numeric=True) / sv
-        tail = vals[k]
-        if u < anchors[k]:
-            tail += integrate_finite(d.survival, u, anchors[k], cfg)
-        return tail / sv
-
-    return mu
 
 
 def _hazard_ai_or_nan(d, t):
@@ -342,23 +288,109 @@ def _hazard_ai_or_nan(d, t):
         return math.nan
 
 
-def _integral_on_grid(d, ts, conv, cfg, method, mu_support):
-    closed_ok = method != "quadrature"
+def _evaluate(d, ts, conv, cfg, method, need_mu=True):
+    """(mu, G) at the grid points, G(t) = int mu from the convention origin.
+
+    ``mu`` is None when ``need_mu`` is false.
+    """
+    g_closed = _closed_integral(d, conv, method)
+    if g_closed is None:
+        return _sweep(d, ts, conv, cfg, method, need_mu)
+    mu = [_mrl_point(d, t, conv, cfg, method) for t in ts] if need_mu else None
+    return mu, [g_closed(t) for t in ts]
+
+
+def _closed_integral(d, conv, method):
+    """t -> G(t) in closed form, or None where the method or family rules it out."""
+    if method == "quadrature":
+        return None
+    if conv is Convention.FORMAL:
+        _, fint = _formal_parts(d)
+        if fint is not None:
+            return fint
+    if d._mrl_integral is None:
+        return None
     s0 = d.support[0]
-    if conv is Convention.FORMAL and d.formal is not None:
-        if closed_ok:
-            return [d.formal.mrl_integral(t) for t in ts]
-        mu_formal = lambda u: d.formal.mrl(u) if u < s0 else mu_support(u)
-        return list(cumulative_on_grid(mu_formal, ts, cfg, origin=0.0).values)
-    if closed_ok and d.mrl_integral_closed(ts[-1]) is not None:
-        if conv is Convention.SUPPORT_START and s0 > 0.0:
-            base = d.mrl_integral_closed(s0)
-            return [d.mrl_integral_closed(t) - base for t in ts]
-        return [d.mrl_integral_closed(t) for t in ts]
+    if conv is Convention.SUPPORT_START and s0 > 0.0:
+        base = d.mrl_integral_closed(s0)
+        return lambda t: d.mrl_integral_closed(t) - base
+    return d.mrl_integral_closed
 
-    def mu_true(u):
-        return d.mean - u if u < s0 else mu_support(u)
 
-    origin = _origin(d, conv)
-    table = cumulative_on_grid(mu_true, ts, cfg, origin=origin)
-    return list(table.values)
+def _sweep(d, ts, conv, cfg, method, need_mu):
+    """mu and G at the grid points without a closed G (see ``profile``)."""
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise GridError("grid must be strictly increasing")
+    s0, s1 = d.support
+    fm = _formal_parts(d)[0] if conv is Convention.FORMAL else None
+    lo = max(s0, _origin(d, conv))
+    knots = [lo] + [t for t in ts if t > lo]
+    if knots[-1] > s1:
+        raise BeyondSupport(f"{d.lineage}: mrl undefined at t={knots[-1]!r} (past support end)")
+
+    # on the support: mu and G from lo.  At a finite support end mu takes
+    # its limit 0 (0 <= mu(x) <= s1 - x), so G(s1) is defined although
+    # mu(s1) is not.
+    mu_at, g_at = {}, {lo: 0.0}
+    if len(knots) > 1:
+        if method != "quadrature" and (d.has_closed_mrl or d._tail is not None):
+            mu_closed = lambda u: mrl(d, u, cfg, method) if u < s1 else 0.0
+            mu_on, g_on = _integrate_knots(mu_closed, knots, cfg)
+        else:
+            mu_on, g_on = _integrate_knots(d.survival, knots, cfg, _chained_mu(d, knots[-1], cfg))
+        mu_at = {k: m for k, m in zip(knots, mu_on) if k < s1}
+        g_at = dict(zip(knots, g_on))
+
+    # below the support start: the formal continuation or the true MRL
+    if fm is not None:
+        below = [0.0] + sorted({min(t, s0) for t in ts if min(t, s0) > 0.0})
+        g_fm = dict(zip(below, _integrate_knots(fm, below, cfg)[1]))
+        g_below = lambda x: g_fm[x]
+    elif conv is Convention.SUPPORT_START:
+        g_below = lambda x: 0.0
+    else:
+        g_below = lambda x: d.mean * x - 0.5 * x * x if x > 0 else 0.0
+
+    g = [g_below(min(t, s0)) + g_at.get(t, 0.0) for t in ts]
+    mu = None
+    if need_mu:
+        mu = [mu_at[t] if t in mu_at else _mrl_point(d, t, conv, cfg, method) for t in ts]
+    return mu, g
+
+
+def _integrate_knots(f, knots, cfg, resolve=None):
+    """Values at the knots and integrals from knots[0] to every knot of f,
+    or of the node values ``resolve`` derives from it, in one sweep."""
+    vals = [0.0] * len(knots)
+    seg = [0.0] * (len(knots) - 1)
+    last = None
+    for p in cheb_sweep(f, knots, cfg, resolve):
+        g, integral = (p.fs, p.integral) if resolve is None else (p.g, p.g_integral)
+        if p.interval != last:  # the rightmost panel of its knot interval
+            vals[p.interval + 1] = g[0]
+            last = p.interval
+        seg[p.interval] += integral
+        vals[0] = g[-1]
+    return vals, list(accumulate(seg, initial=0.0))
+
+
+def _chained_mu(d, top, cfg):
+    """A ``cheb_sweep`` hook that turns survival panels into mu = T/S, with
+    T = int_x^inf S chained down from one tail integral at ``top``."""
+    s1 = d.support[1]
+    if top < s1 and d.survival(top) <= 0.0:
+        raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={top!r}")
+    tail_top = d.tail(top, cfg, numeric=True)
+
+    def mu_nodes(p):
+        out = []
+        for x, sv, tail in zip(p.xs, p.fs, p.tails):
+            if x >= s1:
+                out.append(0.0)
+            elif sv <= 0.0:
+                raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={x!r}")
+            else:
+                out.append((tail_top + tail) / sv)
+        return out
+
+    return mu_nodes

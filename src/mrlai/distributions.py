@@ -499,13 +499,23 @@ class MrlExponential(_Family):
 # Piece kinds for MrlPiecewise.  Each knows its own value, slope and the
 # closed antiderivatives of mu and 1/mu, so the piecewise survival and the
 # ageing-intensity denominator never need numerical integration.  Each also
-# rescales itself (mu_{aX}(t) = a * mu_X(t / a)) and knows whether it stays
-# positive on an unbounded last piece; every kind is monotone in t, so that
-# and the endpoint values decide positivity.
+# rescales itself (mu_{aX}(t) = a * mu_X(t / a)) and knows whether mu stays
+# positive on its interval.  Every kind is monotone in t, so the endpoint
+# values and, on an unbounded last piece, the limit decide that; the
+# reciprocal kind is monotone only between its poles, so it tests its linear
+# denominator instead.
+
+
+class _Piece:
+    def positive_on(self, lo, hi):
+        """mu > 0 on [lo, hi), from the ends and, for hi = inf, the limit."""
+        return self.mu(lo) > 0 and (
+            self.positive_at_infinity() if math.isinf(hi) else self.mu(hi) >= 0
+        )
 
 
 @dataclass(frozen=True)
-class PieceLinear:
+class PieceLinear(_Piece):
     """mu(t) = a + b*t on the piece, in absolute time coordinates."""
 
     a: float
@@ -534,7 +544,7 @@ class PieceLinear:
 
 
 @dataclass(frozen=True)
-class PieceExpAffine:
+class PieceExpAffine(_Piece):
     """mu(t) = p + q*exp(r*t)."""
 
     p: float
@@ -569,7 +579,7 @@ class PieceExpAffine:
 
 
 @dataclass(frozen=True)
-class PieceSqrtAffine:
+class PieceSqrtAffine(_Piece):
     """mu(t) = p + q*sqrt(t)."""
 
     p: float
@@ -601,7 +611,7 @@ class PieceSqrtAffine:
 
 
 @dataclass(frozen=True)
-class PieceRecipLinear:
+class PieceRecipLinear(_Piece):
     """mu(t) = 1/(a + b*t)."""
 
     a: float
@@ -626,8 +636,11 @@ class PieceRecipLinear:
     def rescaled(self, a):
         return PieceRecipLinear(self.a / a, self.b / (a * a))
 
-    def positive_at_infinity(self):
-        return True  # recip_linear with positive a, b stays positive
+    def positive_on(self, lo, hi):
+        # mu has a pole where a + b*t = 0, so test the denominator itself
+        return self.a + self.b * lo > 0 and (
+            self.b >= 0 if math.isinf(hi) else self.a + self.b * hi > 0
+        )
 
 
 _PIECE_KINDS = {
@@ -668,8 +681,7 @@ class MrlPiecewise(_Family):
             lo = 0.0 if i == 0 else bps[i - 1]
             hi = bps[i] if i < len(bps) else math.inf
             _require(
-                piece.mu(lo) > 0
-                and (piece.positive_at_infinity() if math.isinf(hi) else piece.mu(hi) >= 0),
+                piece.positive_on(lo, hi),
                 f"{path}.pieces[{i}]",
                 f"mean residual life must stay positive on [{lo!r}, {hi!r})",
             )

@@ -11,6 +11,23 @@ Improper upper limits are mapped onto (0, 1), by x = a + u/(1-u) by
 default or x = a - ln(1-u) for integrands that misbehave under the
 rational substitution.
 
+Where a caller needs the running integral of f at many points and
+quantities derived from it (the ageing sweep chains the tail integral
+of the survival function this way), ``cheb_sweep`` covers an interval
+with 33-point Chebyshev-Lobatto panels (N = 32) from right to left.
+Each panel returns its samples, the integral from every node to the
+right end of the sweep (one product with a precomputed spectral
+integration matrix, as in Chebfun's ``cumsum``; Trefethen,
+*Approximation Theory and Approximation Practice*, ch. 19) and its
+Clenshaw-Curtis integral.  A panel is bisected until its error estimate,
+the half-width times the sum of the four trailing Chebyshev coefficients,
+meets max(abs_tol, rel_tol * |panel integral|).  The estimate is
+weighted by the width, so a kink or a rounding-level jump in f ends the
+bisection once the panel is narrow enough, where a pointwise
+coefficient test would split forever.
+Unlike the Kronrod abscissae, the Lobatto nodes include both panel
+ends, so f must be finite there.
+
 A NaN or infinity from the integrand at a sampled point is a hard
 DomainError; silently skipping bad samples hides bugs in the caller.
 """
@@ -20,6 +37,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from .errors import Divergence, DomainError, NonConvergence
 
@@ -29,6 +48,8 @@ __all__ = [
     "integrate_finite",
     "integrate_tail",
     "cumulative_on_grid",
+    "ChebPanel",
+    "cheb_sweep",
 ]
 
 # Gauss-Kronrod 7-15 abscissae/weights on [-1, 1] (positive half; the rule
@@ -306,3 +327,143 @@ def cumulative_on_grid(
         values.append(acc)
         lo = hi
     return CumulativeTable(grid=pts, values=tuple(values))
+
+
+# Chebyshev-Lobatto panels: nodes cos(k pi / N), k = 0..N, run from the
+# right end of a panel (k = 0) to its left end (k = N).
+_N = 32
+_TRAILING = 4
+
+
+@lru_cache(maxsize=None)
+def _cheb_tables():
+    """Node abscissae on [-1, 1], the spectral integration matrix Q with
+    Q[i] . f = int_{x_i}^{1} p (p the interpolant of f at the nodes), and
+    the rows of the values-to-coefficients map for the trailing
+    coefficients.  The last row of Q holds the Clenshaw-Curtis weights.
+
+    Built on first use from a table of cos(m pi / N), so importing the
+    package stays cheap.
+    """
+    n = _N
+    cos_m = [math.cos(m * math.pi / n) for m in range(2 * n)]
+
+    def t(k, j):  # T_k at node j
+        return cos_m[(k * j) % (2 * n)]
+
+    halve = [0.5 if j in (0, n) else 1.0 for j in range(n + 1)]
+    # coefficients c_k = sum_j D[k][j] f_j of p = sum_k c_k T_k
+    dct = [
+        [2.0 / n * halve[k] * halve[j] * t(k, j) for j in range(n + 1)]
+        for k in range(n + 1)
+    ]
+    # E[i][k] = int_{x_i}^{1} T_k, from the antiderivative
+    # T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)) for k >= 2
+    def anti(k, j):
+        if k == 0:
+            return t(1, j)
+        if k == 1:
+            return 0.25 * t(2, j)
+        return t(k + 1, j) / (2.0 * (k + 1)) - t(k - 1, j) / (2.0 * (k - 1))
+
+    ends = [anti(k, 0) for k in range(n + 1)]
+    cols = list(zip(*dct))
+    q = []
+    for i in range(n + 1):
+        e = [ends[k] - anti(k, i) for k in range(n + 1)]
+        q.append(tuple(sum(map(mul, e, col)) for col in cols))
+    q[0] = (0.0,) * (n + 1)
+    nodes = tuple(cos_m[j] for j in range(n + 1))
+    return nodes, tuple(q), tuple(tuple(row) for row in dct[n + 1 - _TRAILING :])
+
+
+class ChebPanel:
+    """One accepted panel of a ``cheb_sweep``.
+
+    ``xs`` run from ``b`` down to ``a`` and include both ends exactly;
+    ``fs`` are the samples there.  ``integral`` is the Clenshaw-Curtis
+    integral over [a, b].  ``tails[i]`` is the integral of f from
+    ``xs[i]`` to the right end of the whole sweep.  ``g`` and
+    ``g_integral`` hold the derived node values returned by the sweep's
+    ``resolve`` hook and their integral over the panel (None without one).
+    ``interval`` is the index of the knot interval the panel lies in.
+    """
+
+    __slots__ = (
+        "interval", "a", "b", "half", "xs", "fs", "integral", "carry", "_tails", "g", "g_integral"
+    )
+
+    def __init__(self, interval, a, b, xs, fs, carry):
+        self.interval, self.a, self.b, self.xs, self.fs = interval, a, b, xs, fs
+        self.half = 0.5 * (b - a)
+        self.carry = carry  # the integral from b to the right end of the sweep
+        self._tails = self.integral = self.g = self.g_integral = None
+
+    @property
+    def tails(self):
+        if self._tails is None:
+            half, fs, carry = self.half, self.fs, self.carry
+            self._tails = tuple(carry + half * sum(map(mul, row, fs)) for row in _cheb_tables()[1])
+        return self._tails
+
+
+def _cheb_estimate(half, vals, trailing, weights):
+    """(integral, error estimate) of the interpolant of ``vals`` on a panel."""
+    integral = half * sum(map(mul, weights, vals))
+    err = half * sum(abs(sum(map(mul, row, vals))) for row in trailing)
+    return integral, err
+
+
+def cheb_sweep(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None):
+    """Adaptive Clenshaw-Curtis cover of [knots[0], knots[-1]], yielded
+    panel by panel from right to left.
+
+    Panels never straddle a knot.  A panel is accepted once the error
+    estimate of its integral meets max(abs_tol, rel_tol * |integral|);
+    otherwise it is bisected.  ``resolve(panel)``, when given, maps a
+    candidate panel (its ``xs``, ``fs`` and ``tails`` are set) to derived
+    node values, whose integral must meet the same test before the panel
+    is accepted.  Because every panel to the right of a candidate has
+    already been accepted, its ``tails`` are final.
+
+    Raises DomainError on a non-finite sample and NonConvergence when a
+    panel would pass ``cfg.max_depth`` or the cover would exceed the
+    panel budget.
+    """
+    pts = [float(k) for k in knots]
+    if any(b <= a for a, b in zip(pts, pts[1:])):
+        raise ValueError("knots must be strictly increasing")
+    nodes, q, trailing = _cheb_tables()
+    weights = q[-1]
+    # pending panels, the rightmost on top: (interval, a, b, depth)
+    stack = [(i, pts[i], pts[i + 1], 0) for i in range(len(pts) - 1)]
+    carry = 0.0
+    accepted = 0
+    while stack:
+        i, a, b, depth = stack.pop()
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        xs = (b,) + tuple(mid + half * x for x in nodes[1:-1]) + (a,)
+        p = ChebPanel(i, a, b, xs, tuple(_eval(f, x) for x in xs), carry)
+        p.integral, err = _cheb_estimate(p.half, p.fs, trailing, weights)
+        ok = err <= max(cfg.abs_tol, cfg.rel_tol * abs(p.integral))
+        if ok and resolve is not None:
+            p.g = tuple(resolve(p))
+            p.g_integral, err = _cheb_estimate(p.half, p.g, trailing, weights)
+            ok = err <= max(cfg.abs_tol, cfg.rel_tol * abs(p.g_integral))
+        if ok:
+            accepted += 1
+            carry += p.integral
+            yield p
+            continue
+        if depth >= cfg.max_depth:
+            raise NonConvergence(
+                f"max_depth {cfg.max_depth} reached near [{a!r}, {b!r}] "
+                f"(panel error estimate {err:.3e})"
+            )
+        if accepted + len(stack) + 2 > _MAX_PANELS:
+            raise NonConvergence(
+                f"panel budget {_MAX_PANELS} exhausted on [{pts[0]!r}, {pts[-1]!r}]"
+            )
+        stack.append((i, a, mid, depth + 1))
+        stack.append((i, mid, b, depth + 1))

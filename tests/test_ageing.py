@@ -386,3 +386,188 @@ class TestScalingIdentity:
         scaled = scale(d, 3.0, rewrite=False)
         for t in (0.4, 1.1, 2.6):
             assert mrlai(scaled, 3.0 * t) == pytest.approx(mrlai(d, t), rel=1e-8)
+
+
+def _weibull_mu(shape, scale):
+    from scipy.special import gamma as gamma_fn
+    from scipy.special import gammaincc
+
+    def mu(t):
+        z = (t / scale) ** shape
+        tail = scale / shape * gamma_fn(1.0 / shape) * gammaincc(1.0 / shape, z)
+        return tail / math.exp(-z)
+
+    return mu
+
+
+def _os23_weibull_mu(t):
+    # X_(2:3) of Weibull(2, 1): S = 3 s^2 - 2 s^3 with s = exp(-t^2), and
+    # int_t^inf exp(-a u^2) du = sqrt(pi/a) erfc(sqrt(a) t) / 2
+    from scipy.special import erfc
+
+    s = math.exp(-t * t)
+    tail = 1.5 * math.sqrt(math.pi / 2) * erfc(math.sqrt(2) * t) - math.sqrt(
+        math.pi / 3
+    ) * erfc(math.sqrt(3) * t)
+    return tail / (3 * s * s - 2 * s**3)
+
+
+def _hypo_mu(t):
+    # Exp(1) + Exp(2): S = 2e^-t - e^-2t, so mu = 1 + e^-t / (2 (2 - e^-t))
+    return 1.0 + 0.5 * math.exp(-t) / (2.0 - math.exp(-t))
+
+
+def _hypo_g(t):
+    return t + 0.5 * math.log(2.0 - math.exp(-t))
+
+
+def _linspace(lo, hi, n):
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _counted(d):
+    """Count the survival calls made on ``d`` itself."""
+    calls = [0]
+    survival = d.survival
+
+    def counted(t):
+        calls[0] += 1
+        return survival(t)
+
+    d.survival = counted
+    return calls
+
+
+def _hypoexponential_numeric():
+    from mrlai.ops import convolution
+
+    return convolution(build(Exponential(1.0)), build(Exponential(2.0)), closed_forms=False)
+
+
+def _os23_weibull():
+    from mrlai.ops import order_statistic
+
+    return order_statistic(build(Weibull(2.0, 1.0)), 2, 3)
+
+
+class TestSweep:
+    """The one-pass Clenshaw-Curtis sweep behind numeric profiles and scalar L."""
+
+    def _agrees(self, prof, mu_oracle, g_oracle):
+        for t, mu, avg, L in zip(prof.grid, prof.mu, prof.mu_avg, prof.L):
+            want_mu, want_g = mu_oracle(t), g_oracle(t)
+            assert mu == pytest.approx(want_mu, rel=1e-9), f"mu at t={t}"
+            assert avg * t == pytest.approx(want_g, rel=1e-9), f"G at t={t}"
+            assert L == pytest.approx(want_mu * t / want_g, rel=1e-9), f"L at t={t}"
+
+    @pytest.mark.parametrize("shape, hi", [(0.6, 20.0), (1.5, 6.0), (4.5, 2.0)])
+    def test_weibull_against_incomplete_gamma(self, shape, hi):
+        from scipy.integrate import quad
+
+        mu = _weibull_mu(shape, 1.3)
+        g = lambda t: quad(mu, 0.0, t, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        prof = profile(build(Weibull(shape, 1.3)), _linspace(0.1, 1.3 * hi, 32))
+        self._agrees(prof, mu, g)
+
+    def test_order_statistic_against_erfc(self):
+        from scipy.integrate import quad
+
+        g = lambda t: quad(_os23_weibull_mu, 0.0, t, epsabs=1e-14, epsrel=1e-13)[0]
+        prof = profile(_os23_weibull(), _linspace(0.05, 2.5, 24))
+        self._agrees(prof, _os23_weibull_mu, g)
+
+    def test_numeric_convolution_against_hypoexponential(self):
+        prof = profile(_hypoexponential_numeric(), _linspace(0.1, 8.0, 16))
+        self._agrees(prof, _hypo_mu, _hypo_g)
+
+    @pytest.mark.parametrize("conv", [ZERO, SUPPORT, FORMAL])
+    def test_shifted_support_matches_closed_forms(self, conv):
+        # grid points below, at and above the support start of Pareto(3, 1)
+        d = build(Pareto(3.0, 1.0))
+        ts = [0.4, 0.7, 1.0, 1.6, 3.0, 7.5] if conv is not SUPPORT else [1.2, 2.0, 7.5]
+        closed = profile(d, ts, conv)
+        numeric = profile(d, ts, conv, method="quadrature")
+        for name in ("mu", "mu_avg", "L"):
+            assert getattr(numeric, name) == pytest.approx(getattr(closed, name), rel=1e-9)
+
+    def test_scalar_calls_are_one_point_profiles(self):
+        for d, ts in (
+            (_os23_weibull(), _linspace(0.05, 2.5, 8)),
+            (build(Weibull(1.5, 1.3)), _linspace(0.1, 6.0, 8)),
+            (build(Erlang(5, 1.0)), _linspace(0.2, 9.0, 8)),
+        ):
+            prof = profile(d, ts)
+            for t, avg, L in zip(ts, prof.mu_avg, prof.L):
+                assert mrl_average(d, t) == pytest.approx(avg, rel=1e-11)
+                assert mrlai(d, t) == pytest.approx(L, rel=1e-11)
+
+    def test_erlang_quadrature_path_within_1e9(self):
+        d = build(Erlang(2, 2.0))
+        printed = ((0.5, 0.885924163724462), (2.0, 0.855700709220817), (4.5, 0.875905814337691))
+        for t, want in printed:
+            assert mrlai(d, t, method="quadrature") == pytest.approx(want, rel=1e-9)
+        ts = _linspace(0.05, 12.0, 40)
+        closed = profile(d, ts)
+        numeric = profile(d, ts, method="quadrature")
+        assert numeric.L == pytest.approx(closed.L, rel=1e-9)
+
+    def test_non_finite_survival_is_a_domain_error(self):
+        from mrlai.distributions import Dist
+        from mrlai.errors import DomainError
+
+        bad = Dist(None, lambda t: math.nan if 1.0 < t < 1.5 else math.exp(-t), (0.0, math.inf))
+        with pytest.raises(DomainError):
+            profile(bad, [0.5, 2.0, 3.0])
+
+    def test_beyond_support(self):
+        for method in ("auto", "quadrature"):
+            with pytest.raises(BeyondSupport):
+                profile(build(Uniform(0.0, 2.0)), [0.5, 1.0, 2.5], method=method)
+        # survival of Weibull(4.5, 1) underflows to zero long before t = 20
+        with pytest.raises(BeyondSupport):
+            profile(build(Weibull(4.5, 1.0)), [0.5, 1.0, 20.0])
+        with pytest.raises(BeyondSupport):
+            mrlai(build(Weibull(4.5, 1.0)), 20.0)
+
+    def test_average_up_to_the_support_end(self):
+        # mu(2) is undefined, but G(2) = int_0^2 (2 - u)/2 du = 1 is not
+        d = build(Uniform(0.0, 2.0))
+        assert mrl_average(d, 2.0, method="quadrature") == pytest.approx(0.5, rel=1e-12)
+        with pytest.raises(BeyondSupport):
+            mrlai(d, 2.0, method="quadrature")
+
+    def test_jump_in_survival_exhausts_max_depth(self):
+        from mrlai.distributions import Dist
+        from mrlai.errors import NonConvergence
+
+        # an atom at t = 1/3 drops the survival by a quarter
+        jump = Dist(
+            None,
+            lambda t: math.exp(-t) * (1.0 if t < 1.0 / 3.0 else 0.75),
+            (0.0, math.inf),
+            mean=1.0 - 0.25 * math.exp(-1.0 / 3.0),
+        )
+        with pytest.raises(NonConvergence):
+            profile(jump, [0.5, 1.0, 2.0], cfg=QuadConfig(max_depth=10))
+
+    def test_grid_must_increase(self):
+        from mrlai.errors import GridError
+
+        with pytest.raises(GridError):
+            profile(build(Weibull(1.5, 1.0)), [0.5, 2.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "make, ts",
+        [
+            (lambda: build(Weibull(1.5, 2.0)), _linspace(0.1, 10.0, 32)),
+            (_hypoexponential_numeric, _linspace(0.1, 8.0, 16)),
+        ],
+        ids=["weibull", "exp+exp"],
+    )
+    def test_survival_calls_per_point_stay_flat(self, make, ts):
+        # nested quadrature (a fresh tail integral per outer node) costs
+        # 2,100-6,500 survival calls per grid point on these profiles
+        d = make()
+        calls = _counted(d)
+        profile(d, ts)
+        assert calls[0] <= 150 * len(ts)

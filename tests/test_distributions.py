@@ -264,6 +264,33 @@ class TestValidation:
         with pytest.raises(SpecError, match="positive"):
             validate(MrlPiecewise((1.0,), (PieceLinear(0.5, 0.0), PieceLinear(0.5, -1.0))))
 
+    @pytest.mark.parametrize(
+        "pieces, breakpoints",
+        [
+            # 1/(1 - t) on [0, inf): a pole at t = 1, then mu < 0
+            ('[{"kind":"recip_linear","a":1,"b":-1}]', "[]"),
+            # 1/(0 + 3.7 t) at t = 0 is 1/0
+            ('[{"kind":"recip_linear","a":0,"b":3.7},{"kind":"linear","a":1,"b":0}]', "[1.0]"),
+            # the pole sits exactly on the breakpoint
+            ('[{"kind":"recip_linear","a":1,"b":-1},{"kind":"linear","a":1,"b":0}]', "[1.0]"),
+        ],
+    )
+    def test_reciprocal_piece_with_a_pole_rejected(self, pieces, breakpoints):
+        text = f'{{"family":"mrl_piecewise","breakpoints":{breakpoints},"pieces":{pieces}}}'
+        with pytest.raises(SpecError) as info:
+            load_spec(text)
+        assert info.value.path == "spec.pieces[0]"
+        assert "must stay positive" in info.value.message
+
+    def test_reciprocal_piece_without_a_pole_accepted(self):
+        spec = load_spec(
+            '{"family":"mrl_piecewise","breakpoints":[],'
+            '"pieces":[{"kind":"recip_linear","a":1,"b":0.5}]}'
+        )
+        d = build(spec)
+        assert d.mrl_closed(2.0) == pytest.approx(0.5, rel=1e-15)
+        assert 0.0 < d.survival(2.0) < 1.0
+
     def test_nested_scaled_flattened(self):
         spec = validate(Scaled(Scaled(Exponential(1.0), 2.0), 3.0))
         assert isinstance(spec.base, Exponential)

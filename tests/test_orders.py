@@ -298,3 +298,30 @@ class TestScalePreservation:
         X, Y = build(Erlang(2, 2.0)), build(Exponential(1.0))
         rep = check_scale_preservation(X, Y, 1.0, ts(0.05, 15.0))
         assert rep.preserved
+
+    def test_four_profiles_and_the_same_report(self, monkeypatch):
+        from mrlai import orders
+        from mrlai.ops import scale
+        from mrlai.orders import ScaleReport
+
+        # the order fails, so the report carries witnesses
+        X, Y = build(Exponential(1.0)), build(Erlang(2, 2.0))
+        a, grid = 2.5, ts(0.05, 15.0, 40)
+        scaled_grid = [a * t for t in grid]
+        lx = profile(scale(X, a), scaled_grid).L
+        ly = profile(scale(Y, a), scaled_grid).L
+        want = ScaleReport(
+            a,
+            mrlai_order(X, Y, grid),
+            mrlai_order(scale(X, a), scale(Y, a), scaled_grid),
+            max(u - v for u, v in zip(lx, ly)),
+        )
+        calls = []
+        real = orders.profile
+        monkeypatch.setattr(
+            orders, "profile", lambda *args, **kw: calls.append(1) or real(*args, **kw)
+        )
+        rep = check_scale_preservation(X, Y, a, grid)
+        assert rep == want
+        assert rep.scaled.relation is Relation.FAILS and rep.scaled.witness is not None
+        assert len(calls) == 4

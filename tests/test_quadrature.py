@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from mrlai.errors import Divergence, DomainError, NonConvergence
 from mrlai.quadrature import (
     QuadConfig,
+    cheb_sweep,
     cumulative_on_grid,
     integrate_finite,
     integrate_tail,
@@ -165,6 +166,52 @@ class TestCumulative:
 
         with pytest.raises(DomainError, match="panel 1"):
             cumulative_on_grid(bad, [1.0, 2.0])
+
+
+class TestChebSweep:
+    def test_nodes_tails_and_integrals(self):
+        knots = [0.0, 0.5, 1.3, 2.0]
+        panels = list(cheb_sweep(math.exp, knots))
+        assert panels[0].b == 2.0 and panels[-1].a == 0.0
+        assert all(p.a >= q.b for p, q in zip(panels[:-1], panels[1:]))  # right to left
+        for p in panels:
+            assert p.xs[0] == p.b and p.xs[-1] == p.a
+            for x, tail in zip(p.xs, p.tails):
+                assert tail == pytest.approx(math.exp(2.0) - math.exp(x), rel=1e-14, abs=1e-14)
+        assert sum(p.integral for p in panels) == pytest.approx(math.exp(2.0) - 1.0, rel=1e-14)
+
+    def test_polynomial_in_one_panel(self):
+        (panel,) = cheb_sweep(lambda x: 3 * x * x, [1.0, 2.0])
+        assert panel.integral == pytest.approx(7.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "f, exact",
+        [
+            (lambda x: abs(x - 0.3), 0.045 + 0.245),  # a kink
+            (lambda x: x**0.6, 1.0 / 1.6),  # an endpoint singularity of f'
+            (lambda x: 1.0 if x < 0.3 else 1.0 + 2e-6, 1.0 + 1.4e-6),  # a tiny jump
+        ],
+        ids=["kink", "root", "jump"],
+    )
+    def test_width_weighted_estimate_terminates(self, f, exact):
+        total = sum(p.integral for p in cheb_sweep(f, [0.0, 1.0]))
+        assert total == pytest.approx(exact, abs=1e-9)
+
+    def test_resolve_hook_is_refined_too(self):
+        # f is a constant, but the derived values have a kink at 0.5
+        kinked = lambda p: [abs(x - 0.5) for x in p.xs]
+        panels = list(cheb_sweep(lambda x: 1.0, [0.0, 1.0], resolve=kinked))
+        assert len(panels) > 1
+        assert sum(p.g_integral for p in panels) == pytest.approx(0.25, abs=1e-9)
+
+    def test_nan_is_hard_error(self):
+        with pytest.raises(DomainError):
+            list(cheb_sweep(lambda x: math.nan if x > 0.7 else 1.0, [0.0, 1.0]))
+
+    def test_max_depth_exhaustion(self):
+        with pytest.raises(NonConvergence):
+            step = lambda x: 0.0 if x < 1.0 / 3.0 else 1.0
+            list(cheb_sweep(step, [0.0, 1.0], QuadConfig(max_depth=10)))
 
 
 class TestConfig:
