@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 
 from .errors import SpecError, UnsupportedCapability
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_tail
+from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_finite, integrate_tail
 
 __all__ = [
     "Exponential",
@@ -731,6 +731,7 @@ class MrlPiecewise(_Family):
             mean=mu0,
             mrl=mu,
             mrl_integral=mrl_integral,
+            breakpoints=bps,
         )
 
     def rescaled(self, a):
@@ -978,6 +979,12 @@ class Dist:
     mean residual life, and the closed running integral int_0^t mu(u) du
     (with the true conditional MRL, mean - u, below the support start).
     Anything missing falls back to quadrature in the callers.
+
+    ``breakpoints`` holds the finite points where the survival function
+    may lose smoothness: the finite support edges plus whatever the
+    constructor passes (piecewise-MRL breakpoints, the kinks a composite
+    inherits from its parts).  Quadrature over the survival function
+    splits there first.  It is derived, never part of the spec.
     """
 
     def __init__(
@@ -993,10 +1000,13 @@ class Dist:
         mrl_integral=None,
         formal=None,
         lineage="",
+        breakpoints=(),
     ):
         self.spec = spec
         self._survival = survival
         self.support = (float(support[0]), float(support[1]))
+        edges = [e for e in self.support if math.isfinite(e)]
+        self.breakpoints = tuple(sorted({*edges, *map(float, breakpoints)}))
         self._density = density
         self._tail = tail
         self._mean = mean
@@ -1024,6 +1034,7 @@ class Dist:
             mrl_integral=self._mrl_integral,
             formal=self.formal,
             lineage=lineage,
+            breakpoints=self.breakpoints,
         )
 
     # -- basic evaluation ---------------------------------------------------
@@ -1089,11 +1100,15 @@ class Dist:
         return hit
 
     def _tail_numeric(self, t, s1, cfg):
+        kinks = self.breakpoints
         if math.isfinite(s1):
-            from .quadrature import integrate_finite
-
-            return integrate_finite(self.survival, t, s1, cfg)
-        return integrate_tail(self.survival, t, cfg)
+            return integrate_finite(self.survival, t, s1, cfg, points=kinks)
+        # the improper part starts past the last kink above t
+        last = max((b for b in kinks if b > t), default=None)
+        if last is None:
+            return integrate_tail(self.survival, t, cfg)
+        head = integrate_finite(self.survival, t, last, cfg, points=kinks)
+        return head + integrate_tail(self.survival, last, cfg)
 
     @cached_property
     def mean(self) -> float:

@@ -45,17 +45,21 @@ def mixture(weights, components) -> Dist:
     spec = Mixture(tuple(ws), tuple(c.spec for c in comps))
     s0 = min(c.support[0] for c in comps)
     s1 = max(c.support[1] for c in comps)
-    density = None
+    density = tail = None
     if all(c.has_density for c in comps):
         density = lambda t: sum(w * c.density(t) for w, c in zip(ws, comps))
+    if all(c._tail is not None for c in comps):
+        # closed only when every component tail is
+        tail = lambda t: sum(w * c.tail(t) for w, c in zip(ws, comps))
     return Dist(
         spec,
         lambda t: sum(w * c.survival(t) for w, c in zip(ws, comps)),
         (s0, s1),
         density=density,
-        tail=lambda t: sum(w * c.tail(t) for w, c in zip(ws, comps)),
+        tail=tail,
         mean=sum(w * c.mean for w, c in zip(ws, comps)),
         lineage="mixture(" + ", ".join(c.lineage for c in comps) + ")",
+        breakpoints=[b for c in comps for b in c.breakpoints],
     )
 
 
@@ -69,7 +73,10 @@ def convolution(
 
         S_c(t) = S_x(t) + int_0^t f_x(u) S_y(t - u) du
 
-    with the roles swapped if only y carries a density.
+    with the roles swapped if only y carries a density.  The integrand
+    can only kink at the breakpoints of x and at t minus those of y, so
+    the quadrature splits there first; the sum's own breakpoints are
+    the pairwise sums of its summands'.
     """
     if closed_forms:
         merged = _erlang_merge(x.spec, y.spec)
@@ -90,6 +97,9 @@ def convolution(
     spec = Convolution((x.spec, y.spec))
     cache = {}
 
+    def kinks(t):
+        return x.breakpoints + tuple(t - b for b in y.breakpoints)
+
     def survival(t):
         hit = cache.get(t)
         if hit is None:
@@ -98,7 +108,7 @@ def convolution(
             inner = 0.0
             if hi > lo:
                 inner = integrate_finite(
-                    lambda u: x.density(u) * y.survival(t - u), lo, hi, cfg
+                    lambda u: x.density(u) * y.survival(t - u), lo, hi, cfg, kinks(t)
                 )
             hit = x.survival(t) + inner
             cache[t] = hit
@@ -112,7 +122,9 @@ def convolution(
             hi = min(t - y.support[0], x.support[1])
             if hi <= lo:
                 return 0.0
-            return integrate_finite(lambda u: x.density(u) * y.density(t - u), lo, hi, cfg)
+            return integrate_finite(
+                lambda u: x.density(u) * y.density(t - u), lo, hi, cfg, kinks(t)
+            )
 
     return Dist(
         spec,
@@ -121,6 +133,7 @@ def convolution(
         density=density,
         mean=x.mean + y.mean,
         lineage=f"convolution({x.lineage}, {y.lineage})",
+        breakpoints=[a + b for a in x.breakpoints for b in y.breakpoints],
     )
 
 
@@ -175,6 +188,7 @@ def order_statistic(base: Dist, k: int, n: int) -> Dist:
         base.support,
         density=density,
         lineage=f"os({k}:{n})({base.lineage})",
+        breakpoints=base.breakpoints,
     )
 
 
@@ -203,15 +217,18 @@ def scale(base: Dist, factor: float, rewrite: bool = True) -> Dist:
         return d.relabel(Scaled(base.spec, a), f"scaled[{a:g}]({base.lineage})")
 
     s0, s1 = base.support
-    density = None
+    density = tail = None
     if base.has_density:
         density = lambda t: base.density(t / a) / a
+    if base._tail is not None:
+        tail = lambda t: a * base.tail(t / a)
     return Dist(
         Scaled(base.spec, a),
         lambda t: base.survival(t / a),
         (a * s0, a * s1),
         density=density,
-        tail=lambda t: a * base.tail(t / a),
+        tail=tail,
         mean=a * base.mean,
         lineage=f"scaled[{a:g}]({base.lineage})",
+        breakpoints=[a * b for b in base.breakpoints],
     )

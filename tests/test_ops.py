@@ -1,27 +1,34 @@
 """Reliability operations: composites and their invariants."""
 
+import json
 import math
 import random
 
 import pytest
 
-from mrlai.ageing import mrl, mrlai
+from mrlai.ageing import mrl, mrlai, profile
 from mrlai.classify import Grid, Kind, classify_mrlai
 from mrlai.distributions import (
+    Convolution,
+    Dist,
     Erlang,
     Exponential,
     MrlExponential,
     MrlLinear,
     MrlPiecewise,
     MrlReciprocalLinear,
+    OrderStatistic,
     Pareto,
     PieceExpAffine,
     PieceLinear,
     PieceRecipLinear,
     PieceSqrtAffine,
+    Scaled,
     Uniform,
     Weibull,
     build,
+    spec_from_dict,
+    spec_to_dict,
 )
 from mrlai.errors import SpecError
 from mrlai.ops import convolution, mixture, order_statistic, parallel, scale
@@ -242,3 +249,283 @@ class TestNonClosureRegressions:
         v = classify_mrlai(os23, Grid(0.01, 1.0, 100))
         assert v.kind is Kind.NON_MONOTONE
         assert 0.09 <= v.witness[1][0] <= 0.16
+
+
+# ---------------------------------------------------------------------------
+# kinks: Dist.breakpoints and the pre-split quadrature of composites
+# ---------------------------------------------------------------------------
+
+_PIECEWISE = MrlPiecewise(
+    (1.0, 3.0), (PieceLinear(1.0, 0.0), PieceLinear(0.5, 0.5), PieceLinear(2.0, 0.0))
+)
+
+
+class TestBreakpoints:
+    def test_families_contribute_finite_support_edges(self):
+        assert build(Exponential(1.0)).breakpoints == (0.0,)
+        assert build(Weibull(1.5, 2.0)).breakpoints == (0.0,)
+        assert build(Uniform(0.5, 2.0)).breakpoints == (0.5, 2.0)
+        assert build(Pareto(2.5, 1.5)).breakpoints == (1.5,)
+
+    def test_piecewise_mrl_adds_its_breakpoints(self):
+        assert build(_PIECEWISE).breakpoints == (0.0, 1.0, 3.0)
+
+    def test_mixture_takes_the_union(self):
+        m = mixture([0.5, 0.5], [build(Uniform(0.0, 1.0)), build(Uniform(0.5, 2.0))])
+        assert m.breakpoints == (0.0, 0.5, 1.0, 2.0)
+        m = mixture([0.3, 0.7], [build(_PIECEWISE), build(Pareto(2.5, 1.5))])
+        assert m.breakpoints == (0.0, 1.0, 1.5, 3.0)
+
+    def test_convolution_takes_pairwise_sums(self):
+        u1, u2 = build(Uniform(0.0, 1.0)), build(Uniform(0.0, 2.0))
+        assert convolution(u1, u2).breakpoints == (0.0, 1.0, 2.0, 3.0)
+        assert convolution(build(Exponential(1.0)), u1).breakpoints == (0.0, 1.0)
+        assert convolution(convolution(u1, u1), u1).breakpoints == (0.0, 1.0, 2.0, 3.0)
+        shifted = convolution(build(Uniform(0.5, 1.0)), build(_PIECEWISE))
+        assert shifted.breakpoints == (0.5, 1.0, 1.5, 2.0, 3.5, 4.0)
+        # the closed Erlang merge keeps the merged family's edge
+        assert convolution(build(Exponential(1.0)), build(Exponential(1.0))).breakpoints == (0.0,)
+
+    def test_order_statistic_keeps_the_base(self):
+        base = build(Uniform(0.5, 2.0))
+        assert order_statistic(base, 2, 3).breakpoints == (0.5, 2.0)
+        assert parallel(build(_PIECEWISE), 2).breakpoints == (0.0, 1.0, 3.0)
+
+    def test_scale_multiplies(self):
+        uu = convolution(build(Uniform(0.0, 1.0)), build(Uniform(0.0, 2.0)))
+        assert scale(uu, 2.0).breakpoints == (0.0, 2.0, 4.0, 6.0)
+        d = build(_PIECEWISE)
+        assert scale(d, 1.5, rewrite=False).breakpoints == (0.0, 1.5, 4.5)
+        assert scale(d, 1.5).breakpoints == (0.0, 1.5, 4.5)
+
+    def test_relabel_carries_them_over(self):
+        d = build(_PIECEWISE)
+        again = d.relabel(Scaled(_PIECEWISE, 1.0), "renamed")
+        assert again.breakpoints == d.breakpoints
+
+    def test_derived_and_never_serialised(self):
+        import mrlai.distributions as dist_mod
+        import mrlai.ops as ops_mod
+        import mrlai.quadrature as quad_mod
+
+        spec = Convolution((Uniform(0.0, 1.0), OrderStatistic(_PIECEWISE, 2, 3)))
+        assert spec_to_dict(spec) == {
+            "family": "convolution",
+            "components": [
+                {"family": "uniform", "lo": 0.0, "hi": 1.0},
+                {
+                    "family": "order_statistic",
+                    "base": {
+                        "family": "mrl_piecewise",
+                        "breakpoints": [1.0, 3.0],
+                        "pieces": [
+                            {"kind": "linear", "a": 1.0, "b": 0.0},
+                            {"kind": "linear", "a": 0.5, "b": 0.5},
+                            {"kind": "linear", "a": 2.0, "b": 0.0},
+                        ],
+                    },
+                    "k": 2,
+                    "n": 3,
+                },
+            ],
+        }
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+        assert ops_mod.__all__ == ["mixture", "convolution", "order_statistic", "parallel", "scale"]
+        assert quad_mod.__all__ == [
+            "QuadConfig", "CumulativeTable", "integrate_finite", "integrate_tail",
+            "cumulative_on_grid", "ChebPanel", "cheb_sweep",
+        ]
+        assert dist_mod.__all__ == [
+            "Exponential", "Weibull", "Pareto", "Erlang", "Uniform", "MrlLinear",
+            "MrlReciprocalLinear", "MrlExponential", "MrlPiecewise", "PieceLinear",
+            "PieceExpAffine", "PieceSqrtAffine", "PieceRecipLinear", "Mixture", "Convolution",
+            "OrderStatistic", "Scaled", "Dist", "FormalExtension", "validate", "build",
+            "spec_to_dict", "spec_from_dict", "dump_spec", "load_spec", "load_spec_file",
+        ]
+
+
+def _uu_survival(t):
+    if t <= 1.0:
+        return 1.0 - 0.5 * t * t
+    return 0.5 * (2.0 - t) ** 2
+
+
+def _uu_tail(t):
+    if t <= 1.0:
+        return 1.0 - t + t**3 / 6.0
+    return (2.0 - t) ** 3 / 6.0
+
+
+def _eu_survival(t):
+    # Exp(1) + U(0, 1)
+    if t <= 1.0:
+        return 2.0 - t - math.exp(-t)
+    return (math.e - 1.0) * math.exp(-t)
+
+
+def _eu_tail(t):
+    if t <= 1.0:
+        return 2.5 - 2.0 * t + 0.5 * t * t - math.exp(-t)
+    return (math.e - 1.0) * math.exp(-t)
+
+
+def _irwin_hall3_survival(t):
+    cdf = sum((-1) ** k * math.comb(3, k) * (t - k) ** 3 for k in range(4) if k <= t) / 6.0
+    return 1.0 - cdf
+
+
+def _irwin_hall3_tail(t):
+    # 3 - t - int_t^3 F, with int F = sum (-1)^k C(3,k) (x-k)^4 / 24
+    anti = sum((-1) ** k * math.comb(3, k) * (t - k) ** 4 for k in range(4) if k <= t) / 24.0
+    return 1.5 - t + anti
+
+
+def _mp_G(mu, ts, kinks):
+    """int_0^t mu at every t of the increasing ``ts``, by mpmath, split at the kinks."""
+    import mpmath
+
+    mpmath.mp.dps = 25
+    out, acc, lo = [], mpmath.mpf(0), 0.0
+    for t in ts:
+        pts = [lo] + [k for k in kinks if lo < k < t] + [t]
+        acc += mpmath.quad(lambda u: mu(float(u)), pts)
+        out.append(float(acc))
+        lo = t
+    return out
+
+
+class TestKinkedComposites:
+    """Convolutions with a uniform summand against their closed forms."""
+
+    @staticmethod
+    def uu():
+        return convolution(build(Uniform(0.0, 1.0)), build(Uniform(0.0, 1.0)))
+
+    @staticmethod
+    def eu():
+        return convolution(build(Exponential(1.0)), build(Uniform(0.0, 1.0)))
+
+    @pytest.mark.parametrize("t", [0.05, 0.37, 0.999, 1.0, 1.29, 1.71, 1.97])
+    def test_triangular_survival_tail_mrl(self, t):
+        d = self.uu()
+        assert d.survival(t) == pytest.approx(_uu_survival(t), rel=1e-9, abs=1e-12)
+        assert d.tail(t) == pytest.approx(_uu_tail(t), rel=1e-9, abs=1e-12)
+        assert mrl(d, t) == pytest.approx(_uu_tail(t) / _uu_survival(t), rel=1e-9)
+
+    def test_triangular_mrlai(self):
+        ts = [0.2, 0.37, 1.0, 1.29, 1.8]
+        mu = lambda u: _uu_tail(u) / _uu_survival(u)
+        for t, g in zip(ts, _mp_G(mu, ts, (1.0,))):
+            assert mrlai(self.uu(), t) == pytest.approx(mu(t) * t / g, rel=1e-9)
+
+    @pytest.mark.parametrize("order", ["eu", "ue"])
+    def test_exp_plus_uniform_scalar_mrlai(self, order):
+        e, u = build(Exponential(1.0)), build(Uniform(0.0, 1.0))
+        d = convolution(e, u) if order == "eu" else convolution(u, e)
+        for t in (0.61, 1.13):
+            assert d.tail(t) == pytest.approx(_eu_tail(t), rel=1e-9)
+            assert d.survival(t) == pytest.approx(_eu_survival(t), rel=1e-9)
+        mu = lambda x: _eu_tail(x) / _eu_survival(x)
+        (g,) = _mp_G(mu, [2.0], (1.0,))
+        assert mrlai(d, 2.0) == pytest.approx(mu(2.0) * 2.0 / g, rel=1e-9)
+
+    def test_exp_plus_uniform_profile(self):
+        ts = [0.1 + 1.8 * i / 63 for i in range(64)]
+        p = profile(self.eu(), ts)
+        mu = lambda x: _eu_tail(x) / _eu_survival(x)
+        for t, g, m, avg, L in zip(ts, _mp_G(mu, ts, (1.0,)), p.mu, p.mu_avg, p.L):
+            assert m == pytest.approx(mu(t), rel=1e-9)
+            assert avg == pytest.approx(g / t, rel=1e-9)
+            assert L == pytest.approx(mu(t) * t / g, rel=1e-9)
+
+    @pytest.mark.parametrize("t", [0.9, 1.4, 2.9])
+    def test_nested_sum_of_three_uniforms(self, t):
+        u = build(Uniform(0.0, 1.0))
+        d = convolution(convolution(u, u), u)
+        assert d.survival(t) == pytest.approx(_irwin_hall3_survival(t), rel=1e-9)
+        assert d.tail(t) == pytest.approx(_irwin_hall3_tail(t), rel=1e-9)
+        assert mrl(d, t) == pytest.approx(
+            _irwin_hall3_tail(t) / _irwin_hall3_survival(t), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("t", [0.4, 1.0, 1.3, 1.8])
+    def test_order_statistic_of_a_sum(self, t):
+        import mpmath
+
+        d = order_statistic(self.uu(), 2, 3)
+        s_os = lambda x: 3 * _uu_survival(x) ** 2 - 2 * _uu_survival(x) ** 3
+        mpmath.mp.dps = 25
+        pts = [t] + ([1.0] if t < 1.0 else []) + [2.0]
+        tail = float(mpmath.quad(lambda x: s_os(float(x)), pts))
+        assert d.survival(t) == pytest.approx(s_os(t), rel=1e-9)
+        assert d.tail(t) == pytest.approx(tail, rel=1e-9)
+        assert mrl(d, t) == pytest.approx(tail / s_os(t), rel=1e-9)
+
+    def test_survival_calls_stay_bounded(self, monkeypatch):
+        # blind bisection towards the kinks made 1,316,282 and 222,855 calls,
+        # counted over every Dist, summands included
+        calls = [0]
+        survival = Dist.survival
+
+        def counted(self, t):
+            calls[0] += 1
+            return survival(self, t)
+
+        monkeypatch.setattr(Dist, "survival", counted)
+        mrl(self.uu(), 0.37)
+        assert calls[0] <= 20_000
+        calls[0] = 0
+        self.eu().tail(1.13)
+        assert calls[0] <= 60_000
+
+
+def _weibull_tail(shape, scale_, t):
+    from scipy.special import gamma as gamma_fn
+    from scipy.special import gammaincc
+
+    return scale_ / shape * gamma_fn(1.0 / shape) * gammaincc(1.0 / shape, (t / scale_) ** shape)
+
+
+class TestNumericTails:
+    """A composite tail counts as closed only when every part's tail is."""
+
+    @pytest.mark.parametrize("which", ["mixture", "scaled"])
+    def test_profile_chains_one_tail(self, which, monkeypatch):
+        from scipy.integrate import quad
+
+        import mrlai.distributions as dist_mod
+
+        w = build(Weibull(1.5, 1.0))
+        if which == "mixture":
+            d = mixture([0.5, 0.5], [w, build(Exponential(1.0))])
+            surv = lambda t: 0.5 * math.exp(-(t**1.5)) + 0.5 * math.exp(-t)
+            tail = lambda t: 0.5 * _weibull_tail(1.5, 1.0, t) + 0.5 * math.exp(-t)
+        else:
+            d = scale(w, 2.0, rewrite=False)
+            surv = lambda t: math.exp(-((t / 2.0) ** 1.5))
+            tail = lambda t: _weibull_tail(1.5, 2.0, t)
+        calls = [0]
+        integrate_tail = dist_mod.integrate_tail
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return integrate_tail(*args, **kwargs)
+
+        monkeypatch.setattr(dist_mod, "integrate_tail", counted)
+        ts = [0.2 + 0.2 * i for i in range(16)]
+        p = profile(d, ts)
+        # a closed-mu sweep paid one improper integral per Chebyshev node (600+)
+        assert calls[0] <= 2
+        mu = lambda t: tail(t) / surv(t)
+        for t, m, avg, L in zip(ts, p.mu, p.mu_avg, p.L):
+            g, _ = quad(mu, 0.0, t, epsabs=1e-14, epsrel=1e-13)
+            assert m == pytest.approx(mu(t), rel=1e-9)
+            assert avg == pytest.approx(g / t, rel=1e-9)
+            assert L == pytest.approx(mu(t) * t / g, rel=1e-9)
+
+    def test_closed_parts_keep_a_closed_tail(self):
+        m = mixture([0.4, 0.6], [build(Exponential(1.0)), build(Uniform(0.0, 2.0))])
+        assert m._tail is not None
+        assert m.tail(0.5) == pytest.approx(0.4 * math.exp(-0.5) + 0.6 * 1.5**2 / 4.0, rel=1e-14)
+        assert scale(build(Erlang(2, 1.0)), 2.0, rewrite=False)._tail is not None
+        assert mixture([0.5, 0.5], [build(Weibull(1.5, 1.0)), m])._tail is None

@@ -72,6 +72,79 @@ class TestFinite:
             integrate_finite(lambda x: 1.0 / x, 0.0, 1.0)
 
 
+class TestPoints:
+    # float.hex of integrate_finite(f, a, b) from the single-panel start
+    # that predates ``points``; an empty or all-ignored ``points`` must
+    # reproduce them bit for bit
+    GOLDEN = [
+        (lambda x: math.exp(-x) * math.sin(3 * x), 0.0, 5.0, "0x1.3452e48830050p-2"),
+        (lambda x: abs(x - 0.3), 0.0, 1.0, "0x1.28f5c28f0300fp-2"),
+        (lambda x: 1.0 if x < 0.37 else 0.25, 0.0, 1.0, "0x1.0e147ae1fe8a2p-1"),
+        (lambda x: math.sqrt(x), 0.0, 2.0, "0x1.e2b7dde0039bcp+0"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(GOLDEN)))
+    def test_no_points_is_bit_identical(self, case):
+        f, a, b, want = self.GOLDEN[case]
+        assert integrate_finite(f, a, b).hex() == want
+        assert integrate_finite(f, a, b, points=()).hex() == want
+
+    @pytest.mark.parametrize(
+        "points", [(-1.0, 7.5), (0.0, 1.0), (1.0, 0.0, 1.0, 0.0), (2.0, 0.0, -3.0, 1.0)]
+    )
+    def test_points_outside_or_at_the_ends_are_ignored(self, points):
+        for f, a, b, want in self.GOLDEN[1:3]:
+            assert integrate_finite(f, a, b, points=points).hex() == want
+
+    def test_repeated_points_count_once(self):
+        f = lambda x: abs(x - 0.3)
+        once = integrate_finite(f, 0.0, 1.0, points=(0.3,))
+        assert integrate_finite(f, 0.0, 1.0, points=(0.3, 0.3, 0.3)) == once
+        assert integrate_finite(f, 0.0, 1.0, points=[0.3, 1.5, 0.3]) == once
+
+    @pytest.mark.parametrize("c", [0.37, 1.0 / 3.0, 0.9, 2.2])
+    def test_kinks_and_steps_match_quadpack(self, c):
+        for f in (lambda x: abs(x - c), lambda x: 1.0 if x < c else 0.25 * x):
+            want, _ = quad(f, 0.0, 2.5, points=[c], epsabs=1e-13, epsrel=1e-12)
+            got = integrate_finite(f, 0.0, 2.5, points=(c,))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    def test_several_points_match_quadpack(self):
+        cs = (0.2, 0.55, 1.3)
+        f = lambda x: abs(x - 0.2) + (1.0 if x < 0.55 else -0.5) * abs(x - 1.3)
+        want, _ = quad(f, 0.0, 2.0, points=list(cs), epsabs=1e-13, epsrel=1e-12)
+        assert integrate_finite(f, 0.0, 2.0, points=cs[::-1]) == pytest.approx(want, rel=1e-12)
+
+    def test_a_known_step_needs_no_bisection(self):
+        calls = [0]
+
+        def step(x):
+            calls[0] += 1
+            return 1.0 if x < 0.37 else 0.25
+
+        integrate_finite(step, 0.0, 1.0, points=(0.37,))
+        # two seeded Kronrod panels, then the confirmation pass splits each once
+        assert calls[0] == 2 * 15 + 4 * 15
+        calls[0] = 0
+        integrate_finite(step, 0.0, 1.0)
+        assert calls[0] > 10 * 90
+
+    def test_interior_cusp(self):
+        # an infinite slope at 0.3 becomes an endpoint feature of two panels
+        f = lambda x: math.sqrt(abs(x - 0.3))
+        got = integrate_finite(f, 0.0, 1.0, points=(0.3,))
+        assert got == pytest.approx((0.3**1.5 + 0.7**1.5) / 1.5, rel=1e-9)
+
+    def test_checks_still_apply(self):
+        with pytest.raises(DomainError):
+            integrate_finite(lambda x: math.nan if x > 0.6 else x, 0.0, 1.0, points=(0.5,))
+        cfg = QuadConfig(abs_tol=1e-16, rel_tol=1e-16, max_depth=10)
+        with pytest.raises(NonConvergence, match="max_depth 10"):
+            integrate_finite(lambda x: 1.0 / math.sqrt(abs(x - 0.3)), 0.0, 1.0, cfg, (0.5,))
+        with pytest.raises((Divergence, NonConvergence)):
+            integrate_finite(lambda x: 1.0 / x, 0.0, 1.0, points=(0.5,))
+
+
 class TestTail:
     def test_unit_exponential(self):
         assert integrate_tail(lambda u: math.exp(-u), 0.0) == pytest.approx(1.0, rel=1e-10)
