@@ -265,6 +265,8 @@ def profile(
     ts = tuple(float(t) for t in grid)
     if not ts:
         raise GridError("empty grid")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise GridError("grid must be strictly increasing")
     origin = _origin(d, conv)
     if ts[0] <= origin:
         raise GridError(f"grid must start above the convention origin {origin!r}")
@@ -319,8 +321,6 @@ def _closed_integral(d, conv, method):
 
 def _sweep(d, ts, conv, cfg, method, need_mu):
     """mu and G at the grid points without a closed G (see ``profile``)."""
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise GridError("grid must be strictly increasing")
     s0, s1 = d.support
     fm = _formal_parts(d)[0] if conv is Convention.FORMAL else None
     lo = max(s0, _origin(d, conv))

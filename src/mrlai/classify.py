@@ -2,7 +2,9 @@
 
 A verdict is grid-relative: NonMonotone comes with an explicit witness
 triple and is therefore a certificate, while Increasing/Decreasing/
-Constant are evidence on the scanned grid, not proofs.
+Constant are evidence on the scanned grid, not proofs.  A verdict needs
+at least ``MIN_VERDICT_POINTS`` grid points; a ``Grid`` itself may have
+as few as two.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-7
+MIN_VERDICT_POINTS = 16
 
 
 class Kind(enum.Enum):
@@ -48,8 +51,8 @@ class Grid:
     def __post_init__(self):
         if not (self.t_min < self.t_max):
             raise GridError("t_min must be below t_max")
-        if self.n_points < 16:
-            raise GridError("n_points must be at least 16")
+        if self.n_points < 2:
+            raise GridError("n_points must be at least 2")
         if self.spacing not in ("linear", "log"):
             raise GridError("spacing must be 'linear' or 'log'")
         if self.spacing == "log" and self.t_min <= 0:
@@ -164,6 +167,15 @@ def _best_witness(ts, vals):
     return witness, best_margin
 
 
+def _verdict_points(grid: Grid):
+    if grid.n_points < MIN_VERDICT_POINTS:
+        raise GridError(
+            f"ageing-class verdicts need at least {MIN_VERDICT_POINTS} grid points, "
+            f"got {grid.n_points}"
+        )
+    return grid.points()
+
+
 def classify_mrl(
     d,
     grid: Grid,
@@ -172,7 +184,7 @@ def classify_mrl(
     method: str = "auto",
 ) -> MonotonicityVerdict:
     """Verdict on the mean residual life itself."""
-    prof = profile(d, grid.points(), Convention.ZERO, cfg, method)
+    prof = profile(d, _verdict_points(grid), Convention.ZERO, cfg, method)
     return scan_monotonicity(prof.grid, prof.mu, tol)
 
 
@@ -185,7 +197,7 @@ def classify_mrla(
     method: str = "auto",
 ) -> MonotonicityVerdict:
     """Verdict on the running average (1/t) int mu."""
-    prof = profile(d, grid.points(), conv, cfg, method)
+    prof = profile(d, _verdict_points(grid), conv, cfg, method)
     return scan_monotonicity(prof.grid, prof.mu_avg, tol)
 
 
@@ -198,7 +210,7 @@ def classify_mrlai(
     method: str = "auto",
 ) -> MonotonicityVerdict:
     """Verdict on the ageing intensity L."""
-    prof = profile(d, grid.points(), conv, cfg, method)
+    prof = profile(d, _verdict_points(grid), conv, cfg, method)
     return scan_monotonicity(prof.grid, prof.L, tol)
 
 
@@ -206,5 +218,5 @@ def classify_hazard_ai(
     d, grid: Grid, tol: float = DEFAULT_TOL
 ) -> MonotonicityVerdict:
     """Verdict on the hazard-based ageing intensity (needs a density)."""
-    ts = grid.points()
+    ts = _verdict_points(grid)
     return scan_monotonicity(ts, [hazard_ai(d, t) for t in ts], tol)

@@ -6,10 +6,11 @@ pair of spec files, ``reproduce`` replays the worked-example corpus, and
 ``plotdata`` emits plot-ready CSV.
 
 Grids are written ``min:max:step`` or ``min:max/n`` with an optional
-``:log`` suffix on the second form; ``classify`` needs at least 16
-points.  All numbers print with 12 significant digits; every output
-format renders the same strings, so values round-trip bit-equal between
-table, CSV and JSON.
+``:log`` suffix on the second form; ``classify`` needs as many points
+as an ageing-class verdict does (``classify.MIN_VERDICT_POINTS``).  All
+numbers print with 12 significant digits; every output format renders
+the same strings, so values round-trip bit-equal between table, CSV and
+JSON.
 
 Exit codes: 0 success (a failing order verdict is still a successful run),
 1 the corpus replay found mismatches, 2 usage or spec error.
@@ -18,6 +19,7 @@ Exit codes: 0 success (a failing order verdict is still a successful run),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -27,14 +29,7 @@ from .ageing import Convention, hazard_ai, profile
 from .classify import Grid, classify_hazard_ai, classify_mrl, classify_mrla, classify_mrlai
 from .distributions import load_spec, load_spec_file, build
 from .errors import ToolkitError
-
-_CONVENTIONS = {
-    "zero": Convention.ZERO,
-    "support": Convention.SUPPORT_START,
-    "formal": Convention.FORMAL,
-}
-
-_ORDER_NAMES = ("mrlai", "ratio", "lr", "icx", "vrl", "mrl")
+from .quadrature import DEFAULT_CONFIG
 
 
 def _fmt(x) -> str:
@@ -43,8 +38,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_grid(text: str):
-    """Parse ``min:max:step`` or ``min:max/n[:log]`` into (lo, hi, n, spacing)."""
+def _parse_grid(text: str) -> Grid:
+    """Parse ``min:max:step`` or ``min:max/n[:log]`` into a ``Grid``.
+
+    Only the spelling is checked here; ``Grid`` raises GridError for
+    values it cannot use.
+    """
     spacing = "linear"
     body = text
     if text.endswith(":log"):
@@ -60,23 +59,9 @@ def _parse_grid(text: str):
                 raise ValueError("step must be positive")
             n = int(round((hi - lo) / step)) + 1
             hi = lo + step * (n - 1)
-        if n < 2 or not lo < hi:
-            raise ValueError("need min < max and at least 2 points")
-        if spacing == "log" and lo <= 0:
-            raise ValueError("log spacing needs min > 0")
-        return lo, hi, n, spacing
-    except (ValueError, TypeError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise SystemExit(f"error: bad grid {text!r}: {exc}")
-
-
-def _grid_points(parsed):
-    lo, hi, n, spacing = parsed
-    if spacing == "log":
-        import math
-
-        la, lb = math.log(lo), math.log(hi)
-        return [math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return Grid(lo, hi, n, spacing)
 
 
 def _load_one_spec(path_or_json: str):
@@ -106,16 +91,19 @@ def _emit_rows(header, rows, fmt, out):
             out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _open_output(args):
-    if args.output:
-        return open(args.output, "w", encoding="utf-8"), True
-    return sys.stdout, False
+@contextlib.contextmanager
+def _output(args):
+    if not args.output:
+        yield sys.stdout
+        return
+    with open(args.output, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def cmd_eval(args) -> int:
     dist = build(_load_one_spec(args.spec))
-    conv = _CONVENTIONS[args.conv]
-    ts = _grid_points(_parse_grid(args.grid))
+    conv = Convention(args.conv)
+    ts = _parse_grid(args.grid).points()
     prof = profile(dist, ts, conv, with_hazard_ai=dist.has_density)
     header = ["t", "survival", "mu", "mu_avg", "L"]
     rows = [
@@ -126,20 +114,15 @@ def cmd_eval(args) -> int:
         header.append("hazard_ai")
         for row, ai in zip(rows, prof.hazard_ai):
             row.append(ai)
-    out, close = _open_output(args)
-    try:
+    with _output(args) as out:
         _emit_rows(header, rows, args.format, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_classify(args) -> int:
     dist = build(_load_one_spec(args.spec))
-    conv = _CONVENTIONS[args.conv]
-    lo, hi, n, spacing = _parse_grid(args.grid)
-    grid = Grid(lo, hi, n, spacing)
+    conv = Convention(args.conv)
+    grid = _parse_grid(args.grid)
     rows = [
         ["mrl", str(classify_mrl(dist, grid))],
         ["mrl_average", str(classify_mrla(dist, grid, conv))],
@@ -147,49 +130,34 @@ def cmd_classify(args) -> int:
     ]
     if dist.has_density:
         rows.append(["hazard_ai", str(classify_hazard_ai(dist, grid))])
-    out, close = _open_output(args)
-    try:
+    with _output(args) as out:
         _emit_rows(["quantity", "verdict"], rows, args.format, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_compare(args) -> int:
     X = build(_load_one_spec(args.spec_x))
     Y = build(_load_one_spec(args.spec_y))
-    conv = _CONVENTIONS[args.conv]
-    lo, hi, n, spacing = _parse_grid(args.grid)
-    ts = _grid_points((lo, hi, n, spacing))
+    conv = Convention(args.conv)
+    grid = _parse_grid(args.grid)
     wanted = [o.strip() for o in args.orders.split(",") if o.strip()]
-    bad = [o for o in wanted if o not in _ORDER_NAMES]
+    bad = [o for o in wanted if o not in orders_mod.BY_NAME]
     if bad:
-        raise SystemExit(f"error: unknown order(s) {bad}; choose from {_ORDER_NAMES}")
-    funcs = {
-        "mrlai": lambda: orders_mod.mrlai_order(X, Y, ts, conv),
-        "ratio": lambda: orders_mod.ratio_test(X, Y, ts, conv),
-        "lr": lambda: orders_mod.lr_order(X, Y, ts),
-        "icx": lambda: orders_mod.icx_order(X, Y, ts, conv),
-        "vrl": lambda: orders_mod.vrl_order(X, Y, ts, conv),
-        "mrl": lambda: orders_mod.mrl_order(X, Y, ts, conv),
-    }
+        raise SystemExit(
+            f"error: unknown order(s) {bad}; choose from {tuple(orders_mod.BY_NAME)}"
+        )
     rows = []
     for name in wanted:
-        v = funcs[name]()
+        v = orders_mod.BY_NAME[name](X, Y, grid, conv, DEFAULT_CONFIG)
         witness = ""
         if v.witness is not None:
             witness = f"t={_fmt(v.witness.t)}: {_fmt(v.witness.lhs)} vs {_fmt(v.witness.rhs)}"
         rows.append([name, v.relation.value, v.decided_by, witness])
-    shortcut = orders_mod.sufficient_conditions(X, Y, Grid(lo, hi, max(16, n), spacing), conv)
+    shortcut = orders_mod.sufficient_conditions(X, Y, grid, conv)
     if shortcut is not None:
         rows.append(["shortcut", shortcut.relation.value, shortcut.decided_by, shortcut.note])
-    out, close = _open_output(args)
-    try:
+    with _output(args) as out:
         _emit_rows(["order", "relation", "decided_by", "witness"], rows, args.format, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -203,8 +171,7 @@ def cmd_reproduce(args) -> int:
         print(f"warning: no corpus cases match {args.filter!r}", file=sys.stderr)
         return 0
     reports = [corpus_mod.run_case(i, tol_scale=args.tol_scale) for i in ids]
-    out, close = _open_output(args)
-    try:
+    with _output(args) as out:
         if args.format == "json":
             out.write(json.dumps(corpus_mod.report_to_dict(reports), indent=2) + "\n")
         else:
@@ -222,19 +189,16 @@ def cmd_reproduce(args) -> int:
                 f"# {len(reports)} cases, {sum(len(r.results) for r in reports)} checks, "
                 f"{mismatches} mismatches, {disputed} disputed-as-expected\n"
             )
-    finally:
-        if close:
-            out.close()
     return 1 if any(r.mismatches for r in reports) else 0
 
 
 def cmd_plotdata(args) -> int:
-    conv = _CONVENTIONS[args.conv]
-    ts = _grid_points(_parse_grid(args.grid))
+    conv = Convention(args.conv)
+    ts = _parse_grid(args.grid).points()
     specs = args.spec
     rows = []
     multi = len(specs) > 1
-    for label_idx, spec_text in enumerate(specs):
+    for spec_text in specs:
         dist = build(_load_one_spec(spec_text))
         series = dist.lineage if multi else None
         if args.quantity == "survival":
@@ -247,12 +211,8 @@ def cmd_plotdata(args) -> int:
         for t, v in zip(ts, vals):
             rows.append([series, t, v] if multi else [t, v])
     header = ["series", "t", args.quantity] if multi else ["t", args.quantity]
-    out, close = _open_output(args)
-    try:
+    with _output(args) as out:
         _emit_rows(header, rows, "csv", out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -260,7 +220,7 @@ def _add_common(p, with_conv=True):
     if with_conv:
         p.add_argument(
             "--conv",
-            choices=sorted(_CONVENTIONS),
+            choices=sorted(c.value for c in Convention),
             default="zero",
             help="integration convention for the running MRL average",
         )
@@ -292,7 +252,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--orders",
         default="mrlai,ratio",
-        help=f"comma-separated subset of {','.join(_ORDER_NAMES)}",
+        help=f"comma-separated subset of {','.join(orders_mod.BY_NAME)}",
     )
     _add_common(p)
     p.set_defaults(func=cmd_compare)

@@ -146,20 +146,6 @@ class CaseReport:
 # ---------------------------------------------------------------------------
 
 
-def _grid_from_params(p):
-    t_min, t_max, n, spacing = p
-    return Grid(t_min, t_max, n, spacing)
-
-
-_ORDER_FUNCS = {
-    "mrlai": lambda X, Y, g, conv, cfg: orders.mrlai_order(X, Y, g, conv, cfg=cfg),
-    "ratio": lambda X, Y, g, conv, cfg: orders.ratio_test(X, Y, g, conv, cfg=cfg),
-    "lr": lambda X, Y, g, conv, cfg: orders.lr_order(X, Y, g),
-    "icx": lambda X, Y, g, conv, cfg: orders.icx_order(X, Y, g, conv, cfg=cfg),
-    "vrl": lambda X, Y, g, conv, cfg: orders.vrl_order(X, Y, g, conv, cfg=cfg),
-    "mrl": lambda X, Y, g, conv, cfg: orders.mrl_order(X, Y, g, conv, cfg=cfg),
-}
-
 _CLASSIFIERS = {
     "mrl": lambda d, g, conv, cfg: classify_mrl(d, g, cfg=cfg),
     "mrla": lambda d, g, conv, cfg: classify_mrla(d, g, conv, cfg=cfg),
@@ -187,9 +173,7 @@ def _evaluate_check(check: Check, dists: dict, conv: Convention, cfg: QuadConfig
     if q == "density":
         return f"density[{check.target}]({t:g})", d.density(t)
     if q == "tail":
-        if conv is Convention.FORMAL and d.formal is not None:
-            return f"tail[{check.target}]({t:g})", d.formal.tail(t)
-        return f"tail[{check.target}]({t:g})", d.tail(t, cfg)
+        return f"tail[{check.target}]({t:g})", orders._tail_value(d, t, conv, cfg)
     if q == "mean":
         return f"mean[{check.target}]", d.mean
     if q == "ratio":
@@ -205,7 +189,7 @@ def _evaluate_check(check: Check, dists: dict, conv: Convention, cfg: QuadConfig
             raise ValueError(f"unknown ratio kind {kind!r}")
         return f"ratio[{check.params['x']}/{check.params['y']}]({t:g})", num / den
     if q == "class_verdict":
-        grid = _grid_from_params(check.params["grid"])
+        grid = Grid(*check.params["grid"])
         verdict = _CLASSIFIERS[check.params["of"]](d, grid, conv, cfg)
         label = f"class_{check.params['of']}[{check.target}]"
         window = check.params.get("witness_mid_between")
@@ -225,8 +209,8 @@ def _evaluate_check(check: Check, dists: dict, conv: Convention, cfg: QuadConfig
             return f"order_linear_mrl{tuple(check.params['coeffs'])}", verdict.relation.value
         x, y = dists[check.params["x"]], dists[check.params["y"]]
         label = f"order_{name}[{check.params['x']}<={check.params['y']}]"
-        grid = _grid_from_params(check.params["grid"]).points()
-        verdict = _ORDER_FUNCS[name](x, y, grid, conv, cfg)
+        grid = Grid(*check.params["grid"]).points()
+        verdict = orders.BY_NAME[name](x, y, grid, conv, cfg)
         return label, verdict.relation.value
     raise ValueError(f"unknown check quantity {check.quantity!r}")
 

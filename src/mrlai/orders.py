@@ -15,7 +15,7 @@ grid and which rule decided it so a consumer can demand refinement.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ageing import Convention, mrl, profile
 from .classify import Grid, Kind, classify_mrl, classify_mrla, scan_monotonicity
@@ -276,10 +276,11 @@ def sufficient_conditions(
     verified on the grid, and the stricter pair is preferred when both
     apply.
     """
-    g = grid if isinstance(grid, Grid) else None
-    if g is None:
+    if not isinstance(grid, Grid):
         ts = _grid_points(grid)
-        g = Grid(ts[0], ts[-1], max(16, len(ts)))
+        grid = Grid(ts[0], ts[-1], len(ts))
+    # a grid too coarse for the MRL verdicts is refined, not refused
+    g = replace(grid, n_points=max(16, grid.n_points))
     vx = classify_mrl(X, g, cfg=cfg)
     vy = classify_mrl(Y, g, cfg=cfg)
     if vx.kind is Kind.DECREASING and vy.kind is Kind.INCREASING:
@@ -299,6 +300,18 @@ def sufficient_conditions(
             note="X decreasing in MRL average, Y increasing in MRL average",
         )
     return None
+
+
+# order name -> check, as the corpus and the CLI spell it; every entry is
+# called as (X, Y, grid, conv, cfg)
+BY_NAME = {
+    "mrlai": lambda X, Y, g, conv, cfg: mrlai_order(X, Y, g, conv, cfg=cfg),
+    "ratio": lambda X, Y, g, conv, cfg: ratio_test(X, Y, g, conv, cfg=cfg),
+    "lr": lambda X, Y, g, conv, cfg: lr_order(X, Y, g),
+    "icx": lambda X, Y, g, conv, cfg: icx_order(X, Y, g, conv, cfg=cfg),
+    "vrl": lambda X, Y, g, conv, cfg: vrl_order(X, Y, g, conv, cfg=cfg),
+    "mrl": lambda X, Y, g, conv, cfg: mrl_order(X, Y, g, conv, cfg=cfg),
+}
 
 
 def weibull_rule(shape_x: float, shape_y: float):

@@ -11,9 +11,8 @@ adaptive loop then starts from one panel per sub-interval between them,
 as QUADPACK's QAGP does (Piessens et al., 1983), so the kinks sit on
 panel ends from the start instead of being found by bisection.
 
-Improper upper limits are mapped onto (0, 1), by x = a + u/(1-u) by
-default or x = a - ln(1-u) for integrands that misbehave under the
-rational substitution.
+Improper upper limits are mapped onto (0, 1) by x = a + u/(1-u), with a
+stretched power of u/(1-u) as the fallback for slowly decaying tails.
 
 Where a caller needs the running integral of f at many points and
 quantities derived from it (the ageing sweep chains the tail integral
@@ -86,21 +85,18 @@ _WG = (
 )
 
 _MAX_PANELS = 20000
+# a running estimate past this magnitude is declared divergent rather than
+# merely slow to converge
+_DIVERGENCE_BOUND = 1e15
 
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and limits for the adaptive integrator.
-
-    ``divergence_bound`` is the magnitude past which a running estimate is
-    declared divergent rather than merely slow to converge.
-    """
+    """Tolerances and limits for the adaptive integrator."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_depth: int = 60
-    tail_transform: str = "reciprocal"
-    divergence_bound: float = 1e15
 
     def __post_init__(self):
         if not (self.abs_tol > 0):
@@ -109,8 +105,6 @@ class QuadConfig:
             raise ValueError("rel_tol must be positive")
         if self.max_depth < 10:
             raise ValueError("max_depth must be at least 10")
-        if self.tail_transform not in ("reciprocal", "exponential"):
-            raise ValueError("tail_transform must be 'reciprocal' or 'exponential'")
 
 
 DEFAULT_CONFIG = QuadConfig()
@@ -193,9 +187,9 @@ def integrate_finite(
     counter = len(heap)
     while True:
         while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            if abs(total) > cfg.divergence_bound:
+            if abs(total) > _DIVERGENCE_BOUND:
                 raise Divergence(
-                    f"estimate exceeded divergence bound {cfg.divergence_bound:g} "
+                    f"estimate exceeded divergence bound {_DIVERGENCE_BOUND:g} "
                     f"on [{a!r}, {b!r}]"
                 )
             if len(heap) >= _MAX_PANELS:
@@ -260,21 +254,11 @@ def integrate_tail(f, a: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
             "tail refinement reached the floating-point resolution of the upper limit"
         )
 
-    if cfg.tail_transform == "exponential":
-
-        def g(u):
-            w = 1.0 - u
-            if w <= 0.0:
-                _collided()
-            return f(a - math.log(w)) / w
-
-    else:
-
-        def g(u):
-            w = 1.0 - u
-            if w <= 0.0:
-                _collided()
-            return f(a + u / w) / (w * w)
+    def g(u):
+        w = 1.0 - u
+        if w <= 0.0:
+            _collided()
+        return f(a + u / w) / (w * w)
 
     # stretched substitution x = a + (u/(1-u))^p: a tail decaying like
     # x^{-(1+d)} transforms to w^{p d - 1}, so even barely-integrable power
@@ -288,21 +272,16 @@ def integrate_tail(f, a: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         z = u / w
         return f(a + z**p) * p * z ** (p - 1) / (w * w)
 
-    probe = g
-    try:
-        return integrate_finite(g, 0.0, 1.0, cfg)
-    except NonConvergence:
-        if cfg.tail_transform == "reciprocal":
-            probe = g_stretched
-            try:
-                return integrate_finite(g_stretched, 0.0, 1.0, cfg)
-            except NonConvergence:
-                pass
+    for h in (g, g_stretched):
+        try:
+            return integrate_finite(h, 0.0, 1.0, cfg)
+        except NonConvergence:
+            pass
     # an integrand still converging like w^{-1} or worse near the upper
     # limit has a divergent original integral; milder endpoint growth is
     # just slow convergence
-    near = abs(probe(1.0 - 1e-9))
-    far = abs(probe(1.0 - 1e-3))
+    near = abs(g_stretched(1.0 - 1e-9))
+    far = abs(g_stretched(1.0 - 1e-3))
     if near > 1e5 * max(far, 1e-300):
         raise Divergence(
             f"tail integrand from a={a!r} fails to decay "

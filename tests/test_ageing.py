@@ -557,6 +557,17 @@ class TestSweep:
             profile(build(Weibull(1.5, 1.0)), [0.5, 2.0, 1.0])
 
     @pytest.mark.parametrize(
+        "spec", [Exponential(1.0), Erlang(2, 1.0), Uniform(0.0, 3.0), Weibull(1.5, 1.0)]
+    )
+    @pytest.mark.parametrize("ts", [[2.0, 1.0], [1.0, 1.0]])
+    def test_grid_must_increase_on_every_path(self, spec, ts):
+        from mrlai.errors import GridError
+
+        # closed-form families raise like the numeric sweep does
+        with pytest.raises(GridError, match="strictly increasing"):
+            profile(build(spec), ts)
+
+    @pytest.mark.parametrize(
         "make, ts",
         [
             (lambda: build(Weibull(1.5, 2.0)), _linspace(0.1, 10.0, 32)),

@@ -11,6 +11,7 @@ from mrlai.classify import (
     Grid,
     Kind,
     MonotonicityVerdict,
+    classify_hazard_ai,
     classify_mrl,
     classify_mrla,
     classify_mrlai,
@@ -27,6 +28,7 @@ from mrlai.distributions import (
     PieceSqrtAffine,
     build,
 )
+from mrlai.errors import GridError
 
 E = math.e
 
@@ -46,10 +48,21 @@ class TestGrid:
     def test_invariants(self):
         with pytest.raises(ValueError):
             Grid(2.0, 1.0)
-        with pytest.raises(ValueError):
-            Grid(1.0, 2.0, 8)
+        with pytest.raises(GridError):
+            Grid(1.0, 2.0, 1)
+        assert Grid(1.0, 2.0, 2).points() == [1.0, 2.0]
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 32, "log")
+
+
+@pytest.mark.parametrize(
+    "classify", [classify_mrl, classify_mrla, classify_mrlai, classify_hazard_ai]
+)
+def test_verdicts_need_sixteen_points(classify):
+    d = build(Exponential(1.0))
+    with pytest.raises(GridError, match="at least 16 grid points, got 8"):
+        classify(d, Grid(0.1, 2.0, 8))
+    assert classify(d, Grid(0.1, 2.0, 16)).kind is Kind.CONSTANT
 
 
 class TestScan:

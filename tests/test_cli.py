@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mrlai.cli import main
+from mrlai.cli import _parse_grid, main
 
 ERLANG = '{"family":"erlang","k":2,"rate":2}'
 EXP_HALF = '{"family":"exponential","rate":0.5}'
@@ -40,6 +40,11 @@ class TestEval:
         code, _, err = run(["eval", ERLANG, "--grid", "nope"], capsys)
         assert code == 2
 
+    def test_unbounded_step_grid_usage_error(self, capsys):
+        code, _, err = run(["eval", ERLANG, "--grid", "0:inf:1"], capsys)
+        assert code == 2
+        assert err.startswith("error: bad grid '0:inf:1': ")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -58,6 +63,22 @@ class TestEval:
         code, _, err = run(argv, capsys)
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text, points",
+        [
+            ("0.1:0.5:0.1", [0.1, 0.2, 0.30000000000000004, 0.4, 0.5]),
+            ("1:2:0.3", [1.0, 1.3, 1.6, 1.9]),
+            ("0.5:2/4", [0.5, 1.0, 1.5, 2.0]),
+            (
+                "0.1:10/5:log",
+                [0.10000000000000002, 0.31622776601683805, 1.0000000000000004,
+                 3.1622776601683813, 10.000000000000007],
+            ),
+        ],
+    )
+    def test_grid_spellings_expand_to_recorded_points(self, text, points):
+        assert _parse_grid(text).points() == points
 
     def test_survival_plot_may_start_at_zero(self, capsys):
         code, _, _ = run(["plotdata", EXP_HALF, "--quantity", "survival", "--grid", "0:1/4"], capsys)
@@ -147,6 +168,19 @@ class TestCompare:
             ["compare", '{"family":"erlang","k":2,"rate":2}',
              '{"family":"mrl_linear","a":1,"b":1}', "--orders", "mrlai",
              "--grid", "0.05:12/64"],
+            capsys,
+        )
+        assert code == 0
+        shortcut = next(l for l in out.splitlines() if l.startswith("shortcut"))
+        assert "holds" in shortcut and "thm_4_3" in shortcut
+
+    def test_shortcut_row_on_a_coarse_grid(self, capsys):
+        # eight points are too few for the MRL verdicts behind the shortcut;
+        # the shortcut check refines the grid to sixteen instead of refusing
+        code, out, _ = run(
+            ["compare", '{"family":"erlang","k":2,"rate":2}',
+             '{"family":"mrl_linear","a":1,"b":1}', "--orders", "mrlai",
+             "--grid", "0.05:12/8"],
             capsys,
         )
         assert code == 0

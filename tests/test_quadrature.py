@@ -4,6 +4,7 @@ Closed antiderivatives worked out by hand serve as oracles; scipy's
 QUADPACK provides an independent second route for spot checks.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -156,11 +157,6 @@ class TestTail:
         got = integrate_tail(lambda u: math.exp(-2 * u), 1.0)
         assert got == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-10)
 
-    def test_exponential_transform(self):
-        cfg = QuadConfig(tail_transform="exponential")
-        got = integrate_tail(lambda u: math.exp(-2 * u), 1.0, cfg)
-        assert got == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-9)
-
     def test_divergent_tail_flagged(self):
         with pytest.raises(Divergence):
             integrate_tail(lambda u: 1.0 / u, 1.0)
@@ -295,5 +291,12 @@ class TestConfig:
             QuadConfig(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadConfig(max_depth=5)
-        with pytest.raises(ValueError):
-            QuadConfig(tail_transform="cosine")
+
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(QuadConfig)] == [
+            "abs_tol", "rel_tol", "max_depth",
+        ]
+
+    def test_divergence_bound_is_fixed(self):
+        with pytest.raises(Divergence, match=r"exceeded divergence bound 1e\+15"):
+            integrate_finite(lambda x: 1.0 / (x * x), 0.0, 1.0)
