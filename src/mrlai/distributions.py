@@ -1073,10 +1073,13 @@ class Dist:
             return 0.0
 
     def tail(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG, numeric: bool = False) -> float:
-        """S(t) = integral of the survival function over [t, infinity).
+        """T(t) = integral of the survival function S over [t, infinity).
 
         ``numeric=True`` bypasses the closed form so callers can exercise
-        the pure quadrature route.
+        the pure quadrature route.  The quadrature meets
+        max(abs_tol * min(1, S(t)), rel_tol * T(t)) in one pass: callers
+        divide T by S(t), and since T = S * mu the scaled floor bounds the
+        error of mu.
         """
         s0, s1 = self.support
         if t >= s1:
@@ -1091,11 +1094,9 @@ class Dist:
         key = (t, cfg.abs_tol, cfg.rel_tol)
         hit = self._tail_cache.get(key)
         if hit is None:
-            hit = self._tail_numeric(t, s1, cfg)
-            if 0.0 < abs(hit) < 1e3 * cfg.abs_tol:
-                # the absolute floor dominated; go again for relative accuracy
-                tight = replace(cfg, abs_tol=max(abs(hit) * cfg.rel_tol, 1e-280))
-                hit = self._tail_numeric(t, s1, tight)
+            # QuadConfig needs a positive abs_tol where S(t) underflows
+            floor = max(cfg.abs_tol * min(1.0, self.survival(t)), 1e-280)
+            hit = self._tail_numeric(t, s1, replace(cfg, abs_tol=floor))
             self._tail_cache[key] = hit
         return hit
 

@@ -1,15 +1,19 @@
 """Deterministic adaptive quadrature for the rest of the toolkit.
 
-Finite intervals are integrated with a Gauss-Kronrod 7-15 pair under
-globally adaptive bisection: the panel with the worst error estimate is
-split until the summed estimate meets the requested tolerance.  All
-Kronrod abscissae are interior, so the endpoints are never sampled and
-integrable endpoint singularities (e.g. an order-statistic density at
-the support edge) are tolerated.  A caller that knows where the
-integrand kinks or jumps passes those abscissae as ``points``; the
-adaptive loop then starts from one panel per sub-interval between them,
-as QUADPACK's QAGP does (Piessens et al., 1983), so the kinks sit on
-panel ends from the start instead of being found by bisection.
+Every rule here is built on one node table: the Chebyshev points
+cos(k pi / N), N = 32, on each panel.  Finite intervals are integrated
+with Fejer's second rule on the 31 interior points under globally
+adaptive bisection: the panel with the worst error estimate is split
+until the summed estimate meets the requested tolerance.  A panel's
+error estimate is its distance to the embedded 15-point Fejer rule on
+every second node, the same nested-pair idea as Gauss-Kronrod.  The
+interior points never include a panel end, so integrable endpoint
+singularities (e.g. an order-statistic density at the support edge) are
+tolerated.  A caller that knows where the integrand kinks or jumps
+passes those abscissae as ``points``; the adaptive loop then starts from
+one panel per sub-interval between them, as QUADPACK's QAGP does
+(Piessens et al., 1983), so the kinks sit on panel ends from the start
+instead of being found by bisection.
 
 Improper upper limits are mapped onto (0, 1) by x = a + u/(1-u), with a
 stretched power of u/(1-u) as the fallback for slowly decaying tails.
@@ -28,8 +32,8 @@ meets max(abs_tol, rel_tol * |panel integral|).  The estimate is
 weighted by the width, so a kink or a rounding-level jump in f ends the
 bisection once the panel is narrow enough, where a pointwise
 coefficient test would split forever.
-Unlike the Kronrod abscissae, the Lobatto nodes include both panel
-ends, so f must be finite there.
+Unlike ``integrate_finite``, the sweep samples both panel ends (k = 0
+and k = N), so f must be finite there.
 
 A NaN or infinity from the integrand at a sampled point is a hard
 DomainError; silently skipping bad samples hides bugs in the caller.
@@ -54,35 +58,6 @@ __all__ = [
     "ChebPanel",
     "cheb_sweep",
 ]
-
-# Gauss-Kronrod 7-15 abscissae/weights on [-1, 1] (positive half; the rule
-# is symmetric).  Even-indexed Kronrod nodes carry the embedded Gauss rule.
-_XK = (
-    0.0000000000000000,
-    0.2077849550078985,
-    0.4058451513773972,
-    0.5860872354676911,
-    0.7415311855993944,
-    0.8648644233597691,
-    0.9491079123427585,
-    0.9914553711208126,
-)
-_WK = (
-    0.2094821410847278,
-    0.2044329400752989,
-    0.1903505780647854,
-    0.1690047266392679,
-    0.1406532597155259,
-    0.1047900103222502,
-    0.0630920926299786,
-    0.0229353220105292,
-)
-_WG = (
-    0.4179591836734694,
-    0.3818300505051189,
-    0.2797053914892767,
-    0.1294849661688697,
-)
 
 _MAX_PANELS = 20000
 # a running estimate past this magnitude is declared divergent rather than
@@ -132,37 +107,17 @@ def _eval(f, x: float) -> float:
     return y
 
 
-def _gk_panel(f, a: float, b: float):
-    """One Gauss-Kronrod 7-15 evaluation on [a, b].
-
-    Returns (kronrod_estimate, error_estimate).
-    """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = _eval(f, mid)
-    kron = _WK[0] * fc
-    gauss = _WG[0] * fc
-    for i in range(1, 8):
-        x = half * _XK[i]
-        f1 = _eval(f, mid - x)
-        f2 = _eval(f, mid + x)
-        kron += _WK[i] * (f1 + f2)
-        if i % 2 == 0:
-            gauss += _WG[i // 2] * (f1 + f2)
-    kron *= half
-    gauss *= half
-    return kron, abs(kron - gauss)
-
-
 def integrate_finite(
     f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG, points=()
 ) -> float:
     """Integral of ``f`` over the finite interval [a, b].
 
-    The result I satisfies |I - true| <= max(abs_tol, rel_tol * |I|)
-    whenever the error estimator is trustworthy (smooth or endpoint-
-    integrable integrands; the usual caveats of adaptive quadrature
-    apply).
+    Each panel is sampled at its 31 interior Chebyshev points (never at
+    its ends) and integrated with Fejer's second rule; the distance to
+    the embedded 15-point rule is its error estimate.  The result I
+    satisfies |I - true| <= max(abs_tol, rel_tol * |I|) whenever the
+    error estimator is trustworthy (smooth or endpoint-integrable
+    integrands; the usual caveats of adaptive quadrature apply).
 
     ``points`` are known kinks or jumps of ``f``: the adaptive loop
     starts from one panel per sub-interval between those strictly inside
@@ -179,67 +134,38 @@ def integrate_finite(
     heap = []
     total = total_err = 0.0
     for counter, (pa, pb) in enumerate(zip(edges, edges[1:])):
-        est, err = _gk_panel(f, pa, pb)
+        est, err = _fejer_panel(f, pa, pb)
         heap.append((-err, counter, pa, pb, est, 0))
         total += est
         total_err += err
     heapq.heapify(heap)
     counter = len(heap)
-    while True:
-        while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            if abs(total) > _DIVERGENCE_BOUND:
-                raise Divergence(
-                    f"estimate exceeded divergence bound {_DIVERGENCE_BOUND:g} "
-                    f"on [{a!r}, {b!r}]"
-                )
-            if len(heap) >= _MAX_PANELS:
-                raise NonConvergence(
-                    f"panel budget {_MAX_PANELS} exhausted on [{a!r}, {b!r}] "
-                    f"(remaining error estimate {total_err:.3e})"
-                )
-            neg_err, _, pa, pb, pest, depth = heapq.heappop(heap)
-            if depth >= cfg.max_depth:
-                raise NonConvergence(
-                    f"max_depth {cfg.max_depth} reached near [{pa!r}, {pb!r}] "
-                    f"(remaining error estimate {total_err:.3e})"
-                )
-            pm = 0.5 * (pa + pb)
-            left, lerr = _gk_panel(f, pa, pm)
-            right, rerr = _gk_panel(f, pm, pb)
-            total += left + right - pest
-            total_err += lerr + rerr - (-neg_err)
-            heapq.heappush(heap, (-lerr, counter, pa, pm, left, depth + 1))
-            heapq.heappush(heap, (-rerr, counter + 1, pm, pb, right, depth + 1))
-            counter += 2
-        # confirmation pass: a kink can fool the embedded-pair estimate on a
-        # single panel, so split everything once and require the refined
-        # total to stay put before trusting the result
-        refined = []
-        new_total = 0.0
-        new_err = 0.0
-        for neg_err, _, pa, pb, pest, depth in heap:
-            pm = 0.5 * (pa + pb)
-            left, lerr = _gk_panel(f, pa, pm)
-            right, rerr = _gk_panel(f, pm, pb)
-            refined.append((-lerr, counter, pa, pm, left, depth + 1))
-            refined.append((-rerr, counter + 1, pm, pb, right, depth + 1))
-            counter += 2
-            new_total += left + right
-            new_err += lerr + rerr
-        moved = abs(new_total - total)
-        heap = refined
-        heapq.heapify(heap)
-        total = new_total
-        total_err = new_err
-        if moved <= max(cfg.abs_tol, cfg.rel_tol * abs(new_total)) and total_err <= max(
-            cfg.abs_tol, cfg.rel_tol * abs(new_total)
-        ):
-            return total
+    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if abs(total) > _DIVERGENCE_BOUND:
+            raise Divergence(
+                f"estimate exceeded divergence bound {_DIVERGENCE_BOUND:g} "
+                f"on [{a!r}, {b!r}]"
+            )
         if len(heap) >= _MAX_PANELS:
             raise NonConvergence(
                 f"panel budget {_MAX_PANELS} exhausted on [{a!r}, {b!r}] "
-                f"(estimate still moving by {moved:.3e})"
+                f"(remaining error estimate {total_err:.3e})"
             )
+        neg_err, _, pa, pb, pest, depth = heapq.heappop(heap)
+        if depth >= cfg.max_depth:
+            raise NonConvergence(
+                f"max_depth {cfg.max_depth} reached near [{pa!r}, {pb!r}] "
+                f"(remaining error estimate {total_err:.3e})"
+            )
+        pm = 0.5 * (pa + pb)
+        left, lerr = _fejer_panel(f, pa, pm)
+        right, rerr = _fejer_panel(f, pm, pb)
+        total += left + right - pest
+        total_err += lerr + rerr - (-neg_err)
+        heapq.heappush(heap, (-lerr, counter, pa, pm, left, depth + 1))
+        heapq.heappush(heap, (-rerr, counter + 1, pm, pb, right, depth + 1))
+        counter += 2
+    return total
 
 
 def integrate_tail(f, a: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -370,6 +296,38 @@ def _cheb_tables():
     q[0] = (0.0,) * (n + 1)
     nodes = tuple(cos_m[j] for j in range(n + 1))
     return nodes, tuple(q), tuple(tuple(row) for row in dct[n + 1 - _TRAILING :])
+
+
+@lru_cache(maxsize=None)
+def _fejer_tables():
+    """The interior nodes cos(k pi / N), k = 1..N-1, of ``_cheb_tables``
+    with the weights of Fejer's second rule on them, and the weights of
+    the embedded rule on the even-k nodes (N / 2 - 1 of them), both on
+    [-1, 1]."""
+
+    def weights(n):
+        out = []
+        for k in range(1, n):
+            theta = k * math.pi / n
+            s = sum(math.sin((2 * j - 1) * theta) / (2 * j - 1) for j in range(1, n // 2 + 1))
+            out.append(4.0 / n * math.sin(theta) * s)
+        return tuple(out)
+
+    return _cheb_tables()[0][1:-1], weights(_N), weights(_N // 2)
+
+
+def _fejer_panel(f, a: float, b: float):
+    """Fejer's second rule on the interior Chebyshev nodes of [a, b].
+
+    Returns (estimate, distance to the embedded rule on every second
+    node), the same nested-pair error estimate as Gauss-Kronrod.
+    """
+    nodes, fine, coarse = _fejer_tables()
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fs = [_eval(f, mid + half * x) for x in nodes]
+    est = half * sum(map(mul, fine, fs))
+    return est, abs(est - half * sum(map(mul, coarse, fs[1::2])))
 
 
 class ChebPanel:

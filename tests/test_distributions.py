@@ -210,6 +210,15 @@ class TestWeibullTailOracle:
             want = (b / a) * gamma_fn(1 / a) * gammaincc(1 / a, (t / b) ** a)
             assert d.tail(t) == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("t", [3.0, 4.0, 5.0, 6.0, 6.5, 7.0, 7.5])
+    def test_small_numeric_tails_meet_rel_tol(self, t):
+        # callers divide the tail by S(t), so a tail small enough that
+        # abs_tol exceeds rel_tol * T must still be relatively accurate
+        a, b = 1.5, 1.3
+        want = (b / a) * gamma_fn(1 / a) * gammaincc(1 / a, (t / b) ** a)
+        assert 1e-7 < want < 0.1
+        assert build(Weibull(a, b)).tail(t, numeric=True) == pytest.approx(want, rel=1e-9, abs=0)
+
 
 class TestClosedTails:
     @pytest.mark.parametrize("spec", VALID_SPECS, ids=lambda s: s.family + repr(s)[:24])

@@ -477,6 +477,9 @@ class TestKinkedComposites:
         calls[0] = 0
         self.eu().tail(1.13)
         assert calls[0] <= 60_000
+        calls[0] = 0
+        mrl(convolution(self.uu(), build(Uniform(0.0, 1.0))), 0.9)
+        assert calls[0] <= 12_000
 
 
 def _weibull_tail(shape, scale_, t):
