@@ -173,7 +173,8 @@ def _evaluate_check(check: Check, dists: dict, conv: Convention, cfg: QuadConfig
     if q == "density":
         return f"density[{check.target}]({t:g})", d.density(t)
     if q == "tail":
-        return f"tail[{check.target}]({t:g})", orders._tail_value(d, t, conv, cfg)
+        tails = orders._tails_on_grid(d, [t], conv, cfg, double=False)[0]
+        return f"tail[{check.target}]({t:g})", tails[0]
     if q == "mean":
         return f"mean[{check.target}]", d.mean
     if q == "ratio":
@@ -183,8 +184,8 @@ def _evaluate_check(check: Check, dists: dict, conv: Convention, cfg: QuadConfig
             num = mrl_average(x, t, conv, cfg) * t
             den = mrl_average(y, t, conv, cfg) * t
         elif kind == "double_tail":
-            num = orders._double_tail(x, t, conv, cfg)
-            den = orders._double_tail(y, t, conv, cfg)
+            num = orders._tails_on_grid(x, [t], conv, cfg)[1][0]
+            den = orders._tails_on_grid(y, [t], conv, cfg)[1][0]
         else:
             raise ValueError(f"unknown ratio kind {kind!r}")
         return f"ratio[{check.params['x']}/{check.params['y']}]({t:g})", num / den

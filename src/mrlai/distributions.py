@@ -101,6 +101,13 @@ class _Family:
         """Published closed-form ageing intensity at t, or None."""
         return None
 
+    def closed_double_tail(self, t):
+        """Closed int_t^inf int_u^inf S of the on-support formula at t, or None.
+
+        Below the support start this is the formal continuation.
+        """
+        return None
+
 
 # ---------------------------------------------------------------------------
 # closed-form and MRL-specified families
@@ -230,6 +237,12 @@ class Pareto(_Family):
 
     def closed_L(self, t):
         return 2.0  # under the formal integration convention
+
+    def closed_double_tail(self, t):
+        a, b = self.shape, self.scale
+        if a <= 2.0:
+            return None  # the tail integral decays too slowly to integrate again
+        return b**a * t ** (2.0 - a) / ((a - 1.0) * (a - 2.0))
 
 
 def _erlang_terms(k, lam, t):
@@ -1094,22 +1107,29 @@ class Dist:
         key = (t, cfg.abs_tol, cfg.rel_tol)
         hit = self._tail_cache.get(key)
         if hit is None:
-            # QuadConfig needs a positive abs_tol where S(t) underflows
-            floor = max(cfg.abs_tol * min(1.0, self.survival(t)), 1e-280)
-            hit = self._tail_numeric(t, s1, replace(cfg, abs_tol=floor))
+            hit = self._integral_above(self.survival, t, self._tail_config(t, cfg))
             self._tail_cache[key] = hit
         return hit
 
-    def _tail_numeric(self, t, s1, cfg):
+    def _tail_config(self, t: float, cfg: QuadConfig) -> QuadConfig:
+        """``cfg`` with abs_tol scaled by min(1, S(t)), for integrals of the
+        tail from t whose callers divide by S(t) or compare values that
+        shrink with it."""
+        # QuadConfig needs a positive abs_tol where S(t) underflows
+        return replace(cfg, abs_tol=max(cfg.abs_tol * min(1.0, self.survival(t)), 1e-280))
+
+    def _integral_above(self, f, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+        """Integral of ``f`` from t to the support end, split first at the
+        breakpoints above t; an infinite support end switches to the
+        improper substitution past the last of them."""
         kinks = self.breakpoints
+        s1 = self.support[1]
         if math.isfinite(s1):
-            return integrate_finite(self.survival, t, s1, cfg, points=kinks)
-        # the improper part starts past the last kink above t
+            return integrate_finite(f, t, s1, cfg, points=kinks)
         last = max((b for b in kinks if b > t), default=None)
         if last is None:
-            return integrate_tail(self.survival, t, cfg)
-        head = integrate_finite(self.survival, t, last, cfg, points=kinks)
-        return head + integrate_tail(self.survival, last, cfg)
+            return integrate_tail(f, t, cfg)
+        return integrate_finite(f, t, last, cfg, points=kinks) + integrate_tail(f, last, cfg)
 
     @cached_property
     def mean(self) -> float:

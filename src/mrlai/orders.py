@@ -8,6 +8,12 @@ are provided as comparison baselines, plus the proven sufficiency
 shortcuts (monotone MRL, monotone MRL average, linear-MRL determinant)
 and the scale-transform preservation check.
 
+The variance-residual-life order needs the double tail
+D(t) = int_t^inf T, T(t) = int_t^inf S, on the whole grid.  It comes
+from one integral at the top grid point and one Chebyshev sweep down
+the grid, the chain ``ageing`` uses for mu (``_tails_on_grid``); the
+increasing-convex order reads a numeric T from the same sweep.
+
 A Holds verdict is grid evidence, not a proof; the verdict records the
 grid and which rule decided it so a consumer can demand refinement.
 """
@@ -19,9 +25,9 @@ from dataclasses import dataclass, replace
 
 from .ageing import Convention, mrl, profile
 from .classify import Grid, Kind, classify_mrl, classify_mrla, scan_monotonicity
-from .distributions import Dist, Pareto
-from .errors import UnsupportedCapability
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_tail
+from .distributions import Dist
+from .errors import Divergence, UnsupportedCapability
+from .quadrature import DEFAULT_CONFIG, QuadConfig, cheb_sweep
 
 __all__ = [
     "Relation",
@@ -163,10 +169,71 @@ def lr_order(
     return _ratio_nonincreasing(ts, ratios, tol, "grid")
 
 
-def _tail_value(d, t, conv, cfg):
-    if conv is Convention.FORMAL and d.formal is not None:
-        return d.formal.tail(t)
-    return d.tail(t, cfg)
+def _tails_on_grid(d, ts, conv, cfg, double=True):
+    """T(t) = int_t^inf S at each of ``ts`` and, with ``double``, the double
+    tail D(t) = int_t^inf T; D is None without it.
+
+    Under the formal convention T is the formal continuation's tail.
+    Without ``double`` a closed T is sampled at the points themselves.
+    Otherwise T and D come from one integral at the top point of the grid
+    and one ``cheb_sweep`` down the sorted, unique points plus the
+    breakpoints between them, the chain ``ageing`` uses for mu: a closed
+    T is swept directly, and a numeric one is chained from T(top) through
+    the survival samples (T(x) = T(top) + int_x^top S at every node), so
+    each panel's Clenshaw-Curtis sum of T is its share of D.  D(top) is the closed
+    double tail where the family has one, else int_top^inf T for a closed
+    T or int_top^inf (u - top) S(u) du for a numeric one, never a nested
+    integral.  Panel shares are summed from the top down.  Points at or
+    past a finite support end get T = D = 0.
+    """
+    formal = conv is Convention.FORMAL and d.formal is not None
+    tail = d.formal.tail if formal else (lambda u: d.tail(u, cfg))
+    closed = formal or d._tail is not None
+    if closed and not double:
+        return [tail(t) for t in ts], None
+    pts = sorted({t for t in ts if t < d.support[1]})
+    t_at, d_at = {}, {}
+    if pts:
+        top = pts[-1]
+        knots = sorted({*pts, *(b for b in d.breakpoints if pts[0] < b < top)})
+        t_at[top] = t_top = tail(top)
+        if closed:
+            panels = cheb_sweep(tail, knots, cfg)
+        else:
+            hook = (lambda p: [t_top + x for x in p.tails]) if double else None
+            panels = cheb_sweep(d.survival, knots, cfg, hook)
+        if double:
+            d_at[top] = acc = _top_double_tail(d, tail, top, formal, closed, cfg)
+        for p in panels:
+            if double:
+                acc += p.integral if closed else p.g_integral
+            if p.a == knots[p.interval]:  # the leftmost panel of its knot interval
+                t_at[p.a] = p.fs[-1] if closed else t_top + p.tails[-1]
+                if double:
+                    d_at[p.a] = acc
+    values = [t_at.get(t, 0.0) for t in ts]
+    return values, ([d_at.get(t, 0.0) for t in ts] if double else None)
+
+
+def _top_double_tail(d, tail, top, formal, closed, cfg):
+    """D(top) for ``_tails_on_grid``, to the tolerance ``Dist.tail`` meets."""
+    if closed and d.spec is not None:
+        s0 = d.support[0]
+        # on the support the true double tail is the formal one; below it
+        # T = mean - u
+        at = d.spec.closed_double_tail(top if formal else max(top, s0))
+        if at is not None:
+            if formal or top >= s0:
+                return at
+            return at + (s0 - top) * (d.mean - 0.5 * (s0 + top))
+    f = tail if closed else (lambda u: (u - top) * d.survival(u))
+    try:
+        return d._integral_above(f, top, d._tail_config(top, cfg))
+    except Divergence as exc:
+        raise Divergence(
+            f"{d.lineage}: the double tail integral from t={top!r} diverges "
+            "(the tail integral decays too slowly)"
+        ) from exc
 
 
 def icx_order(
@@ -177,23 +244,16 @@ def icx_order(
     tol: float = DEFAULT_ORDER_TOL,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> OrderVerdict:
-    """Increasing-convex order: int_t^inf surv_X <= int_t^inf surv_Y for all t."""
+    """Increasing-convex order: int_t^inf surv_X <= int_t^inf surv_Y for all t.
+
+    A closed tail is evaluated at each grid point; a numeric one costs one
+    tail integral at the top point and one survival sweep down the grid
+    (see ``_tails_on_grid``).
+    """
     ts = _grid_points(grid)
-    sx = [_tail_value(X, t, conv, cfg) for t in ts]
-    sy = [_tail_value(Y, t, conv, cfg) for t in ts]
+    sx = _tails_on_grid(X, ts, conv, cfg, double=False)[0]
+    sy = _tails_on_grid(Y, ts, conv, cfg, double=False)[0]
     return _pointwise_leq(ts, sx, sy, tol, "grid")
-
-
-def _double_tail(d, t, conv, cfg):
-    """int_t^inf of the (possibly formal) tail integral."""
-    if conv is Convention.FORMAL and d.formal is not None:
-        spec = d.spec
-        # a formally continued power tail integrates in closed form when it decays
-        if isinstance(spec, Pareto) and spec.shape > 2.0:
-            a, b = spec.shape, spec.scale
-            return b**a * t ** (2.0 - a) / ((a - 1.0) * (a - 2.0))
-        return integrate_tail(lambda u: d.formal.tail(u), t, cfg)
-    return integrate_tail(lambda u: d.tail(u, cfg), t, cfg)
 
 
 def vrl_order(
@@ -207,11 +267,14 @@ def vrl_order(
     """Variance-residual-life order via the ratio of double tail integrals.
 
     The ratio of int_t^inf int_u^inf surv_X over the same for Y must be
-    non-increasing.
+    non-increasing.  Each double tail costs one integral at the top grid
+    point and one Chebyshev sweep down the grid (see ``_tails_on_grid``),
+    not an improper integral per point.
     """
     ts = _grid_points(grid)
-    ratios = [_double_tail(X, t, conv, cfg) / _double_tail(Y, t, conv, cfg) for t in ts]
-    return _ratio_nonincreasing(ts, ratios, tol, "grid")
+    dx = _tails_on_grid(X, ts, conv, cfg)[1]
+    dy = _tails_on_grid(Y, ts, conv, cfg)[1]
+    return _ratio_nonincreasing(ts, [a / b for a, b in zip(dx, dy)], tol, "grid")
 
 
 def mrl_order(

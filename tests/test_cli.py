@@ -188,6 +188,19 @@ class TestCompare:
         assert "holds" in shortcut and "thm_4_3" in shortcut
 
 
+    def test_divergent_double_tail_names_distribution_and_t(self, capsys):
+        code, out, err = run(
+            ["compare", '{"family":"pareto","shape":1.5,"scale":1}',
+             '{"family":"exponential","rate":1}', "--orders", "vrl",
+             "--grid", "0.1:3/16", "--conv", "formal"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: pareto: ") and "t=3.0" in err
+        assert "[0.0, 1.0]" not in err  # the substituted variable's interval
+
+
 class TestReproduce:
     def test_full_run_exits_zero(self, capsys):
         code, out, _ = run(["reproduce"], capsys)

@@ -16,6 +16,7 @@ from mrlai.distributions import (
     MrlReciprocalLinear,
     Pareto,
     PieceSqrtAffine,
+    Uniform,
     Weibull,
     build,
 )
@@ -325,3 +326,172 @@ class TestScalePreservation:
         assert rep == want
         assert rep.scaled.relation is Relation.FAILS and rep.scaled.witness is not None
         assert len(calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# double tails D(t) = int_t^inf int_u^inf S, one sweep per grid
+# ---------------------------------------------------------------------------
+
+
+def _double_tails(d, grid, conv=ZERO):
+    from mrlai.orders import _tails_on_grid
+    from mrlai.quadrature import DEFAULT_CONFIG
+
+    return _tails_on_grid(d, grid, conv, DEFAULT_CONFIG)[1]
+
+
+def _pareto_double_tail(a, b, t, formal):
+    on_support = b**a * t ** (2.0 - a) / ((a - 1.0) * (a - 2.0))
+    if formal or t >= b:
+        return on_support
+    # below the support start T(u) = mean - u
+    mean = a * b / (a - 1.0)
+    return b * b / ((a - 1.0) * (a - 2.0)) + (b - t) * (mean - 0.5 * (b + t))
+
+
+def _weibull_double_tail(k, t):
+    """D(t) = (Gamma(2/k, t^k) - t Gamma(1/k, t^k)) / k for Weibull(k, 1), by mpmath."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        z = mpmath.mpf(t) ** k
+        s = mpmath.mpf(k)
+        return float((mpmath.gammainc(2 / s, z) - t * mpmath.gammainc(1 / s, z)) / s)
+
+
+# (label, spec, convention, grid range, closed D(t))
+DOUBLE_TAIL_ORACLES = [
+    ("exponential", Exponential(1.3), ZERO, (0.05, 11.0),
+     lambda t: math.exp(-1.3 * t) / 1.3**2),
+    ("erlang2", Erlang(2, 0.8), ZERO, (0.1, 15.0),
+     lambda t: math.exp(-0.8 * t) * (3.0 + 0.8 * t) / 0.8**2),
+    ("mrl_linear", MrlLinear(1.0, 0.4), ZERO, (0.0, 20.0),
+     lambda t: (1.0 + 0.4 * t) ** (1.0 - 1.0 / 0.4) / (1.0 - 0.4)),
+    ("uniform", Uniform(1.0, 3.0), ZERO, (1.0, 2.9),
+     lambda t: (3.0 - t) ** 3 / (6.0 * 2.0)),
+    ("pareto-zero", Pareto(2.5, 1.0), ZERO, (0.1, 10.0),
+     lambda t: _pareto_double_tail(2.5, 1.0, t, formal=False)),
+    ("pareto-formal", Pareto(2.5, 1.0), FORMAL, (0.1, 10.0),
+     lambda t: _pareto_double_tail(2.5, 1.0, t, formal=True)),
+]
+
+
+class TestDoubleTail:
+    @pytest.mark.parametrize("n", [16, 512])
+    @pytest.mark.parametrize(
+        "label,spec,conv,span,exact", DOUBLE_TAIL_ORACLES, ids=[c[0] for c in DOUBLE_TAIL_ORACLES]
+    )
+    def test_closed_forms(self, label, spec, conv, span, exact, n):
+        grid = ts(*span, n)
+        got = _double_tails(build(spec), grid, conv)
+        for t, v in zip(grid, got):
+            assert v == pytest.approx(exact(t), rel=1e-9, abs=0.0), t
+
+    @pytest.mark.parametrize("n", [16, 128])
+    @pytest.mark.parametrize("shape,hi", [(0.65, 20.0), (1.5, 5.0), (2.4, 3.0), (4.5, 1.8)])
+    def test_weibull_against_mpmath(self, shape, hi, n):
+        grid = ts(0.05, hi, n)
+        got = _double_tails(build(Weibull(shape, 1.0)), grid)
+        for t, v in zip(grid, got):
+            assert v == pytest.approx(_weibull_double_tail(shape, t), rel=1e-9, abs=0.0), t
+
+    def test_pareto_closed_double_tail_needs_shape_above_two(self):
+        assert Pareto(2.5, 1.0).closed_double_tail(0.5) == pytest.approx(4.0 / 3.0 * 0.5**-0.5, rel=1e-15)
+        assert Pareto(2.0, 1.0).closed_double_tail(2.0) is None
+        assert Weibull(1.5, 1.0).closed_double_tail(2.0) is None
+        # ZERO below the support start: 11/24 from the linear T plus D(1) = 4/3
+        assert _double_tails(build(Pareto(2.5, 1.0)), [0.5])[0] == pytest.approx(43.0 / 24.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec", [Weibull(1.5, 1.0), Uniform(1.0, 3.0), Pareto(2.5, 1.0), Exponential(0.7)],
+        ids=["weibull", "uniform", "pareto", "exponential"],
+    )
+    def test_any_grid_order_gives_the_sorted_values(self, spec):
+        d = build(spec)
+        s0, s1 = d.support
+        base = sorted({0.25, 0.5 * s0, s0, s0 + 0.3, s0 + 1.1, min(s0 + 1.9, 0.5 * (s0 + s1))})
+        want = dict(zip(base, _double_tails(d, base)))
+        messy = list(base) * 2
+        random.Random(7).shuffle(messy)
+        past = [s1, s1 + 1.0] if math.isfinite(s1) else []
+        got = _double_tails(d, messy + past)
+        assert got[: len(messy)] == [want[t] for t in messy]
+        assert got[len(messy):] == [0.0] * len(past)
+
+    def test_one_point_grid_gives_the_corpus_value(self):
+        from mrlai.corpus import run_case
+
+        X, Y = build(Exponential(2.0)), build(Pareto(3.0, 1.0))
+        grid = ts(0.05, 5.0, 100) + [0.2, 0.6, 1.0]
+        ratios = dict(
+            zip(grid, (a / b for a, b in zip(_double_tails(X, grid, FORMAL),
+                                              _double_tails(Y, grid, FORMAL))))
+        )
+        checks = [r for r in run_case("ex4.2").results if r.label.startswith("ratio")]
+        assert len(checks) == 3
+        for r, t in zip(checks, (0.2, 0.6, 1.0)):
+            assert r.computed == pytest.approx(ratios[t], rel=1e-12)
+            assert _double_tails(X, [t], FORMAL)[0] / _double_tails(Y, [t], FORMAL)[0] == r.computed
+
+    def test_numeric_tail_values_for_icx(self):
+        from scipy.special import gamma as gamma_fn
+        from scipy.special import gammaincc
+
+        from mrlai.orders import _tails_on_grid
+        from mrlai.quadrature import DEFAULT_CONFIG
+
+        grid = ts(0.05, 5.0, 64)
+        T, D = _tails_on_grid(build(Weibull(1.5, 1.0)), grid, ZERO, DEFAULT_CONFIG, double=False)
+        assert D is None
+        for t, v in zip(grid, T):
+            want = gamma_fn(1 / 1.5) * gammaincc(1 / 1.5, t**1.5) / 1.5
+            assert v == pytest.approx(want, rel=1e-9, abs=0.0), t
+
+    def test_closed_tails_for_icx_are_sampled_exactly(self):
+        from mrlai.orders import _tails_on_grid
+        from mrlai.quadrature import DEFAULT_CONFIG
+
+        grid = ts(0.1, 30.0, 100)
+        X, Y = build(Exponential(0.5)), build(Pareto(2.0, 1.0))
+        assert _tails_on_grid(X, grid, FORMAL, DEFAULT_CONFIG, double=False)[0] == [
+            X.tail(t) for t in grid
+        ]
+        assert _tails_on_grid(Y, grid, FORMAL, DEFAULT_CONFIG, double=False)[0] == [
+            Y.formal.tail(t) for t in grid
+        ]
+        # and with the double tail the sweep reads the same closed samples
+        assert _tails_on_grid(X, grid, ZERO, DEFAULT_CONFIG)[0] == [X.tail(t) for t in grid]
+
+    def test_divergent_double_tail_names_the_distribution_and_t(self):
+        from mrlai.errors import Divergence
+
+        X, Y = build(Pareto(1.5, 1.0)), build(Exponential(1.0))
+        for conv in (ZERO, FORMAL):
+            with pytest.raises(Divergence, match=r"pareto: .*t=3\.0"):
+                vrl_order(X, Y, ts(0.1, 3.0, 16), conv)
+
+    def test_vrl_makes_no_tail_integral_per_point(self, monkeypatch):
+        import sys
+
+        from mrlai import distributions, quadrature
+
+        counts = {"tail": 0, "survival": 0}
+        real_tail = quadrature.integrate_tail
+        real_survival = distributions.Dist.survival
+
+        def counted_tail(*args, **kwargs):
+            counts["tail"] += 1
+            return real_tail(*args, **kwargs)
+
+        def counted_survival(d, t):
+            counts["survival"] += 1
+            return real_survival(d, t)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("mrlai") and getattr(mod, "integrate_tail", None) is real_tail:
+                monkeypatch.setattr(mod, "integrate_tail", counted_tail)
+        monkeypatch.setattr(distributions.Dist, "survival", counted_survival)
+        X, Y = build(Weibull(1.5, 1.0)), build(Erlang(3, 1.5))
+        vrl_order(X, Y, Grid(0.05, 5.0, 16))
+        assert counts["tail"] <= 8
+        assert counts["survival"] <= 3000
