@@ -192,7 +192,10 @@ def survival_from_mrl(mu, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
 
 def hazard(d: Dist, t: float) -> float:
     """Failure rate f(t)/survival(t)."""
-    sv = d.survival(t)
+    return _hazard(d, t, d.survival(t))
+
+
+def _hazard(d, t, sv):
     if sv <= 0.0:
         raise BeyondSupport(f"{d.lineage}: hazard undefined at t={t!r}")
     return d.density(t) / sv
@@ -206,8 +209,9 @@ def hazard_ai(d: Dist, t: float) -> float:
     """
     if t <= 0.0:
         raise GridError("hazard_ai needs t > 0")
-    r = hazard(d, t)
-    cumulative = -math.log(d.survival(t))
+    sv = d.survival(t)
+    r = _hazard(d, t, sv)
+    cumulative = -math.log(sv)
     if cumulative <= 0.0:
         raise BeyondSupport(
             f"{d.lineage}: no hazard has accumulated by t={t!r}"
@@ -227,7 +231,11 @@ def mrlai_closed_form(spec, t: float):
 @dataclass(frozen=True)
 class MrlProfile:
     """Grid evaluation of mu, its running average, L, and optionally the
-    hazard-based ageing intensity.  By construction L[j] = mu[j]/mu_avg[j]."""
+    hazard-based ageing intensity.  By construction L[j] = mu[j]/mu_avg[j].
+
+    The verdicts in ``classify`` and ``orders`` take a profile, or a
+    tuple of them, in place of the ``Dist`` (see ``_profile_for``).
+    """
 
     dist: Dist
     grid: tuple
@@ -280,6 +288,35 @@ def profile(
     if with_hazard_ai and d.has_density:
         ai = tuple(_hazard_ai_or_nan(d, t) for t in ts)
     return MrlProfile(d, ts, mu_vals, mu_avg, L, ai, conv)
+
+
+def _profile_for(source, ts, conv, cfg=DEFAULT_CONFIG, method="auto") -> MrlProfile:
+    """The profile a verdict reads on the points ``ts`` under ``conv``.
+
+    ``source`` is a ``Dist``, whose profile is built here, or an
+    ``MrlProfile`` or a tuple of them, one of which must be on exactly
+    ``ts`` under ``conv``; ``cfg`` and ``method`` only apply to a build.
+    A given profile is never recomputed: a mismatch raises ValueError.
+    """
+    if isinstance(source, Dist):
+        return profile(source, ts, conv, cfg, method)
+    profs = (source,) if isinstance(source, MrlProfile) else tuple(source)
+    ts = tuple(float(t) for t in ts)
+    for p in profs:
+        if p.convention is conv and p.grid == ts:
+            return p
+    given = ", ".join(f"{p.convention.value} on {len(p.grid)} points" for p in profs)
+    raise ValueError(
+        f"a verdict needs the {conv.value} profile on its {len(ts)} grid points; "
+        f"given {given or 'none'}"
+    )
+
+
+def _source_dist(source) -> Dist:
+    """The ``Dist`` behind a verdict's ``source`` (see ``_profile_for``)."""
+    if isinstance(source, Dist):
+        return source
+    return (source if isinstance(source, MrlProfile) else source[0]).dist
 
 
 def _hazard_ai_or_nan(d, t):

@@ -5,6 +5,13 @@ triple and is therefore a certificate, while Increasing/Decreasing/
 Constant are evidence on the scanned grid, not proofs.  A verdict needs
 at least ``MIN_VERDICT_POINTS`` grid points; a ``Grid`` itself may have
 as few as two.
+
+``classify_mrl``, ``classify_mrla`` and ``classify_mrlai`` read an
+``ageing.MrlProfile`` on ``grid.points()``: ZERO for ``classify_mrl``,
+``conv`` for the other two.  In place of the ``Dist`` each takes that
+profile, or a tuple of profiles of one distribution to pick from, and
+then ignores ``cfg`` and ``method``; a given profile is never
+recomputed, so a missing one raises ValueError.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .ageing import Convention, hazard_ai, profile
+from .ageing import Convention, _profile_for, hazard_ai
 from .errors import GridError
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
@@ -183,8 +190,8 @@ def classify_mrl(
     cfg: QuadConfig = DEFAULT_CONFIG,
     method: str = "auto",
 ) -> MonotonicityVerdict:
-    """Verdict on the mean residual life itself."""
-    prof = profile(d, _verdict_points(grid), Convention.ZERO, cfg, method)
+    """Verdict on the mean residual life itself, read from the ZERO profile."""
+    prof = _profile_for(d, _verdict_points(grid), Convention.ZERO, cfg, method)
     return scan_monotonicity(prof.grid, prof.mu, tol)
 
 
@@ -196,8 +203,8 @@ def classify_mrla(
     cfg: QuadConfig = DEFAULT_CONFIG,
     method: str = "auto",
 ) -> MonotonicityVerdict:
-    """Verdict on the running average (1/t) int mu."""
-    prof = profile(d, _verdict_points(grid), conv, cfg, method)
+    """Verdict on the running average (1/t) int mu, read from the ``conv`` profile."""
+    prof = _profile_for(d, _verdict_points(grid), conv, cfg, method)
     return scan_monotonicity(prof.grid, prof.mu_avg, tol)
 
 
@@ -209,8 +216,8 @@ def classify_mrlai(
     cfg: QuadConfig = DEFAULT_CONFIG,
     method: str = "auto",
 ) -> MonotonicityVerdict:
-    """Verdict on the ageing intensity L."""
-    prof = profile(d, _verdict_points(grid), conv, cfg, method)
+    """Verdict on the ageing intensity L, read from the ``conv`` profile."""
+    prof = _profile_for(d, _verdict_points(grid), conv, cfg, method)
     return scan_monotonicity(prof.grid, prof.L, tol)
 
 

@@ -20,13 +20,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
 from . import corpus as corpus_mod
 from . import orders as orders_mod
 from .ageing import Convention, hazard_ai, profile
-from .classify import Grid, classify_hazard_ai, classify_mrl, classify_mrla, classify_mrlai
+from .classify import (
+    Grid,
+    _verdict_points,
+    classify_hazard_ai,
+    classify_mrl,
+    classify_mrla,
+    classify_mrlai,
+)
 from .distributions import load_spec, load_spec_file, build
 from .errors import ToolkitError
 from .quadrature import DEFAULT_CONFIG
@@ -123,10 +131,14 @@ def cmd_classify(args) -> int:
     dist = build(_load_one_spec(args.spec))
     conv = Convention(args.conv)
     grid = _parse_grid(args.grid)
+    ts = _verdict_points(grid)
+    # one profile per convention: ZERO for the MRL, conv for the other two
+    zero = profile(dist, ts)
+    prof = zero if conv is Convention.ZERO else profile(dist, ts, conv)
     rows = [
-        ["mrl", str(classify_mrl(dist, grid))],
-        ["mrl_average", str(classify_mrla(dist, grid, conv))],
-        ["mrlai", str(classify_mrlai(dist, grid, conv))],
+        ["mrl", str(classify_mrl(zero, grid))],
+        ["mrl_average", str(classify_mrla(prof, grid, conv))],
+        ["mrlai", str(classify_mrlai(prof, grid, conv))],
     ]
     if dist.has_density:
         rows.append(["hazard_ai", str(classify_hazard_ai(dist, grid))])
@@ -146,6 +158,11 @@ def cmd_compare(args) -> int:
         raise SystemExit(
             f"error: unknown order(s) {bad}; choose from {tuple(orders_mod.BY_NAME)}"
         )
+    # every profile the checks read, built once per side: ZERO and conv on
+    # the grid and on the shortcut's, which differs only below 16 points
+    convs = {Convention.ZERO, conv}
+    grids = {tuple(grid.points()), tuple(orders_mod._shortcut_grid(grid).points())}
+    X, Y = (_profiles(d, grids, convs) for d in (X, Y))
     rows = []
     for name in wanted:
         v = orders_mod.BY_NAME[name](X, Y, grid, conv, DEFAULT_CONFIG)
@@ -159,6 +176,19 @@ def cmd_compare(args) -> int:
     with _output(args) as out:
         _emit_rows(["order", "relation", "decided_by", "witness"], rows, args.format, out)
     return 0
+
+
+def _profiles(d, grids, convs):
+    """The profiles of ``d`` on each of ``grids`` under each of ``convs``.
+
+    Where one cannot be built, ``d`` itself is returned, so that each
+    check builds what it reads and the first one to fail raises the same
+    error, in the same place, as it would alone.
+    """
+    try:
+        return tuple(profile(d, ts, c) for ts in grids for c in convs)
+    except ToolkitError:
+        return d
 
 
 def cmd_reproduce(args) -> int:
@@ -282,10 +312,15 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and reused by every later one
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)

@@ -143,6 +143,10 @@ class Exponential(_Family):
     def closed_L(self, t):
         return 1.0
 
+    def closed_double_tail(self, t):
+        lam = self.rate
+        return math.exp(-lam * t) / (lam * lam)
+
 
 @dataclass(frozen=True)
 class Weibull(_Family):
@@ -322,6 +326,12 @@ class Erlang(_Family):
     def rescaled(self, a):
         return Erlang(self.k, self.rate / a)
 
+    def closed_double_tail(self, t):
+        k, lam = self.k, self.rate
+        terms = _erlang_terms(k, lam, t)
+        weighted = (0.5 * (k - i) * (k - i + 1) * p for i, p in enumerate(terms))
+        return math.fsum(weighted) / (lam * lam)
+
     def closed_L(self, t):
         if self.k != 2:
             return None
@@ -375,6 +385,9 @@ class Uniform(_Family):
     def rescaled(self, a):
         return Uniform(a * self.lo, a * self.hi)
 
+    def closed_double_tail(self, t):
+        return max(self.hi - t, 0.0) ** 3 / (6.0 * (self.hi - self.lo))
+
 
 @dataclass(frozen=True)
 class MrlLinear(_Family):
@@ -411,6 +424,16 @@ class MrlLinear(_Family):
 
     def rescaled(self, a):
         return MrlLinear(a * self.a, self.b)
+
+    def closed_double_tail(self, t):
+        # S(t) (a + b t)^2 / (1 - b); the tail decays too slowly from b = 1 on
+        a, b = self.a, self.b
+        if b >= 1.0:
+            return None
+        if b == 0.0:
+            return a * a * math.exp(-t / a)
+        m = a + b * t
+        return (a / m) ** (1.0 + 1.0 / b) * m * m / (1.0 - b)
 
     def closed_L(self, t):
         return (self.a + self.b * t) / (self.a + 0.5 * self.b * t)

@@ -8,8 +8,19 @@ are provided as comparison baselines, plus the proven sufficiency
 shortcuts (monotone MRL, monotone MRL average, linear-MRL determinant)
 and the scale-transform preservation check.
 
+``mrlai_order``, ``ratio_test``, ``mrl_order`` and
+``sufficient_conditions`` read ``ageing.MrlProfile`` columns.  Each side
+is a ``Dist``, whose profiles the check builds, or a profile or tuple of
+profiles of it, from which the check picks the one on its grid under the
+convention it needs: ``conv`` for L and mu_avg, ZERO for mu (FORMAL in
+``mrl_order`` under that convention when the distribution has a formal
+continuation), and for the shortcut the grid refined to 16 points
+(``_shortcut_grid``).  A missing profile raises ValueError; a given one
+is never recomputed.  The other checks take the profiles' ``Dist``.
+
 The variance-residual-life order needs the double tail
-D(t) = int_t^inf T, T(t) = int_t^inf S, on the whole grid.  It comes
+D(t) = int_t^inf T, T(t) = int_t^inf S, on the whole grid.  A family
+with a closed double tail gives it at each point; otherwise it comes
 from one integral at the top grid point and one Chebyshev sweep down
 the grid, the chain ``ageing`` uses for mu (``_tails_on_grid``); the
 increasing-convex order reads a numeric T from the same sweep.
@@ -23,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .ageing import Convention, mrl, profile
+from .ageing import Convention, _profile_for, _source_dist, profile
 from .classify import Grid, Kind, classify_mrl, classify_mrla, scan_monotonicity
 from .distributions import Dist
 from .errors import Divergence, UnsupportedCapability
@@ -132,8 +143,8 @@ def mrlai_order(
 ) -> OrderVerdict:
     """X below Y in ageing intensity: L_X <= L_Y at every grid point."""
     ts = _grid_points(grid)
-    lx = profile(X, ts, conv, cfg).L
-    ly = profile(Y, ts, conv, cfg).L
+    lx = _profile_for(X, ts, conv, cfg).L
+    ly = _profile_for(Y, ts, conv, cfg).L
     return _pointwise_leq(ts, lx, ly, tol, "grid")
 
 
@@ -147,8 +158,8 @@ def ratio_test(
 ) -> OrderVerdict:
     """Equivalent criterion: int_0^t mu_X / int_0^t mu_Y non-increasing."""
     ts = _grid_points(grid)
-    gx = [a * t for a, t in zip(profile(X, ts, conv, cfg).mu_avg, ts)]
-    gy = [a * t for a, t in zip(profile(Y, ts, conv, cfg).mu_avg, ts)]
+    gx = [a * t for a, t in zip(_profile_for(X, ts, conv, cfg).mu_avg, ts)]
+    gy = [a * t for a, t in zip(_profile_for(Y, ts, conv, cfg).mu_avg, ts)]
     ratios = [a / b for a, b in zip(gx, gy)]
     return _ratio_nonincreasing(ts, ratios, tol, "ratio_test")
 
@@ -157,6 +168,7 @@ def lr_order(
     X: Dist, Y: Dist, grid, tol: float = DEFAULT_ORDER_TOL
 ) -> OrderVerdict:
     """Likelihood-ratio order: f_X/f_Y non-increasing where both are positive."""
+    X, Y = _source_dist(X), _source_dist(Y)
     if not (X.has_density and Y.has_density):
         raise UnsupportedCapability("lr order needs densities on both sides")
     ts, ratios = [], []
@@ -173,25 +185,29 @@ def _tails_on_grid(d, ts, conv, cfg, double=True):
     """T(t) = int_t^inf S at each of ``ts`` and, with ``double``, the double
     tail D(t) = int_t^inf T; D is None without it.
 
-    Under the formal convention T is the formal continuation's tail.
-    Without ``double`` a closed T is sampled at the points themselves.
+    Under the formal convention T is the formal continuation's tail.  A
+    closed T is sampled at the points themselves, and so is a closed
+    double tail where the family has one (``_closed_double_tail``).
     Otherwise T and D come from one integral at the top point of the grid
     and one ``cheb_sweep`` down the sorted, unique points plus the
     breakpoints between them, the chain ``ageing`` uses for mu: a closed
     T is swept directly, and a numeric one is chained from T(top) through
     the survival samples (T(x) = T(top) + int_x^top S at every node), so
-    each panel's Clenshaw-Curtis sum of T is its share of D.  D(top) is the closed
-    double tail where the family has one, else int_top^inf T for a closed
-    T or int_top^inf (u - top) S(u) du for a numeric one, never a nested
-    integral.  Panel shares are summed from the top down.  Points at or
-    past a finite support end get T = D = 0.
+    each panel's Clenshaw-Curtis sum of T is its share of D.  D(top) is
+    int_top^inf T for a closed T or int_top^inf (u - top) S(u) du for a
+    numeric one, never a nested integral.  Panel shares are summed from
+    the top down.  Points at or past a finite support end get T = D = 0.
     """
     formal = conv is Convention.FORMAL and d.formal is not None
     tail = d.formal.tail if formal else (lambda u: d.tail(u, cfg))
     closed = formal or d._tail is not None
     if closed and not double:
         return [tail(t) for t in ts], None
-    pts = sorted({t for t in ts if t < d.support[1]})
+    s1 = d.support[1]
+    if closed and ts and _closed_double_tail(d, ts[0], formal) is not None:
+        dd = [_closed_double_tail(d, t, formal) if t < s1 else 0.0 for t in ts]
+        return [tail(t) for t in ts], dd
+    pts = sorted({t for t in ts if t < s1})
     t_at, d_at = {}, {}
     if pts:
         top = pts[-1]
@@ -203,7 +219,7 @@ def _tails_on_grid(d, ts, conv, cfg, double=True):
             hook = (lambda p: [t_top + x for x in p.tails]) if double else None
             panels = cheb_sweep(d.survival, knots, cfg, hook)
         if double:
-            d_at[top] = acc = _top_double_tail(d, tail, top, formal, closed, cfg)
+            d_at[top] = acc = _top_double_tail(d, tail, top, closed, cfg)
         for p in panels:
             if double:
                 acc += p.integral if closed else p.g_integral
@@ -215,17 +231,23 @@ def _tails_on_grid(d, ts, conv, cfg, double=True):
     return values, ([d_at.get(t, 0.0) for t in ts] if double else None)
 
 
-def _top_double_tail(d, tail, top, formal, closed, cfg):
+def _closed_double_tail(d, t, formal):
+    """D(t) from the spec's closed double tail, or None where it has none.
+
+    On the support the true double tail is the formal one; below it,
+    unless ``formal``, T = mean - u.
+    """
+    if d.spec is None:
+        return None
+    s0 = d.support[0]
+    at = d.spec.closed_double_tail(t if formal else max(t, s0))
+    if at is None or formal or t >= s0:
+        return at
+    return at + (s0 - t) * (d.mean - 0.5 * (s0 + t))
+
+
+def _top_double_tail(d, tail, top, closed, cfg):
     """D(top) for ``_tails_on_grid``, to the tolerance ``Dist.tail`` meets."""
-    if closed and d.spec is not None:
-        s0 = d.support[0]
-        # on the support the true double tail is the formal one; below it
-        # T = mean - u
-        at = d.spec.closed_double_tail(top if formal else max(top, s0))
-        if at is not None:
-            if formal or top >= s0:
-                return at
-            return at + (s0 - top) * (d.mean - 0.5 * (s0 + top))
     f = tail if closed else (lambda u: (u - top) * d.survival(u))
     try:
         return d._integral_above(f, top, d._tail_config(top, cfg))
@@ -251,8 +273,8 @@ def icx_order(
     (see ``_tails_on_grid``).
     """
     ts = _grid_points(grid)
-    sx = _tails_on_grid(X, ts, conv, cfg, double=False)[0]
-    sy = _tails_on_grid(Y, ts, conv, cfg, double=False)[0]
+    sx = _tails_on_grid(_source_dist(X), ts, conv, cfg, double=False)[0]
+    sy = _tails_on_grid(_source_dist(Y), ts, conv, cfg, double=False)[0]
     return _pointwise_leq(ts, sx, sy, tol, "grid")
 
 
@@ -267,13 +289,14 @@ def vrl_order(
     """Variance-residual-life order via the ratio of double tail integrals.
 
     The ratio of int_t^inf int_u^inf surv_X over the same for Y must be
-    non-increasing.  Each double tail costs one integral at the top grid
-    point and one Chebyshev sweep down the grid (see ``_tails_on_grid``),
-    not an improper integral per point.
+    non-increasing.  A closed double tail is evaluated at each grid
+    point; any other costs one integral at the top grid point and one
+    Chebyshev sweep down the grid (see ``_tails_on_grid``), not an
+    improper integral per point.
     """
     ts = _grid_points(grid)
-    dx = _tails_on_grid(X, ts, conv, cfg)[1]
-    dy = _tails_on_grid(Y, ts, conv, cfg)[1]
+    dx = _tails_on_grid(_source_dist(X), ts, conv, cfg)[1]
+    dy = _tails_on_grid(_source_dist(Y), ts, conv, cfg)[1]
     return _ratio_nonincreasing(ts, [a / b for a, b in zip(dx, dy)], tol, "grid")
 
 
@@ -285,17 +308,19 @@ def mrl_order(
     tol: float = DEFAULT_ORDER_TOL,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> OrderVerdict:
-    """Mean-residual-life order: mu_X <= mu_Y pointwise."""
+    """Mean-residual-life order: mu_X <= mu_Y pointwise.
+
+    mu is the profile's: the FORMAL one under that convention where the
+    distribution has a formal continuation, else the ZERO one, whose mu
+    is mean - t below the support start.
+    """
     ts = _grid_points(grid)
 
-    def mu(d, t):
-        if conv is Convention.FORMAL and d.formal is not None and t < d.support[0]:
-            return d.formal.mrl(t)
-        return mrl(d, t, cfg)
+    def mu(src):
+        formal = conv is Convention.FORMAL and _source_dist(src).formal is not None
+        return _profile_for(src, ts, Convention.FORMAL if formal else Convention.ZERO, cfg).mu
 
-    mx = [mu(X, t) for t in ts]
-    my = [mu(Y, t) for t in ts]
-    return _pointwise_leq(ts, mx, my, tol, "grid")
+    return _pointwise_leq(ts, mu(X), mu(Y), tol, "grid")
 
 
 def linear_mrl_order(a: float, b: float, c: float, d: float) -> OrderVerdict:
@@ -336,14 +361,12 @@ def sufficient_conditions(
 
     X decreasing in MRL with Y increasing settles the order outright; so
     does X decreasing in MRL average with Y increasing.  Hypotheses are
-    verified on the grid, and the stricter pair is preferred when both
-    apply.
+    verified on the grid refined to at least 16 points
+    (``_shortcut_grid``), from the ZERO profiles for the MRL and the
+    ``conv`` profiles for its average, and the stricter pair is preferred
+    when both apply.
     """
-    if not isinstance(grid, Grid):
-        ts = _grid_points(grid)
-        grid = Grid(ts[0], ts[-1], len(ts))
-    # a grid too coarse for the MRL verdicts is refined, not refused
-    g = replace(grid, n_points=max(16, grid.n_points))
+    g = _shortcut_grid(grid)
     vx = classify_mrl(X, g, cfg=cfg)
     vy = classify_mrl(Y, g, cfg=cfg)
     if vx.kind is Kind.DECREASING and vy.kind is Kind.INCREASING:
@@ -363,6 +386,16 @@ def sufficient_conditions(
             note="X decreasing in MRL average, Y increasing in MRL average",
         )
     return None
+
+
+def _shortcut_grid(grid) -> Grid:
+    """The grid ``sufficient_conditions`` scans: ``grid`` (a list of points
+    becomes the linear grid between its ends) with at least the points an
+    MRL verdict needs, because a grid too coarse is refined, not refused."""
+    if not isinstance(grid, Grid):
+        ts = _grid_points(grid)
+        grid = Grid(ts[0], ts[-1], len(ts))
+    return replace(grid, n_points=max(16, grid.n_points))
 
 
 # order name -> check, as the corpus and the CLI spell it; every entry is

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mrlai.cli import _parse_grid, main
+from mrlai.cli import _parse_grid, _parser, main, make_parser
 
 ERLANG = '{"family":"erlang","k":2,"rate":2}'
 EXP_HALF = '{"family":"exponential","rate":0.5}'
@@ -266,3 +266,21 @@ class TestPlotdata:
 
         val = float(out.splitlines()[1].split(",")[1])
         assert val == pytest.approx(math.exp(-0.5), rel=1e-10)
+
+
+class TestParser:
+    def test_built_once_and_reused(self):
+        assert _parser() is _parser()
+
+    def test_reuse_leaks_no_arguments(self, capsys, tmp_path):
+        out = tmp_path / "first.csv"
+        first = ["compare", ERLANG, EXP_HALF, "--orders", "lr", "--conv", "formal",
+                 "--format", "csv", "--grid", "0.2:6/32", "-o", str(out)]
+        assert main(first) == 0
+        second = ["compare", ERLANG, EXP_HALF, "--grid", "0.2:6/32"]
+        assert vars(_parser().parse_args(second)) == vars(make_parser().parse_args(second))
+        code, text, _ = run(second, capsys)
+        assert code == 0
+        rows = [line.split()[0] for line in text.splitlines()[1:]]
+        assert rows[:2] == ["mrlai", "ratio"] and "lr" not in rows
+        assert out.read_text().splitlines()[1].startswith("lr,")

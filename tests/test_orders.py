@@ -301,7 +301,7 @@ class TestScalePreservation:
         assert rep.preserved
 
     def test_four_profiles_and_the_same_report(self, monkeypatch):
-        from mrlai import orders
+        from mrlai import ageing
         from mrlai.ops import scale
         from mrlai.orders import ScaleReport
 
@@ -318,9 +318,9 @@ class TestScalePreservation:
             max(u - v for u, v in zip(lx, ly)),
         )
         calls = []
-        real = orders.profile
+        real = ageing._evaluate
         monkeypatch.setattr(
-            orders, "profile", lambda *args, **kw: calls.append(1) or real(*args, **kw)
+            ageing, "_evaluate", lambda *args, **kw: calls.append(1) or real(*args, **kw)
         )
         rep = check_scale_preservation(X, Y, a, grid)
         assert rep == want
@@ -495,3 +495,132 @@ class TestDoubleTail:
         vrl_order(X, Y, Grid(0.05, 5.0, 16))
         assert counts["tail"] <= 8
         assert counts["survival"] <= 3000
+
+
+def _mp_double_tail(spec, t):
+    """D(t) = E[(X - t)_+^2] / 2 by mpmath at 30 digits, from the moments
+    of X rather than the specs' ``closed_double_tail`` formulas."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        t = mpmath.mpf(t)
+        if isinstance(spec, (Exponential, Erlang)):
+            k = spec.k if isinstance(spec, Erlang) else 1
+            lam = mpmath.mpf(spec.rate)
+            # int_t^inf x^j f(x) dx = Gamma(k + j, lam t) / (Gamma(k) lam^j)
+            m = [mpmath.gammainc(k + j, lam * t) / (mpmath.gamma(k) * lam**j) for j in range(3)]
+            return float((m[2] - 2 * t * m[1] + t * t * m[0]) / 2)
+        if isinstance(spec, Uniform):
+            lo, hi = mpmath.mpf(spec.lo), mpmath.mpf(spec.hi)
+            if t >= lo:
+                return float((hi - t) ** 3 / (6 * (hi - lo)))
+            # all of X lies above t: (Var X + (E X - t)^2) / 2
+            return float(((hi - lo) ** 2 / 12 + ((lo + hi) / 2 - t) ** 2) / 2)
+        # linear MRL a + b u: X + a/b is Pareto(1 + 1/b, a/b), whose
+        # double tail past its start is s^c z^(2-c) / ((c-1)(c-2))
+        a, b = mpmath.mpf(spec.a), mpmath.mpf(spec.b)
+        if b == 0:
+            return float(a * a * mpmath.exp(-t / a))
+        c, s = 1 + 1 / b, a / b
+        return float(s**c * (t + s) ** (2 - c) / ((c - 1) * (c - 2)))
+
+
+# (label, spec, grid range); each grid crosses the support start where there is one
+NEW_CLOSED_DOUBLE_TAILS = [
+    ("exponential", Exponential(1.3), (0.05, 11.0)),
+    ("erlang2", Erlang(2, 0.8), (0.1, 15.0)),
+    ("erlang4", Erlang(4, 1.7), (0.02, 12.0)),
+    ("uniform", Uniform(1.0, 3.0), (0.2, 2.95)),
+    ("mrl_linear", MrlLinear(1.0, 0.4), (0.0, 20.0)),
+    ("mrl_linear-b0", MrlLinear(1.5, 0.0), (0.1, 20.0)),
+    ("mrl_linear-witness", MrlLinear(2.8900856797231236, 0.4291309948237398), (0.14, 41.65)),
+]
+
+
+class TestClosedDoubleTails:
+    @pytest.mark.parametrize("n", [16, 512])
+    @pytest.mark.parametrize(
+        "label,spec,span", NEW_CLOSED_DOUBLE_TAILS, ids=[c[0] for c in NEW_CLOSED_DOUBLE_TAILS]
+    )
+    def test_against_mpmath(self, label, spec, span, n):
+        grid = ts(*span, n)
+        got = _double_tails(build(spec), grid)
+        for t, v in zip(grid, got):
+            assert v == pytest.approx(_mp_double_tail(spec, t), rel=1e-12, abs=0.0), t
+
+    def test_linear_mrl_oracle_against_quadrature(self):
+        import mpmath
+
+        spec = MrlLinear(1.0, 0.4)
+        with mpmath.workdps(30):
+            for t in (0.0, 1.5, 12.0):
+                want = mpmath.quad(
+                    lambda v: (v - t) * (1 / (1 + 0.4 * v)) ** (1 + 1 / mpmath.mpf(0.4)),
+                    [t, mpmath.inf],
+                )
+                assert _mp_double_tail(spec, t) == pytest.approx(float(want), rel=1e-14)
+
+    def test_grid_evaluates_the_closed_form_per_point(self, monkeypatch):
+        from mrlai import orders
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a closed double tail needs no sweep")
+
+        monkeypatch.setattr(orders, "cheb_sweep", no_sweep)
+        for _, spec, span in NEW_CLOSED_DOUBLE_TAILS:
+            _double_tails(build(spec), ts(*span, 32))
+
+    def test_slow_linear_mrl_tail_still_diverges(self):
+        from mrlai.errors import Divergence
+
+        assert MrlLinear(1.0, 1.0).closed_double_tail(2.0) is None
+        with pytest.raises(Divergence, match=r"mrl_linear: .*t=3\.0"):
+            vrl_order(build(MrlLinear(1.0, 1.5)), build(Exponential(1.0)), ts(0.1, 3.0, 16))
+
+    def test_past_the_uniform_end_is_zero(self):
+        d = build(Uniform(1.0, 3.0))
+        assert _double_tails(d, [0.5, 2.0, 3.0, 4.0])[2:] == [0.0, 0.0]
+        assert Uniform(1.0, 3.0).closed_double_tail(3.5) == 0.0
+
+
+class TestMrlOrderFromProfiles:
+    def test_numeric_tail_costs_one_integral_per_side(self, monkeypatch):
+        import sys
+
+        from mrlai import quadrature
+
+        calls = []
+        real = quadrature.integrate_tail
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("mrlai") and getattr(mod, "integrate_tail", None) is real:
+                monkeypatch.setattr(mod, "integrate_tail", counted)
+        X, Y = build(Weibull(1.5, 1.0)), build(Erlang(3, 1.5))
+        grid = Grid(0.05, 5.0, 16)
+        v = mrl_order(X, Y, grid)
+        assert len(calls) <= 2  # was one per grid point
+        mx = profile(X, grid.points()).mu
+        for t, m in zip(grid.points(), mx):
+            assert m == pytest.approx(mrl(X, t), rel=1e-9)
+        assert v == mrl_order(X, Y, grid.points())
+
+    def test_below_the_support_start(self):
+        # ZERO reads mean - t below Pareto's start, FORMAL its continuation t/(a-1)
+        X, Y = build(Pareto(2.5, 1.0)), build(Exponential(1.0))
+        grid = ts(0.2, 1.4, 20)
+        zero = mrl_order(X, Y, grid)
+        assert zero.relation is Relation.FAILS and zero.witness.t == 0.2
+        assert zero.witness.lhs == pytest.approx(2.5 / 1.5 - 0.2, rel=1e-15)
+        assert mrl_order(X, Y, grid, FORMAL).relation is Relation.HOLDS
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0], [-1.0, 1.0], [1.0, 2.0, 2.0], [2.0, 1.0]])
+    def test_bad_grids_raise_grid_error(self, grid):
+        from mrlai.errors import GridError
+
+        X, Y = build(Exponential(1.0)), build(Erlang(2, 1.0))
+        with pytest.raises(GridError):
+            mrl_order(X, Y, grid)
