@@ -21,6 +21,14 @@ made explicit here as a ``Convention``:
                        characterisation L = 2 is obtained).
 
 For distributions supported from 0 the three conventions coincide.
+
+The increasing-convex and variance-residual-life orders read the tail
+T(t) = int_t^inf S and the double tail D(t) = int_t^inf T on a grid
+(``_tails_on_grid``).  Without closed forms they run on the chain of the
+mu sweep: one integral at the top point, then one Chebyshev sweep down
+the points and the breakpoints between them, where D adds the interval
+integrals of T to D(top) from the right as G adds those of mu from the
+left.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from itertools import accumulate
 from .distributions import Dist
 from .errors import (
     BeyondSupport,
+    Divergence,
     GridError,
     NonPositiveMrl,
     OriginSingularity,
@@ -361,27 +370,32 @@ def _sweep(d, ts, conv, cfg, method, need_mu):
     s0, s1 = d.support
     fm = _formal_parts(d)[0] if conv is Convention.FORMAL else None
     lo = max(s0, _origin(d, conv))
-    knots = [lo] + [t for t in ts if t > lo]
-    if knots[-1] > s1:
-        raise BeyondSupport(f"{d.lineage}: mrl undefined at t={knots[-1]!r} (past support end)")
+    pts = [t for t in ts if t > lo]
+    if pts and pts[-1] > s1:
+        raise BeyondSupport(f"{d.lineage}: mrl undefined at t={pts[-1]!r} (past support end)")
 
     # on the support: mu and G from lo.  At a finite support end mu takes
     # its limit 0 (0 <= mu(x) <= s1 - x), so G(s1) is defined although
     # mu(s1) is not.
     mu_at, g_at = {}, {lo: 0.0}
-    if len(knots) > 1:
+    if pts:
+        knots = _knots(d, lo, pts)
+        top = knots[-1]
         if method != "quadrature" and (d.has_closed_mrl or d._tail is not None):
             mu_closed = lambda u: mrl(d, u, cfg, method) if u < s1 else 0.0
-            mu_on, g_on = _integrate_knots(mu_closed, knots, cfg)
+            mu_on, seg = _integrate_knots(mu_closed, knots, cfg)
         else:
-            mu_on, g_on = _integrate_knots(d.survival, knots, cfg, _chained_mu(d, knots[-1], cfg))
+            if top < s1 and d.survival(top) <= 0.0:
+                raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={top!r}")
+            hook = _chained_tail(d, d.tail(top, cfg, numeric=True), over_survival=True)
+            mu_on, seg = _integrate_knots(d.survival, knots, cfg, hook)
         mu_at = {k: m for k, m in zip(knots, mu_on) if k < s1}
-        g_at = dict(zip(knots, g_on))
+        g_at = dict(zip(knots, accumulate(seg, initial=0.0)))
 
     # below the support start: the formal continuation or the true MRL
     if fm is not None:
         below = [0.0] + sorted({min(t, s0) for t in ts if min(t, s0) > 0.0})
-        g_fm = dict(zip(below, _integrate_knots(fm, below, cfg)[1]))
+        g_fm = dict(zip(below, accumulate(_integrate_knots(fm, below, cfg)[1], initial=0.0)))
         g_below = lambda x: g_fm[x]
     elif conv is Convention.SUPPORT_START:
         g_below = lambda x: 0.0
@@ -395,8 +409,16 @@ def _sweep(d, ts, conv, cfg, method, need_mu):
     return mu, g
 
 
+def _knots(d, lo, pts):
+    """The knots of a sweep from ``lo`` to the last of the increasing
+    points ``pts``: lo, the points above it and the breakpoints of ``d``
+    between them, so no panel straddles a kink of the survival function."""
+    top = pts[-1]
+    return sorted({lo, *(t for t in pts if t > lo), *(b for b in d.breakpoints if lo < b < top)})
+
+
 def _integrate_knots(f, knots, cfg, resolve=None):
-    """Values at the knots and integrals from knots[0] to every knot of f,
+    """Values at the knots and the integral over each knot interval of f,
     or of the node values ``resolve`` derives from it, in one sweep."""
     vals = [0.0] * len(knots)
     seg = [0.0] * (len(knots) - 1)
@@ -408,26 +430,91 @@ def _integrate_knots(f, knots, cfg, resolve=None):
             last = p.interval
         seg[p.interval] += integral
         vals[0] = g[-1]
-    return vals, list(accumulate(seg, initial=0.0))
+    return vals, seg
 
 
-def _chained_mu(d, top, cfg):
-    """A ``cheb_sweep`` hook that turns survival panels into mu = T/S, with
-    T = int_x^inf S chained down from one tail integral at ``top``."""
+def _chained_tail(d, tail_top, over_survival=False):
+    """A ``cheb_sweep`` hook that turns survival panels into the tail
+    T(x) = T(top) + int_x^top S, chained down from T(top) = ``tail_top``,
+    or with ``over_survival`` into mu = T/S (0 at a finite support end)."""
     s1 = d.support[1]
-    if top < s1 and d.survival(top) <= 0.0:
-        raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={top!r}")
-    tail_top = d.tail(top, cfg, numeric=True)
 
-    def mu_nodes(p):
-        out = []
-        for x, sv, tail in zip(p.xs, p.fs, p.tails):
-            if x >= s1:
-                out.append(0.0)
-            elif sv <= 0.0:
+    def nodes(p):
+        tails = [tail_top + tail for tail in p.tails]
+        if not over_survival:
+            return tails
+        for x, sv in zip(p.xs, p.fs):
+            if x < s1 and sv <= 0.0:
                 raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={x!r}")
-            else:
-                out.append((tail_top + tail) / sv)
-        return out
+        return [tail / sv if x < s1 else 0.0 for x, sv, tail in zip(p.xs, p.fs, tails)]
 
-    return mu_nodes
+    return nodes
+
+
+def _tails_on_grid(d, ts, conv, cfg, double=True):
+    """T(t) = int_t^inf S at each of ``ts`` and, with ``double``, the double
+    tail D(t) = int_t^inf T; D is None without it.
+
+    Under the formal convention T is the formal continuation's tail.  A
+    closed T, and a closed double tail (``_closed_double_tail``), are
+    sampled at the points.  Otherwise one sweep runs over the ``_knots``
+    of the points below a finite support end: a closed T is swept
+    directly, a numeric one is chained from T(top) (``_chained_tail``),
+    and D adds each knot interval's integral of T to D(top)
+    (``_top_double_tail``) from the top down.  Without ``double`` a
+    numeric T adds the survival's interval integrals to T(top) and needs
+    no hook.  Points at or past a finite support end get T = D = 0.
+    """
+    formal = conv is Convention.FORMAL and d.formal is not None
+    tail = d.formal.tail if formal else (lambda u: d.tail(u, cfg))
+    closed = formal or d._tail is not None
+    if closed and not double:
+        return [tail(t) for t in ts], None
+    s1 = d.support[1]
+    if closed and ts and _closed_double_tail(d, ts[0], formal) is not None:
+        dd = [_closed_double_tail(d, t, formal) if t < s1 else 0.0 for t in ts]
+        return [tail(t) for t in ts], dd
+    pts = sorted({t for t in ts if t < s1})
+    t_at, d_at = {}, {}
+    if pts:
+        knots = _knots(d, pts[0], pts)
+        top = knots[-1]
+        t_top = tail(top)
+        d_top = _top_double_tail(d, tail, top, closed, cfg) if double else None
+        hook = _chained_tail(d, t_top) if double and not closed else None
+        t_on, seg = _integrate_knots(tail if closed else d.survival, knots, cfg, hook)
+        if double:
+            t_at = dict(zip(knots, t_on))
+            d_at = dict(zip(reversed(knots), accumulate(reversed(seg), initial=d_top)))
+        else:
+            above = accumulate(reversed(seg), initial=0.0)
+            t_at = {k: t_top + c for k, c in zip(reversed(knots), above)}
+    values = [t_at.get(t, 0.0) for t in ts]
+    return values, ([d_at.get(t, 0.0) for t in ts] if double else None)
+
+
+def _closed_double_tail(d, t, formal):
+    """D(t) from the spec's closed double tail, or None where it has none.
+
+    On the support the true double tail is the formal one; below it,
+    unless ``formal``, T = mean - u.
+    """
+    if d.spec is None:
+        return None
+    s0 = d.support[0]
+    at = d.spec.closed_double_tail(t if formal else max(t, s0))
+    if at is None or formal or t >= s0:
+        return at
+    return at + (s0 - t) * (d.mean - 0.5 * (s0 + t))
+
+
+def _top_double_tail(d, tail, top, closed, cfg):
+    """D(top) for ``_tails_on_grid``, to the tolerance ``Dist.tail`` meets."""
+    f = tail if closed else (lambda u: (u - top) * d.survival(u))
+    try:
+        return d._integral_above(f, top, d._tail_config(top, cfg))
+    except Divergence as exc:
+        raise Divergence(
+            f"{d.lineage}: the double tail integral from t={top!r} diverges "
+            "(the tail integral decays too slowly)"
+        ) from exc

@@ -237,8 +237,8 @@ _DIST_CACHE = {}
 
 
 def _case_dists(case):
-    # Dist objects are immutable, so replays can share them (and their
-    # internal tail caches) without affecting determinism
+    # Dist objects are immutable and keep no per-call state, so replays
+    # can share them without affecting determinism
     hit = _DIST_CACHE.get(case.id)
     if hit is None:
         hit = {name: build(spec) for name, spec in case.specs.items()}

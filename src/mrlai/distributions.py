@@ -219,7 +219,6 @@ class Pareto(_Family):
             return mean * b - 0.5 * b * b + on_support
 
         formal = FormalExtension(
-            survival=lambda t: (b / t) ** a,
             tail=lambda t: b**a * t ** (1.0 - a) / (a - 1.0),
             mrl=lambda t: t / (a - 1.0),
             mrl_integral=lambda t: t * t / (2.0 * (a - 1.0)),
@@ -1001,7 +1000,6 @@ class FormalExtension:
     zero (the treatment the Pareto characterisation implicitly applies).
     """
 
-    survival: object
     tail: object
     mrl: object
     mrl_integral: object
@@ -1021,6 +1019,10 @@ class Dist:
     constructor passes (piecewise-MRL breakpoints, the kinks a composite
     inherits from its parts).  Quadrature over the survival function
     splits there first.  It is derived, never part of the spec.
+
+    It keeps no per-call state: apart from the mean, worked out once on
+    first use, every call evaluates afresh, whatever earlier calls and
+    their ``QuadConfig`` were.
     """
 
     def __init__(
@@ -1050,7 +1052,6 @@ class Dist:
         self._mrl_integral = mrl_integral
         self.formal = formal
         self.lineage = lineage or (spec.family if spec is not None else "")
-        self._tail_cache = {}
 
     def relabel(self, spec, lineage: str = "", *, mean=None) -> Dist:
         """This distribution under another spec and lineage.
@@ -1127,12 +1128,7 @@ class Dist:
                 return 0.0
         if t < s0:
             return self.mean - t
-        key = (t, cfg.abs_tol, cfg.rel_tol)
-        hit = self._tail_cache.get(key)
-        if hit is None:
-            hit = self._integral_above(self.survival, t, self._tail_config(t, cfg))
-            self._tail_cache[key] = hit
-        return hit
+        return self._integral_above(self.survival, t, self._tail_config(t, cfg))
 
     def _tail_config(self, t: float, cfg: QuadConfig) -> QuadConfig:
         """``cfg`` with abs_tol scaled by min(1, S(t)), for integrals of the

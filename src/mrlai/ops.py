@@ -95,24 +95,19 @@ def convolution(
         x, y = y, x
 
     spec = Convolution((x.spec, y.spec))
-    cache = {}
 
     def kinks(t):
         return x.breakpoints + tuple(t - b for b in y.breakpoints)
 
     def survival(t):
-        hit = cache.get(t)
-        if hit is None:
-            lo = x.support[0]
-            hi = min(t, x.support[1])
-            inner = 0.0
-            if hi > lo:
-                inner = integrate_finite(
-                    lambda u: x.density(u) * y.survival(t - u), lo, hi, cfg, kinks(t)
-                )
-            hit = x.survival(t) + inner
-            cache[t] = hit
-        return hit
+        lo = x.support[0]
+        hi = min(t, x.support[1])
+        inner = 0.0
+        if hi > lo:
+            inner = integrate_finite(
+                lambda u: x.density(u) * y.survival(t - u), lo, hi, cfg, kinks(t)
+            )
+        return x.survival(t) + inner
 
     density = None
     if y.has_density:

@@ -18,12 +18,8 @@ continuation), and for the shortcut the grid refined to 16 points
 (``_shortcut_grid``).  A missing profile raises ValueError; a given one
 is never recomputed.  The other checks take the profiles' ``Dist``.
 
-The variance-residual-life order needs the double tail
-D(t) = int_t^inf T, T(t) = int_t^inf S, on the whole grid.  A family
-with a closed double tail gives it at each point; otherwise it comes
-from one integral at the top grid point and one Chebyshev sweep down
-the grid, the chain ``ageing`` uses for mu (``_tails_on_grid``); the
-increasing-convex order reads a numeric T from the same sweep.
+``icx_order`` and ``vrl_order`` read the tails and double tails of
+``ageing._tails_on_grid``.
 
 A Holds verdict is grid evidence, not a proof; the verdict records the
 grid and which rule decided it so a consumer can demand refinement.
@@ -34,11 +30,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .ageing import Convention, _profile_for, _source_dist, profile
+from .ageing import Convention, _profile_for, _source_dist, _tails_on_grid, profile
 from .classify import Grid, Kind, classify_mrl, classify_mrla, scan_monotonicity
 from .distributions import Dist
-from .errors import Divergence, UnsupportedCapability
-from .quadrature import DEFAULT_CONFIG, QuadConfig, cheb_sweep
+from .errors import UnsupportedCapability
+from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
     "Relation",
@@ -179,83 +175,6 @@ def lr_order(
             ts.append(t)
             ratios.append(fx / fy)
     return _ratio_nonincreasing(ts, ratios, tol, "grid")
-
-
-def _tails_on_grid(d, ts, conv, cfg, double=True):
-    """T(t) = int_t^inf S at each of ``ts`` and, with ``double``, the double
-    tail D(t) = int_t^inf T; D is None without it.
-
-    Under the formal convention T is the formal continuation's tail.  A
-    closed T is sampled at the points themselves, and so is a closed
-    double tail where the family has one (``_closed_double_tail``).
-    Otherwise T and D come from one integral at the top point of the grid
-    and one ``cheb_sweep`` down the sorted, unique points plus the
-    breakpoints between them, the chain ``ageing`` uses for mu: a closed
-    T is swept directly, and a numeric one is chained from T(top) through
-    the survival samples (T(x) = T(top) + int_x^top S at every node), so
-    each panel's Clenshaw-Curtis sum of T is its share of D.  D(top) is
-    int_top^inf T for a closed T or int_top^inf (u - top) S(u) du for a
-    numeric one, never a nested integral.  Panel shares are summed from
-    the top down.  Points at or past a finite support end get T = D = 0.
-    """
-    formal = conv is Convention.FORMAL and d.formal is not None
-    tail = d.formal.tail if formal else (lambda u: d.tail(u, cfg))
-    closed = formal or d._tail is not None
-    if closed and not double:
-        return [tail(t) for t in ts], None
-    s1 = d.support[1]
-    if closed and ts and _closed_double_tail(d, ts[0], formal) is not None:
-        dd = [_closed_double_tail(d, t, formal) if t < s1 else 0.0 for t in ts]
-        return [tail(t) for t in ts], dd
-    pts = sorted({t for t in ts if t < s1})
-    t_at, d_at = {}, {}
-    if pts:
-        top = pts[-1]
-        knots = sorted({*pts, *(b for b in d.breakpoints if pts[0] < b < top)})
-        t_at[top] = t_top = tail(top)
-        if closed:
-            panels = cheb_sweep(tail, knots, cfg)
-        else:
-            hook = (lambda p: [t_top + x for x in p.tails]) if double else None
-            panels = cheb_sweep(d.survival, knots, cfg, hook)
-        if double:
-            d_at[top] = acc = _top_double_tail(d, tail, top, closed, cfg)
-        for p in panels:
-            if double:
-                acc += p.integral if closed else p.g_integral
-            if p.a == knots[p.interval]:  # the leftmost panel of its knot interval
-                t_at[p.a] = p.fs[-1] if closed else t_top + p.tails[-1]
-                if double:
-                    d_at[p.a] = acc
-    values = [t_at.get(t, 0.0) for t in ts]
-    return values, ([d_at.get(t, 0.0) for t in ts] if double else None)
-
-
-def _closed_double_tail(d, t, formal):
-    """D(t) from the spec's closed double tail, or None where it has none.
-
-    On the support the true double tail is the formal one; below it,
-    unless ``formal``, T = mean - u.
-    """
-    if d.spec is None:
-        return None
-    s0 = d.support[0]
-    at = d.spec.closed_double_tail(t if formal else max(t, s0))
-    if at is None or formal or t >= s0:
-        return at
-    return at + (s0 - t) * (d.mean - 0.5 * (s0 + t))
-
-
-def _top_double_tail(d, tail, top, closed, cfg):
-    """D(top) for ``_tails_on_grid``, to the tolerance ``Dist.tail`` meets."""
-    f = tail if closed else (lambda u: (u - top) * d.survival(u))
-    try:
-        return d._integral_above(f, top, d._tail_config(top, cfg))
-    except Divergence as exc:
-        raise Divergence(
-            f"{d.lineage}: the double tail integral from t={top!r} diverges "
-            "(the tail integral decays too slowly)"
-        ) from exc
 
 
 def icx_order(

@@ -564,6 +564,41 @@ class TestSweep:
         with pytest.raises(NonConvergence):
             profile(jump, [0.5, 1.0, 2.0], cfg=QuadConfig(max_depth=10))
 
+    def test_sweeps_split_at_breakpoints(self, monkeypatch):
+        import mpmath
+
+        from mrlai import ageing
+        from mrlai.ageing import _tails_on_grid
+        from mrlai.classify import Grid
+        from mrlai.ops import mixture
+
+        # the survival kinks at the interior breakpoint 1, between grid points
+        d = mixture([0.5, 0.5], [build(Uniform(0.0, 1.0)), build(Uniform(0.0, 3.0))])
+        assert d.breakpoints == (0.0, 1.0, 3.0)
+        ts = Grid(0.05, 2.5, 64).points()
+        assert 1.0 not in ts and ts[0] < 1.0 < ts[-1]
+        swept = []
+        real = ageing.cheb_sweep
+        monkeypatch.setattr(
+            ageing, "cheb_sweep", lambda f, knots, *a: swept.append(knots) or real(f, knots, *a)
+        )
+        prof = profile(d, ts, method="quadrature")
+        dd = _tails_on_grid(d, ts, ZERO, QuadConfig())[1]
+        assert len(swept) == 2 and all(1.0 in knots for knots in swept)
+
+        with mpmath.workdps(30):
+            # U(0, h) has S = 1 - u/h and T = (h - u)^2 / (2h) on [0, h]
+            S = lambda u: sum(0.5 * max(h - u, 0) / h for h in (1, 3))
+            T = lambda u: sum(0.5 * max(h - u, 0) ** 2 / (2 * h) for h in (1, 3))
+            mu = lambda u: T(u) / S(u)
+            for t, m, avg, D in zip(ts, prof.mu, prof.mu_avg, dd):
+                t_mp = mpmath.mpf(t)
+                cuts = [0, 1, t_mp] if t > 1 else [0, t_mp]
+                assert m == pytest.approx(float(mu(t_mp)), rel=1e-9), t
+                assert avg * t == pytest.approx(float(mpmath.quad(mu, cuts)), rel=1e-9), t
+                cuts = [t_mp, 1, 3] if t < 1 else [t_mp, 3]
+                assert D == pytest.approx(float(mpmath.quad(T, cuts)), rel=1e-9), t
+
     def test_grid_must_increase(self):
         from mrlai.errors import GridError
 

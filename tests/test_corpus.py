@@ -1,6 +1,7 @@
 """Corpus registry: coverage, determinism, and the disputed-case protocol."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +115,27 @@ class TestSerialisation:
         doc = report_to_dict(run_all("thm2.7"))
         text = json.dumps(doc, sort_keys=True)
         assert "mismatches" in text
+
+
+GOLDEN = Path(__file__).parent / "data" / "reproduce.json"
+
+
+class TestGoldenReport:
+    """The report against ``tests/data/reproduce.json``, the committed
+    ``mrlai reproduce --format json`` output (README says how to
+    regenerate it)."""
+
+    def test_matches_the_committed_report(self):
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        got = json.loads(json.dumps(report_to_dict(run_all())))
+        assert got["version"] == want["version"]
+        assert [c["id"] for c in got["cases"]] == [c["id"] for c in want["cases"]]
+        for gc, wc in zip(got["cases"], want["cases"]):
+            assert [c["label"] for c in gc["checks"]] == [c["label"] for c in wc["checks"]]
+            for g, w in zip(gc["checks"], wc["checks"]):
+                where = f"{gc['id']} {g['label']}"
+                assert g["status"] == w["status"], where
+                if isinstance(w["computed"], str):
+                    assert g["computed"] == w["computed"], where
+                else:
+                    assert g["computed"] == pytest.approx(w["computed"], rel=1e-12, abs=0.0), where

@@ -238,6 +238,28 @@ class TestClosedTails:
             assert d.tail(t) == pytest.approx(want, rel=1e-8, abs=1e-13)
 
 
+class TestNoCallState:
+    def test_tail_ignores_an_earlier_config(self):
+        from mrlai.distributions import Dist
+        from mrlai.errors import NonConvergence
+
+        def jumping():
+            # an undeclared jump at 1.2345 halves the survival
+            return Dist(
+                None,
+                lambda t: math.exp(-t) if t < 1.2345 else 0.5 * math.exp(-t),
+                (0.0, math.inf),
+            )
+
+        shallow = QuadConfig(max_depth=10)
+        with pytest.raises(NonConvergence):
+            jumping().tail(0.5, shallow)
+        d = jumping()
+        assert d.tail(0.5) == pytest.approx(0.4610405515101336, rel=1e-9)
+        with pytest.raises(NonConvergence):
+            d.tail(0.5, shallow)
+
+
 class TestValidation:
     def test_mixture_weights_accepted(self):
         spec = Mixture((0.2, 0.8), (MrlLinear(1, 8), MrlLinear(1, 0.1)))

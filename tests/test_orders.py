@@ -561,12 +561,12 @@ class TestClosedDoubleTails:
                 assert _mp_double_tail(spec, t) == pytest.approx(float(want), rel=1e-14)
 
     def test_grid_evaluates_the_closed_form_per_point(self, monkeypatch):
-        from mrlai import orders
+        from mrlai import ageing
 
         def no_sweep(*args, **kwargs):
             raise AssertionError("a closed double tail needs no sweep")
 
-        monkeypatch.setattr(orders, "cheb_sweep", no_sweep)
+        monkeypatch.setattr(ageing, "cheb_sweep", no_sweep)
         for _, spec, span in NEW_CLOSED_DOUBLE_TAILS:
             _double_tails(build(spec), ts(*span, 32))
 
