@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from itertools import accumulate
+from operator import le, truediv
 
 from .distributions import Dist
 from .errors import (
@@ -201,10 +203,7 @@ def survival_from_mrl(mu, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
 
 def hazard(d: Dist, t: float) -> float:
     """Failure rate f(t)/survival(t)."""
-    return _hazard(d, t, d.survival(t))
-
-
-def _hazard(d, t, sv):
+    sv = d.survival(t)
     if sv <= 0.0:
         raise BeyondSupport(f"{d.lineage}: hazard undefined at t={t!r}")
     return d.density(t) / sv
@@ -214,18 +213,43 @@ def hazard_ai(d: Dist, t: float) -> float:
     """Classic hazard-based ageing intensity r(t) / ((1/t) int_0^t r).
 
     The cumulative hazard equals -ln(survival), so no quadrature is needed
-    when the density is available.
+    when the density is available.  Evaluated as a one-point grid
+    (``_hazard_ai_on_grid``); raises BeyondSupport where it is undefined.
     """
-    if t <= 0.0:
+    (ai,), why = _hazard_ai_on_grid(d, (t,))
+    if why is not None:
+        raise BeyondSupport(why)
+    return ai
+
+
+def _hazard_ai_on_grid(d: Dist, ts, survival=None):
+    """Hazard AI at each of the points ``ts``, and why it is undefined at the
+    first point where it is (None where it is defined everywhere).
+
+    Such a point holds nan: below the support start no hazard has
+    accumulated, and where the survival function is 0 there is no hazard.
+    S and f are evaluated once per point; a caller that has S at ``ts``
+    passes it as ``survival``.  A point t <= 0 raises GridError.
+    """
+    if min(ts) <= 0.0:
         raise GridError("hazard_ai needs t > 0")
-    sv = d.survival(t)
-    r = _hazard(d, t, sv)
-    cumulative = -math.log(sv)
-    if cumulative <= 0.0:
-        raise BeyondSupport(
-            f"{d.lineage}: no hazard has accumulated by t={t!r}"
-        )
-    return r * t / cumulative
+    if survival is None:
+        survival = map(d.survival, ts)
+    density = d.density
+    vals, why = [], None
+    for t, sv in zip(ts, survival):
+        if sv <= 0.0:
+            vals.append(math.nan)
+            why = why or f"{d.lineage}: hazard undefined at t={t!r}"
+            continue
+        r = density(t) / sv
+        cumulative = -math.log(sv)
+        if cumulative <= 0.0:
+            vals.append(math.nan)
+            why = why or f"{d.lineage}: no hazard has accumulated by t={t!r}"
+            continue
+        vals.append(r * t / cumulative)
+    return vals, why
 
 
 def mrlai_closed_form(spec, t: float):
@@ -279,10 +303,10 @@ def profile(
     the closed mu instead.  Scalar ``mrlai`` and ``mrl_average`` are
     one-point profiles.
     """
-    ts = tuple(float(t) for t in grid)
+    ts = tuple(map(float, grid))
     if not ts:
         raise GridError("empty grid")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    if any(map(le, ts[1:], ts)):
         raise GridError("grid must be strictly increasing")
     origin = _origin(d, conv)
     if ts[0] <= origin:
@@ -290,13 +314,28 @@ def profile(
 
     mu_vals, g_vals = _evaluate(d, ts, conv, cfg, method)
     mu_vals = tuple(mu_vals)
-    mu_avg = tuple(g / t for g, t in zip(g_vals, ts))
-    L = tuple(m / avg for m, avg in zip(mu_vals, mu_avg))
+    mu_avg = tuple(map(truediv, g_vals, ts))
+    L = tuple(map(truediv, mu_vals, mu_avg))
 
     ai = None
     if with_hazard_ai and d.has_density:
-        ai = tuple(_hazard_ai_or_nan(d, t) for t in ts)
+        ai = tuple(_hazard_ai_on_grid(d, ts)[0])
     return MrlProfile(d, ts, mu_vals, mu_avg, L, ai, conv)
+
+
+def _convention_profile(zero: MrlProfile, conv: Convention) -> MrlProfile:
+    """The profile under ``conv`` on the points of the ZERO profile ``zero``.
+
+    Where the conventions coincide, support from 0 and no formal
+    continuation (as in ``_formal_parts``), it is ``zero`` relabelled,
+    not computed again.
+    """
+    d = zero.dist
+    if conv is Convention.ZERO:
+        return zero
+    if d.support[0] == 0.0 and d.formal is None:
+        return replace(zero, convention=conv)
+    return profile(d, zero.grid, conv)
 
 
 def _profile_for(source, ts, conv, cfg=DEFAULT_CONFIG, method="auto") -> MrlProfile:
@@ -310,7 +349,7 @@ def _profile_for(source, ts, conv, cfg=DEFAULT_CONFIG, method="auto") -> MrlProf
     if isinstance(source, Dist):
         return profile(source, ts, conv, cfg, method)
     profs = (source,) if isinstance(source, MrlProfile) else tuple(source)
-    ts = tuple(float(t) for t in ts)
+    ts = tuple(map(float, ts))
     for p in profs:
         if p.convention is conv and p.grid == ts:
             return p
@@ -328,14 +367,6 @@ def _source_dist(source) -> Dist:
     return (source if isinstance(source, MrlProfile) else source[0]).dist
 
 
-def _hazard_ai_or_nan(d, t):
-    # below the support start no hazard has accumulated; show a hole, not an error
-    try:
-        return hazard_ai(d, t)
-    except BeyondSupport:
-        return math.nan
-
-
 def _evaluate(d, ts, conv, cfg, method, need_mu=True):
     """(mu, G) at the grid points, G(t) = int mu from the convention origin.
 
@@ -344,8 +375,17 @@ def _evaluate(d, ts, conv, cfg, method, need_mu=True):
     g_closed = _closed_integral(d, conv, method)
     if g_closed is None:
         return _sweep(d, ts, conv, cfg, method, need_mu)
-    mu = [_mrl_point(d, t, conv, cfg, method) for t in ts] if need_mu else None
-    return mu, [g_closed(t) for t in ts]
+    mu = _closed_mu(d, ts, conv, cfg, method) if need_mu else None
+    return mu, list(map(g_closed, ts))
+
+
+def _closed_mu(d, ts, conv, cfg, method):
+    """mu at the increasing points ``ts`` of a closed-G profile: the closed
+    mu mapped over the points on the support, ``_mrl_point`` elsewhere."""
+    point = lambda t: _mrl_point(d, t, conv, cfg, method)
+    on_support = d._mrl if d.has_closed_mrl else point
+    i, j = bisect_left(ts, d.support[0]), bisect_left(ts, d.support[1])
+    return [*map(point, ts[:i]), *map(on_support, ts[i:j]), *map(point, ts[j:])]
 
 
 def _closed_integral(d, conv, method):
@@ -360,9 +400,9 @@ def _closed_integral(d, conv, method):
         return None
     s0 = d.support[0]
     if conv is Convention.SUPPORT_START and s0 > 0.0:
-        base = d.mrl_integral_closed(s0)
-        return lambda t: d.mrl_integral_closed(t) - base
-    return d.mrl_integral_closed
+        base = d._mrl_integral(s0)
+        return lambda t: d._mrl_integral(t) - base
+    return d._mrl_integral
 
 
 def _sweep(d, ts, conv, cfg, method, need_mu):

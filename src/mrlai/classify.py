@@ -19,9 +19,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
+from operator import sub
 
-from .ageing import Convention, _profile_for, hazard_ai
-from .errors import GridError
+from .ageing import Convention, _hazard_ai_on_grid, _profile_for
+from .errors import BeyondSupport, GridError
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
@@ -66,11 +69,16 @@ class Grid:
             raise GridError("log spacing needs t_min > 0")
 
     def points(self):
-        n = self.n_points
+        return list(self._points)
+
+    @cached_property
+    def _points(self):
+        # worked out on the first call; the grid is frozen
+        n, lo, hi = self.n_points, self.t_min, self.t_max
         if self.spacing == "log":
-            la, lb = math.log(self.t_min), math.log(self.t_max)
-            return [math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)]
-        return [self.t_min + (self.t_max - self.t_min) * i / (n - 1) for i in range(n)]
+            la, lb = math.log(lo), math.log(hi)
+            return tuple([math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)])
+        return tuple([lo + (hi - lo) * i / (n - 1) for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -102,24 +110,25 @@ def scan_monotonicity(ts, values, tol: float = DEFAULT_TOL) -> MonotonicityVerdi
     keeps regression tests deterministic.
     """
     ts = list(ts)
-    vals = [float(v) for v in values]
+    vals = list(map(float, values))
     if len(vals) != len(ts):
         raise ValueError("ts and values must have equal length")
     if len(vals) < 2:
         raise ValueError("need at least two samples")
-    if any(not math.isfinite(v) for v in vals):
+    if not all(map(math.isfinite, vals)):
         raise ValueError("values must be finite")
 
-    scale = _median(sorted(abs(v) for v in vals)) or max(abs(v) for v in vals) or 1.0
+    sizes = sorted(map(abs, vals))
+    scale = _median(sizes) or sizes[-1] or 1.0
     eps = tol * scale
 
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    total_variation = sum(abs(dv) for dv in diffs)
+    diffs = list(map(sub, vals[1:], vals))
+    total_variation = sum(map(abs, diffs))
     if total_variation < eps:
         return MonotonicityVerdict(Kind.CONSTANT, level=_median(sorted(vals)))
 
-    inc_ok = all(dv >= -eps for dv in diffs)
-    dec_ok = all(dv <= eps for dv in diffs)
+    inc_ok = min(diffs) >= -eps
+    dec_ok = max(diffs) <= eps
     if inc_ok and dec_ok:
         # every step is inside the noise band but the drift is real
         kind = Kind.INCREASING if vals[-1] >= vals[0] else Kind.DECREASING
@@ -144,32 +153,27 @@ def _median(sorted_vals):
 def _best_witness(ts, vals):
     """Largest-margin triple i < j < k with a peak or a valley at j.
 
-    The margin of a triple is the smaller of its two jumps; prefix/suffix
-    extrema give the global optimum in one pass.
+    The margin of a triple is the smaller of its two jumps, so the best
+    triple around each j takes the extreme on either side of it: running
+    extrema give the global optimum in one pass.  Ties go to the first j,
+    a valley before a peak at the same j, the first extreme on the left
+    and the last on the right.
     """
-    n = len(vals)
-    pre_max, pre_min = [0] * n, [0] * n
-    for j in range(1, n):
-        pre_max[j] = j - 1 if vals[j - 1] > vals[pre_max[j - 1]] else pre_max[j - 1]
-        pre_min[j] = j - 1 if vals[j - 1] < vals[pre_min[j - 1]] else pre_min[j - 1]
-    pre_max[0] = pre_min[0] = 0
-    suf_max, suf_min = [n - 1] * n, [n - 1] * n
-    for j in range(n - 2, -1, -1):
-        suf_max[j] = j + 1 if vals[j + 1] > vals[suf_max[j + 1]] else suf_max[j + 1]
-        suf_min[j] = j + 1 if vals[j + 1] < vals[suf_min[j + 1]] else suf_min[j + 1]
-
-    best = None
-    best_margin = -math.inf
-    for j in range(1, n - 1):
-        i, k = pre_max[j], suf_max[j]
-        valley = min(vals[i] - vals[j], vals[k] - vals[j])
-        if valley > best_margin:
-            best_margin, best = valley, (i, j, k)
-        i, k = pre_min[j], suf_min[j]
-        peak = min(vals[j] - vals[i], vals[j] - vals[k])
-        if peak > best_margin:
-            best_margin, best = peak, (i, j, k)
-    i, j, k = best
+    inner = vals[1:-1]
+    left, right = vals[:-2], vals[:1:-1]
+    # the extremes of vals[:j] and of vals[j + 1:] for j = 1 .. n - 2
+    hi_left, lo_left = accumulate(left, max), accumulate(left, min)
+    hi_right = list(accumulate(right, max))[::-1]
+    lo_right = list(accumulate(right, min))[::-1]
+    valleys = map(sub, map(min, hi_left, hi_right), inner)
+    peaks = map(sub, inner, map(max, lo_left, lo_right))
+    margins = list(chain.from_iterable(zip(valleys, peaks)))
+    best_margin = max(margins)
+    m = margins.index(best_margin)
+    j = m // 2 + 1
+    side = min if m % 2 else max
+    i = vals.index(side(vals[:j]))
+    k = len(vals) - 1 - vals[::-1].index(side(vals[j + 1:]))
     witness = ((ts[i], vals[i]), (ts[j], vals[j]), (ts[k], vals[k]))
     return witness, best_margin
 
@@ -224,6 +228,13 @@ def classify_mrlai(
 def classify_hazard_ai(
     d, grid: Grid, tol: float = DEFAULT_TOL
 ) -> MonotonicityVerdict:
-    """Verdict on the hazard-based ageing intensity (needs a density)."""
+    """Verdict on the hazard-based ageing intensity (needs a density).
+
+    Raises BeyondSupport, with the reason, where a grid point has no
+    hazard AI (``ageing._hazard_ai_on_grid``).
+    """
     ts = _verdict_points(grid)
-    return scan_monotonicity(ts, [hazard_ai(d, t) for t in ts], tol)
+    vals, why = _hazard_ai_on_grid(d, ts)
+    if why is not None:
+        raise BeyondSupport(why)
+    return scan_monotonicity(ts, vals, tol)

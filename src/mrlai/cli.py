@@ -23,10 +23,11 @@ import contextlib
 import functools
 import json
 import sys
+from itertools import repeat
 
 from . import corpus as corpus_mod
 from . import orders as orders_mod
-from .ageing import Convention, hazard_ai, profile
+from .ageing import Convention, _convention_profile, _hazard_ai_on_grid, profile
 from .classify import (
     Grid,
     _verdict_points,
@@ -36,14 +37,26 @@ from .classify import (
     classify_mrlai,
 )
 from .distributions import load_spec, load_spec_file, build
-from .errors import ToolkitError
+from .errors import BeyondSupport, ToolkitError
 from .quadrature import DEFAULT_CONFIG
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return "%.12g" % x if isinstance(x, float) else str(x)
+
+
+def _csv_lines(rows):
+    """The CSV lines of ``rows``, each through one format string made for
+    its cells' types: ``%.12g`` for a float cell, as ``_fmt`` prints it,
+    and ``%s`` (str) for any other."""
+    formats = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            cells = ("%.12g" if issubclass(k, float) else "%s" for k in kinds)
+            fmt = formats[kinds] = ",".join(cells) + "\n"
+        yield fmt % tuple(row)
 
 
 def _parse_grid(text: str) -> Grid:
@@ -80,12 +93,12 @@ def _load_one_spec(path_or_json: str):
 
 
 def _emit_rows(header, rows, fmt, out):
-    cells = [[_fmt(v) for v in row] for row in rows]
     if fmt == "csv":
         out.write(",".join(header) + "\n")
-        for row in cells:
-            out.write(",".join(row) + "\n")
-    elif fmt == "json":
+        out.writelines(_csv_lines(rows))
+        return
+    cells = [[_fmt(v) for v in row] for row in rows]
+    if fmt == "json":
         out.write(
             json.dumps([dict(zip(header, row)) for row in cells], indent=2) + "\n"
         )
@@ -95,8 +108,9 @@ def _emit_rows(header, rows, fmt, out):
             for i, h in enumerate(header)
         ]
         out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-        for row in cells:
-            out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+        out.writelines(
+            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in cells
+        )
 
 
 @contextlib.contextmanager
@@ -112,16 +126,15 @@ def cmd_eval(args) -> int:
     dist = build(_load_one_spec(args.spec))
     conv = Convention(args.conv)
     ts = _parse_grid(args.grid).points()
-    prof = profile(dist, ts, conv, with_hazard_ai=dist.has_density)
+    prof = profile(dist, ts, conv)
+    sv = list(map(dist.survival, prof.grid))
     header = ["t", "survival", "mu", "mu_avg", "L"]
-    rows = [
-        [t, dist.survival(t), mu, avg, L]
-        for t, mu, avg, L in zip(prof.grid, prof.mu, prof.mu_avg, prof.L)
-    ]
-    if prof.hazard_ai is not None:
+    columns = [prof.grid, sv, prof.mu, prof.mu_avg, prof.L]
+    if dist.has_density:
+        # the survival column serves the hazard AI too
         header.append("hazard_ai")
-        for row, ai in zip(rows, prof.hazard_ai):
-            row.append(ai)
+        columns.append(_hazard_ai_on_grid(dist, prof.grid, sv)[0])
+    rows = list(zip(*columns))
     with _output(args) as out:
         _emit_rows(header, rows, args.format, out)
     return 0
@@ -134,14 +147,18 @@ def cmd_classify(args) -> int:
     ts = _verdict_points(grid)
     # one profile per convention: ZERO for the MRL, conv for the other two
     zero = profile(dist, ts)
-    prof = zero if conv is Convention.ZERO else profile(dist, ts, conv)
+    prof = _convention_profile(zero, conv)
     rows = [
         ["mrl", str(classify_mrl(zero, grid))],
         ["mrl_average", str(classify_mrla(prof, grid, conv))],
         ["mrlai", str(classify_mrlai(prof, grid, conv))],
     ]
     if dist.has_density:
-        rows.append(["hazard_ai", str(classify_hazard_ai(dist, grid))])
+        try:
+            verdict = str(classify_hazard_ai(dist, grid))
+        except BeyondSupport as exc:
+            verdict = f"undefined ({exc})"
+        rows.append(["hazard_ai", verdict])
     with _output(args) as out:
         _emit_rows(["quantity", "verdict"], rows, args.format, out)
     return 0
@@ -160,9 +177,8 @@ def cmd_compare(args) -> int:
         )
     # every profile the checks read, built once per side: ZERO and conv on
     # the grid and on the shortcut's, which differs only below 16 points
-    convs = {Convention.ZERO, conv}
     grids = {tuple(grid.points()), tuple(orders_mod._shortcut_grid(grid).points())}
-    X, Y = (_profiles(d, grids, convs) for d in (X, Y))
+    X, Y = (_profiles(d, grids, conv) for d in (X, Y))
     rows = []
     for name in wanted:
         v = orders_mod.BY_NAME[name](X, Y, grid, conv, DEFAULT_CONFIG)
@@ -178,15 +194,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _profiles(d, grids, convs):
-    """The profiles of ``d`` on each of ``grids`` under each of ``convs``.
+def _profiles(d, grids, conv):
+    """The profiles of ``d`` on each of ``grids`` under ZERO and ``conv``.
 
     Where one cannot be built, ``d`` itself is returned, so that each
     check builds what it reads and the first one to fail raises the same
     error, in the same place, as it would alone.
     """
     try:
-        return tuple(profile(d, ts, c) for ts in grids for c in convs)
+        zeros = [profile(d, ts) for ts in grids]
+        return (*zeros, *(_convention_profile(z, conv) for z in zeros))
     except ToolkitError:
         return d
 
@@ -230,16 +247,14 @@ def cmd_plotdata(args) -> int:
     multi = len(specs) > 1
     for spec_text in specs:
         dist = build(_load_one_spec(spec_text))
-        series = dist.lineage if multi else None
         if args.quantity == "survival":
-            vals = [dist.survival(t) for t in ts]
+            vals = map(dist.survival, ts)
         elif args.quantity == "hazard_ai":
-            vals = [hazard_ai(dist, t) for t in ts]
+            vals = _hazard_ai_on_grid(dist, ts)[0]  # nan holes, as in eval
         else:
             prof = profile(dist, ts, conv)
             vals = {"mu": prof.mu, "mu_avg": prof.mu_avg, "L": prof.L}[args.quantity]
-        for t, v in zip(ts, vals):
-            rows.append([series, t, v] if multi else [t, v])
+        rows += zip(repeat(dist.lineage), ts, vals) if multi else zip(ts, vals)
     header = ["series", "t", args.quantity] if multi else ["t", args.quantity]
     with _output(args) as out:
         _emit_rows(header, rows, "csv", out)

@@ -35,6 +35,7 @@ from .ageing import (
     mrl,
     mrl_average,
     mrlai,
+    profile,
 )
 from .classify import (
     Grid,
@@ -154,6 +155,18 @@ _CLASSIFIERS = {
 }
 
 
+def _profiles_read(check: Check, conv: Convention):
+    """The (target, convention) pairs of the profiles a verdict check reads
+    on its grid: ZERO for the MRL verdict, ``conv`` for the average and L
+    verdicts and for the mrlai and ratio orders."""
+    params = check.params
+    if check.quantity == "class_verdict" and params["of"] != "hazard_ai":
+        return ((check.target, Convention.ZERO if params["of"] == "mrl" else conv),)
+    if check.quantity == "order_verdict" and params["order"] in ("mrlai", "ratio"):
+        return ((params["x"], conv), (params["y"], conv))
+    return ()
+
+
 def _evaluate_check(check: Check, dists: dict, conv: Convention, cfg: QuadConfig):
     q = check.quantity
     d = dists.get(check.target)
@@ -254,9 +267,18 @@ def run_case(
     if case is None:
         raise UnknownCase(f"no corpus case with id {case_id!r}")
     dists = _case_dists(case)
+    # each profile a verdict reads is built once per case and handed to
+    # the check in place of the Dist it names
+    profiles = {}
     results = []
     for check in case.checks:
-        label, computed = _evaluate_check(check, dists, case.convention, cfg)
+        sources = dict(dists)
+        for name, conv in _profiles_read(check, case.convention):
+            key = (name, tuple(Grid(*check.params["grid"]).points()), conv)
+            if key not in profiles:
+                profiles[key] = profile(dists[name], key[1], conv, cfg)
+            sources[name] = profiles[key]
+        label, computed = _evaluate_check(check, sources, case.convention, cfg)
         delta, status = _check_status(check, computed, tol_scale)
         note = check.note
         if check.disputed and check.source_value is not None:

@@ -286,12 +286,16 @@ class Erlang(_Family):
                 return lam if k == 1 else 0.0
             return math.exp(logc + (k - 1) * math.log(t) - lam * t)
 
-        def tail(t):
-            terms = _erlang_terms(k, lam, t)
+        def tail_of(terms):
             return math.fsum((k - i) * p for i, p in enumerate(terms)) / lam
 
+        def tail(t):
+            return tail_of(_erlang_terms(k, lam, t))
+
         def mrl(t):
-            return tail(t) / survival(t)
+            # tail / survival from one term list
+            terms = _erlang_terms(k, lam, t)
+            return tail_of(terms) / math.fsum(terms)
 
         mrl_integral = None
         if k == 1:

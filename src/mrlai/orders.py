@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from operator import mul, sub, truediv
 
 from .ageing import Convention, _profile_for, _source_dist, _tails_on_grid, profile
 from .classify import Grid, Kind, classify_mrl, classify_mrla, scan_monotonicity
@@ -98,8 +99,9 @@ class OrderVerdict:
 def _pointwise_leq(ts, lhs, rhs, tol, decided_by) -> OrderVerdict:
     if len(ts) < 2:
         return OrderVerdict(Relation.INCONCLUSIVE, decided_by, grid=tuple(ts))
-    worst = max(range(len(ts)), key=lambda i: lhs[i] - rhs[i])
-    if lhs[worst] - rhs[worst] <= tol:
+    excess = list(map(sub, lhs, rhs))
+    worst = excess.index(max(excess))
+    if excess[worst] <= tol:
         return OrderVerdict(Relation.HOLDS, decided_by, grid=tuple(ts))
     return OrderVerdict(
         Relation.FAILS,
@@ -116,7 +118,8 @@ def _ratio_nonincreasing(ts, ratios, tol, decided_by) -> OrderVerdict:
     if verdict.kind in (Kind.DECREASING, Kind.CONSTANT):
         return OrderVerdict(Relation.HOLDS, decided_by, grid=tuple(ts))
     # report the largest single increase
-    worst = max(range(len(ts) - 1), key=lambda i: ratios[i + 1] - ratios[i])
+    steps = list(map(sub, ratios[1:], ratios))
+    worst = steps.index(max(steps))
     return OrderVerdict(
         Relation.FAILS,
         decided_by,
@@ -154,9 +157,9 @@ def ratio_test(
 ) -> OrderVerdict:
     """Equivalent criterion: int_0^t mu_X / int_0^t mu_Y non-increasing."""
     ts = _grid_points(grid)
-    gx = [a * t for a, t in zip(_profile_for(X, ts, conv, cfg).mu_avg, ts)]
-    gy = [a * t for a, t in zip(_profile_for(Y, ts, conv, cfg).mu_avg, ts)]
-    ratios = [a / b for a, b in zip(gx, gy)]
+    gx = map(mul, _profile_for(X, ts, conv, cfg).mu_avg, ts)
+    gy = map(mul, _profile_for(Y, ts, conv, cfg).mu_avg, ts)
+    ratios = list(map(truediv, gx, gy))
     return _ratio_nonincreasing(ts, ratios, tol, "ratio_test")
 
 
@@ -216,7 +219,7 @@ def vrl_order(
     ts = _grid_points(grid)
     dx = _tails_on_grid(_source_dist(X), ts, conv, cfg)[1]
     dy = _tails_on_grid(_source_dist(Y), ts, conv, cfg)[1]
-    return _ratio_nonincreasing(ts, [a / b for a, b in zip(dx, dy)], tol, "grid")
+    return _ratio_nonincreasing(ts, list(map(truediv, dx, dy)), tol, "grid")
 
 
 def mrl_order(
@@ -314,7 +317,7 @@ def _shortcut_grid(grid) -> Grid:
     if not isinstance(grid, Grid):
         ts = _grid_points(grid)
         grid = Grid(ts[0], ts[-1], len(ts))
-    return replace(grid, n_points=max(16, grid.n_points))
+    return grid if grid.n_points >= 16 else replace(grid, n_points=16)
 
 
 # order name -> check, as the corpus and the CLI spell it; every entry is

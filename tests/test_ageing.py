@@ -72,6 +72,18 @@ class TestMrl:
                 numeric = mrl(d, t, method="quadrature")
                 assert numeric == pytest.approx(closed, rel=1e-9)
 
+    def test_closed_profile_on_the_support_calls_no_mrl(self, monkeypatch):
+        import mrlai.ageing as ageing_mod
+
+        calls = []
+        real = ageing_mod.mrl
+        monkeypatch.setattr(ageing_mod, "mrl", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for spec, ts in ((Exponential(0.7), _linspace(0.1, 5.0, 64)),
+                         (Uniform(0.5, 3.0), _linspace(0.6, 2.9, 64)),
+                         (Pareto(3.0, 1.0), _linspace(1.1, 9.0, 64))):
+            profile(build(spec), ts)
+        assert calls == []
+
 
 class TestMrlAverage:
     def test_erlang_value(self):

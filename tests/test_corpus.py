@@ -91,6 +91,23 @@ class TestRunCase:
         b = report_to_dict(run_all("ex2.*"))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_each_case_builds_each_profile_once(self, monkeypatch):
+        from mrlai import ageing
+
+        built = []
+        real = ageing._evaluate
+
+        def counted(d, ts, conv, *args, **kwargs):
+            if len(ts) > 1:  # a scalar check is a one-point profile
+                built.append((id(d), ts, conv))
+            return real(d, ts, conv, *args, **kwargs)
+
+        monkeypatch.setattr(ageing, "_evaluate", counted)
+        for case_id in list_cases():
+            built.clear()
+            run_case(case_id)
+            assert len(built) == len(set(built)), case_id
+
     def test_tolerance_override(self):
         # absurdly tight tolerance must start flagging mismatches
         rep = run_case("ex2.4", tol_scale=1e-9)

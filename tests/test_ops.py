@@ -30,7 +30,7 @@ from mrlai.distributions import (
     spec_from_dict,
     spec_to_dict,
 )
-from mrlai.errors import SpecError
+from mrlai.errors import NonConvergence, SpecError
 from mrlai.ops import convolution, mixture, order_statistic, parallel, scale
 from mrlai.quadrature import QuadConfig
 
@@ -532,3 +532,33 @@ class TestNumericTails:
         assert m.tail(0.5) == pytest.approx(0.4 * math.exp(-0.5) + 0.6 * 1.5**2 / 4.0, rel=1e-14)
         assert scale(build(Erlang(2, 1.0)), 2.0, rewrite=False)._tail is not None
         assert mixture([0.5, 0.5], [build(Weibull(1.5, 1.0)), m])._tail is None
+
+
+def _exp_weibull_survival(shape, t):
+    """P(E + W > t) for E ~ Exp(1) and W ~ Weibull(shape, 1), by mpmath:
+    S_W(t) + int_0^t f_W(y) e^{-(t - y)} dy, split near t where the
+    exponential factor lives."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        t = mpmath.mpf(t)
+        f = lambda y: shape * y ** (shape - 1) * mpmath.exp(-(y**shape))
+        cuts = sorted({mpmath.mpf(0), *(max(t - w, 0) for w in (200, 50, 10)), t})
+        return float(mpmath.exp(-(t**shape)) + mpmath.quad(lambda y: f(y) * mpmath.exp(y - t), cuts))
+
+
+class TestHeavyTailedConvolution:
+    """Known defects of the numeric convolution with a Weibull summand of
+    shape below 1, pinned so that a fix shows up as an unexpected pass."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the far tail of Exp(1) + Weibull(0.2) is lost: 7.09e-107")
+    def test_far_tail_of_exponential_plus_weibull(self):
+        c = convolution(build(Exponential(1.0)), build(Weibull(0.2, 1.0)), closed_forms=False)
+        assert c.survival(1e5) == pytest.approx(_exp_weibull_survival(0.2, 1e5), rel=1e-6)
+
+    @pytest.mark.xfail(strict=True, raises=NonConvergence,
+                       reason="the inner integral meets the infinite Weibull(0.4) density at 0")
+    def test_weibull_plus_exponential_near_the_origin(self):
+        c = convolution(build(Weibull(0.4, 1.0)), build(Exponential(1.0)), closed_forms=False)
+        assert c.survival(0.5) == pytest.approx(_exp_weibull_survival(0.4, 0.5), rel=1e-6)

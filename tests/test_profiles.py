@@ -7,7 +7,7 @@ import io
 import pytest
 
 from mrlai import ageing, cli
-from mrlai.ageing import Convention, profile
+from mrlai.ageing import Convention, _convention_profile, profile
 from mrlai.classify import Grid, classify_mrl, classify_mrla, classify_mrlai
 from mrlai.cli import _fmt
 from mrlai.distributions import (
@@ -100,6 +100,26 @@ def test_classify_verdicts_equal_from_a_profile(name, conv):
     assert classify_mrl((prof, zero), GRID) == classify_mrl(d, GRID)
 
 
+@pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_convention_profile_equals_a_built_one(name, conv, evaluations):
+    d = build(CLOSED[name])
+    ts = GRID.points()
+    zero = profile(d, ts)
+    try:
+        want = profile(d, ts, conv)
+    except ToolkitError as exc:
+        with pytest.raises(type(exc)):
+            _convention_profile(zero, conv)
+        return
+    evaluations.clear()
+    assert _convention_profile(zero, conv) == want
+    # built again only where the conventions differ: a support start above 0
+    # or a formal continuation
+    coincide = conv is ZERO or (d.support[0] == 0.0 and d.formal is None)
+    assert len(evaluations) == (0 if coincide else 1)
+
+
 PAIRS = [
     ("exponential", "pareto"),
     ("erlang2", "mrl_linear"),
@@ -185,15 +205,21 @@ def _run(argv):
 
 class TestCommandsShareProfiles:
     # without sharing, the default compare made 8 profile evaluations and
-    # classify 3, whatever the convention
-    @pytest.mark.parametrize("conv,want", [("zero", 2), ("formal", 4), ("support", 4)])
+    # classify 3, whatever the convention; supported from 0 and with no
+    # formal continuation, Erlang and Weibull reuse the ZERO profile under
+    # every convention, and Pareto does under none
+    @pytest.mark.parametrize("conv,want", [("zero", 2), ("formal", 2), ("support", 2)])
     def test_compare(self, evaluations, conv, want):
         _run(["compare", ERLANG3, WEIBULL, "--grid", "0.1:8/64", "--conv", conv])
         assert len(evaluations) == want
 
-    @pytest.mark.parametrize("conv,want", [("zero", 1), ("formal", 2), ("support", 2)])
-    def test_classify(self, evaluations, conv, want):
-        _run(["classify", ERLANG3, "--grid", "0.1:8/64", "--conv", conv])
+    @pytest.mark.parametrize("spec,conv,want", [
+        (ERLANG3, "zero", 1), (ERLANG3, "formal", 1), (ERLANG3, "support", 1),
+        (PARETO, "formal", 2), (PARETO, "support", 2),
+    ])
+    def test_classify(self, evaluations, spec, conv, want):
+        grid = "1.1:8/64" if spec == PARETO else "0.1:8/64"
+        _run(["classify", spec, "--grid", grid, "--conv", conv])
         assert len(evaluations) == want
 
     def test_compare_all_orders(self, evaluations):
@@ -203,7 +229,7 @@ class TestCommandsShareProfiles:
         evaluations.clear()
         _run(["compare", ERLANG3, PARETO, "--grid", "0.1:8/64", "--orders", orders,
               "--conv", "formal"])
-        assert len(evaluations) == 4
+        assert len(evaluations) == 3
 
     def test_coarse_grid_adds_the_shortcut_grid(self, evaluations):
         # the shortcut scans 16 points, the orders the 8 asked for
