@@ -323,33 +323,49 @@ def profile(
     return MrlProfile(d, ts, mu_vals, mu_avg, L, ai, conv)
 
 
-def _convention_profile(zero: MrlProfile, conv: Convention) -> MrlProfile:
-    """The profile under ``conv`` on the points of the ZERO profile ``zero``.
+class _Profiles:
+    """The profiles of one ``Dist``, each built on a verdict's first request
+    for it (``_profile_for``) and kept while this object lives: one command,
+    or one corpus case.
 
-    Where the conventions coincide, support from 0 and no formal
-    continuation (as in ``_formal_parts``), it is ``zero`` relabelled,
-    not computed again.
+    A convention that coincides with ZERO, support from 0 and no formal
+    continuation (as in ``_formal_parts``), gets the ZERO profile
+    relabelled, not computed again.  A build that fails is not kept, so
+    each verdict raises the error it would raise alone.
     """
-    d = zero.dist
-    if conv is Convention.ZERO:
-        return zero
-    if d.support[0] == 0.0 and d.formal is None:
-        return replace(zero, convention=conv)
-    return profile(d, zero.grid, conv)
+
+    def __init__(self, d: Dist):
+        self.dist = d
+        self._built = {}
+
+    def get(self, ts, conv, cfg, method) -> MrlProfile:
+        key = (ts, conv, cfg, method)
+        p = self._built.get(key)
+        if p is None:
+            d = self.dist
+            if conv is not Convention.ZERO and d.support[0] == 0.0 and d.formal is None:
+                p = replace(self.get(ts, Convention.ZERO, cfg, method), convention=conv)
+            else:
+                p = profile(d, ts, conv, cfg, method)
+            self._built[key] = p
+        return p
 
 
 def _profile_for(source, ts, conv, cfg=DEFAULT_CONFIG, method="auto") -> MrlProfile:
     """The profile a verdict reads on the points ``ts`` under ``conv``.
 
-    ``source`` is a ``Dist``, whose profile is built here, or an
-    ``MrlProfile`` or a tuple of them, one of which must be on exactly
-    ``ts`` under ``conv``; ``cfg`` and ``method`` only apply to a build.
-    A given profile is never recomputed: a mismatch raises ValueError.
+    ``source`` is a ``Dist``, whose profile is built here, a ``_Profiles``,
+    which builds it once, or an ``MrlProfile`` or a tuple of them, one of
+    which must be on exactly ``ts`` under ``conv``; ``cfg`` and ``method``
+    only apply to a build.  A given profile is never recomputed: a
+    mismatch raises ValueError.
     """
     if isinstance(source, Dist):
         return profile(source, ts, conv, cfg, method)
-    profs = (source,) if isinstance(source, MrlProfile) else tuple(source)
     ts = tuple(map(float, ts))
+    if isinstance(source, _Profiles):
+        return source.get(ts, conv, cfg, method)
+    profs = (source,) if isinstance(source, MrlProfile) else tuple(source)
     for p in profs:
         if p.convention is conv and p.grid == ts:
             return p
@@ -364,7 +380,9 @@ def _source_dist(source) -> Dist:
     """The ``Dist`` behind a verdict's ``source`` (see ``_profile_for``)."""
     if isinstance(source, Dist):
         return source
-    return (source if isinstance(source, MrlProfile) else source[0]).dist
+    if isinstance(source, (_Profiles, MrlProfile)):
+        return source.dist
+    return source[0].dist
 
 
 def _evaluate(d, ts, conv, cfg, method, need_mu=True):

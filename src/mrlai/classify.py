@@ -20,10 +20,9 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
 from operator import sub
 
-from .ageing import Convention, _hazard_ai_on_grid, _profile_for
+from .ageing import Convention, _hazard_ai_on_grid, _profile_for, _source_dist
 from .errors import BeyondSupport, GridError
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
@@ -153,27 +152,32 @@ def _median(sorted_vals):
 def _best_witness(ts, vals):
     """Largest-margin triple i < j < k with a peak or a valley at j.
 
-    The margin of a triple is the smaller of its two jumps, so the best
-    triple around each j takes the extreme on either side of it: running
-    extrema give the global optimum in one pass.  Ties go to the first j,
-    a valley before a peak at the same j, the first extreme on the left
-    and the last on the right.
+    The margin of a triple is the smaller of its two jumps; prefix/suffix
+    extrema give the global optimum in one pass.
     """
-    inner = vals[1:-1]
-    left, right = vals[:-2], vals[:1:-1]
-    # the extremes of vals[:j] and of vals[j + 1:] for j = 1 .. n - 2
-    hi_left, lo_left = accumulate(left, max), accumulate(left, min)
-    hi_right = list(accumulate(right, max))[::-1]
-    lo_right = list(accumulate(right, min))[::-1]
-    valleys = map(sub, map(min, hi_left, hi_right), inner)
-    peaks = map(sub, inner, map(max, lo_left, lo_right))
-    margins = list(chain.from_iterable(zip(valleys, peaks)))
-    best_margin = max(margins)
-    m = margins.index(best_margin)
-    j = m // 2 + 1
-    side = min if m % 2 else max
-    i = vals.index(side(vals[:j]))
-    k = len(vals) - 1 - vals[::-1].index(side(vals[j + 1:]))
+    n = len(vals)
+    pre_max, pre_min = [0] * n, [0] * n
+    for j in range(1, n):
+        pre_max[j] = j - 1 if vals[j - 1] > vals[pre_max[j - 1]] else pre_max[j - 1]
+        pre_min[j] = j - 1 if vals[j - 1] < vals[pre_min[j - 1]] else pre_min[j - 1]
+    pre_max[0] = pre_min[0] = 0
+    suf_max, suf_min = [n - 1] * n, [n - 1] * n
+    for j in range(n - 2, -1, -1):
+        suf_max[j] = j + 1 if vals[j + 1] > vals[suf_max[j + 1]] else suf_max[j + 1]
+        suf_min[j] = j + 1 if vals[j + 1] < vals[suf_min[j + 1]] else suf_min[j + 1]
+
+    best = None
+    best_margin = -math.inf
+    for j in range(1, n - 1):
+        i, k = pre_max[j], suf_max[j]
+        valley = min(vals[i] - vals[j], vals[k] - vals[j])
+        if valley > best_margin:
+            best_margin, best = valley, (i, j, k)
+        i, k = pre_min[j], suf_min[j]
+        peak = min(vals[j] - vals[i], vals[j] - vals[k])
+        if peak > best_margin:
+            best_margin, best = peak, (i, j, k)
+    i, j, k = best
     witness = ((ts[i], vals[i]), (ts[j], vals[j]), (ts[k], vals[k]))
     return witness, best_margin
 
@@ -230,11 +234,12 @@ def classify_hazard_ai(
 ) -> MonotonicityVerdict:
     """Verdict on the hazard-based ageing intensity (needs a density).
 
-    Raises BeyondSupport, with the reason, where a grid point has no
-    hazard AI (``ageing._hazard_ai_on_grid``).
+    ``d`` may also be a profile source (``ageing._profile_for``); only its
+    ``Dist`` is read.  Raises BeyondSupport, with the reason, where a grid
+    point has no hazard AI (``ageing._hazard_ai_on_grid``).
     """
     ts = _verdict_points(grid)
-    vals, why = _hazard_ai_on_grid(d, ts)
+    vals, why = _hazard_ai_on_grid(_source_dist(d), ts)
     if why is not None:
         raise BeyondSupport(why)
     return scan_monotonicity(ts, vals, tol)

@@ -27,10 +27,9 @@ from itertools import repeat
 
 from . import corpus as corpus_mod
 from . import orders as orders_mod
-from .ageing import Convention, _convention_profile, _hazard_ai_on_grid, profile
+from .ageing import Convention, _Profiles, _hazard_ai_on_grid, profile
 from .classify import (
     Grid,
-    _verdict_points,
     classify_hazard_ai,
     classify_mrl,
     classify_mrla,
@@ -43,20 +42,6 @@ from .quadrature import DEFAULT_CONFIG
 
 def _fmt(x) -> str:
     return "%.12g" % x if isinstance(x, float) else str(x)
-
-
-def _csv_lines(rows):
-    """The CSV lines of ``rows``, each through one format string made for
-    its cells' types: ``%.12g`` for a float cell, as ``_fmt`` prints it,
-    and ``%s`` (str) for any other."""
-    formats = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            cells = ("%.12g" if issubclass(k, float) else "%s" for k in kinds)
-            fmt = formats[kinds] = ",".join(cells) + "\n"
-        yield fmt % tuple(row)
 
 
 def _parse_grid(text: str) -> Grid:
@@ -95,7 +80,7 @@ def _load_one_spec(path_or_json: str):
 def _emit_rows(header, rows, fmt, out):
     if fmt == "csv":
         out.write(",".join(header) + "\n")
-        out.writelines(_csv_lines(rows))
+        out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
         return
     cells = [[_fmt(v) for v in row] for row in rows]
     if fmt == "json":
@@ -144,14 +129,12 @@ def cmd_classify(args) -> int:
     dist = build(_load_one_spec(args.spec))
     conv = Convention(args.conv)
     grid = _parse_grid(args.grid)
-    ts = _verdict_points(grid)
     # one profile per convention: ZERO for the MRL, conv for the other two
-    zero = profile(dist, ts)
-    prof = _convention_profile(zero, conv)
+    src = _Profiles(dist)
     rows = [
-        ["mrl", str(classify_mrl(zero, grid))],
-        ["mrl_average", str(classify_mrla(prof, grid, conv))],
-        ["mrlai", str(classify_mrlai(prof, grid, conv))],
+        ["mrl", str(classify_mrl(src, grid))],
+        ["mrl_average", str(classify_mrla(src, grid, conv))],
+        ["mrlai", str(classify_mrlai(src, grid, conv))],
     ]
     if dist.has_density:
         try:
@@ -175,10 +158,8 @@ def cmd_compare(args) -> int:
         raise SystemExit(
             f"error: unknown order(s) {bad}; choose from {tuple(orders_mod.BY_NAME)}"
         )
-    # every profile the checks read, built once per side: ZERO and conv on
-    # the grid and on the shortcut's, which differs only below 16 points
-    grids = {tuple(grid.points()), tuple(orders_mod._shortcut_grid(grid).points())}
-    X, Y = (_profiles(d, grids, conv) for d in (X, Y))
+    # each profile the checks read is built once per side
+    X, Y = _Profiles(X), _Profiles(Y)
     rows = []
     for name in wanted:
         v = orders_mod.BY_NAME[name](X, Y, grid, conv, DEFAULT_CONFIG)
@@ -192,20 +173,6 @@ def cmd_compare(args) -> int:
     with _output(args) as out:
         _emit_rows(["order", "relation", "decided_by", "witness"], rows, args.format, out)
     return 0
-
-
-def _profiles(d, grids, conv):
-    """The profiles of ``d`` on each of ``grids`` under ZERO and ``conv``.
-
-    Where one cannot be built, ``d`` itself is returned, so that each
-    check builds what it reads and the first one to fail raises the same
-    error, in the same place, as it would alone.
-    """
-    try:
-        zeros = [profile(d, ts) for ts in grids]
-        return (*zeros, *(_convention_profile(z, conv) for z in zeros))
-    except ToolkitError:
-        return d
 
 
 def cmd_reproduce(args) -> int:

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 from . import orders
 from .ageing import (
     Convention,
+    _Profiles,
     hazard,
     hazard_ai,
     mrl,
     mrl_average,
     mrlai,
-    profile,
 )
 from .classify import (
     Grid,
@@ -155,19 +155,10 @@ _CLASSIFIERS = {
 }
 
 
-def _profiles_read(check: Check, conv: Convention):
-    """The (target, convention) pairs of the profiles a verdict check reads
-    on its grid: ZERO for the MRL verdict, ``conv`` for the average and L
-    verdicts and for the mrlai and ratio orders."""
-    params = check.params
-    if check.quantity == "class_verdict" and params["of"] != "hazard_ai":
-        return ((check.target, Convention.ZERO if params["of"] == "mrl" else conv),)
-    if check.quantity == "order_verdict" and params["order"] in ("mrlai", "ratio"):
-        return ((params["x"], conv), (params["y"], conv))
-    return ()
-
-
-def _evaluate_check(check: Check, dists: dict, conv: Convention, cfg: QuadConfig):
+def _evaluate_check(
+    check: Check, dists: dict, sources: dict, conv: Convention, cfg: QuadConfig
+):
+    # verdicts read ``sources`` (the case's ``_Profiles``), the rest ``dists``
     q = check.quantity
     d = dists.get(check.target)
     t = check.at
@@ -204,7 +195,7 @@ def _evaluate_check(check: Check, dists: dict, conv: Convention, cfg: QuadConfig
         return f"ratio[{check.params['x']}/{check.params['y']}]({t:g})", num / den
     if q == "class_verdict":
         grid = Grid(*check.params["grid"])
-        verdict = _CLASSIFIERS[check.params["of"]](d, grid, conv, cfg)
+        verdict = _CLASSIFIERS[check.params["of"]](sources[check.target], grid, conv, cfg)
         label = f"class_{check.params['of']}[{check.target}]"
         window = check.params.get("witness_mid_between")
         if window is not None and verdict.witness is not None:
@@ -221,7 +212,7 @@ def _evaluate_check(check: Check, dists: dict, conv: Convention, cfg: QuadConfig
         if name == "linear_mrl":
             verdict = orders.linear_mrl_order(*check.params["coeffs"])
             return f"order_linear_mrl{tuple(check.params['coeffs'])}", verdict.relation.value
-        x, y = dists[check.params["x"]], dists[check.params["y"]]
+        x, y = sources[check.params["x"]], sources[check.params["y"]]
         label = f"order_{name}[{check.params['x']}<={check.params['y']}]"
         grid = Grid(*check.params["grid"]).points()
         verdict = orders.BY_NAME[name](x, y, grid, conv, cfg)
@@ -267,18 +258,11 @@ def run_case(
     if case is None:
         raise UnknownCase(f"no corpus case with id {case_id!r}")
     dists = _case_dists(case)
-    # each profile a verdict reads is built once per case and handed to
-    # the check in place of the Dist it names
-    profiles = {}
+    # the verdicts read each profile they need, built once per case
+    sources = {name: _Profiles(d) for name, d in dists.items()}
     results = []
     for check in case.checks:
-        sources = dict(dists)
-        for name, conv in _profiles_read(check, case.convention):
-            key = (name, tuple(Grid(*check.params["grid"]).points()), conv)
-            if key not in profiles:
-                profiles[key] = profile(dists[name], key[1], conv, cfg)
-            sources[name] = profiles[key]
-        label, computed = _evaluate_check(check, sources, case.convention, cfg)
+        label, computed = _evaluate_check(check, dists, sources, case.convention, cfg)
         delta, status = _check_status(check, computed, tol_scale)
         note = check.note
         if check.disputed and check.source_value is not None:

@@ -375,6 +375,15 @@ class TestHazardAi:
         with pytest.raises(BeyondSupport):
             hazard_ai(d, 0.5)
 
+    def test_profile_column_equals_the_scalar_calls(self):
+        # nan holes below Pareto's support start, as in `mrlai eval`
+        d = build(Pareto(3.0, 1.0))
+        ts = (0.5, 0.9, 1.5, math.e, 6.0)
+        prof = profile(d, ts, with_hazard_ai=True)
+        assert prof.hazard_ai[:2] == pytest.approx((math.nan, math.nan), nan_ok=True)
+        assert prof.hazard_ai[2:] == tuple(hazard_ai(d, t) for t in ts[2:])
+        assert profile(d, ts).hazard_ai is None
+
 
 class TestScalingIdentity:
     SPECS = [

@@ -17,7 +17,6 @@ from mrlai.classify import (
     classify_mrlai,
     scan_monotonicity,
 )
-from mrlai.classify import _best_witness
 from mrlai.distributions import (
     Erlang,
     Exponential,
@@ -64,34 +63,6 @@ def test_verdicts_need_sixteen_points(classify):
     with pytest.raises(GridError, match="at least 16 grid points, got 8"):
         classify(d, Grid(0.1, 2.0, 8))
     assert classify(d, Grid(0.1, 2.0, 16)).kind is Kind.CONSTANT
-
-
-def _best_witness_loop(ts, vals):
-    """The reference for ``classify._best_witness``: index-tracking prefix
-    and suffix extrema, then one pass over the middle points."""
-    n = len(vals)
-    pre_max, pre_min = [0] * n, [0] * n
-    for j in range(1, n):
-        pre_max[j] = j - 1 if vals[j - 1] > vals[pre_max[j - 1]] else pre_max[j - 1]
-        pre_min[j] = j - 1 if vals[j - 1] < vals[pre_min[j - 1]] else pre_min[j - 1]
-    pre_max[0] = pre_min[0] = 0
-    suf_max, suf_min = [n - 1] * n, [n - 1] * n
-    for j in range(n - 2, -1, -1):
-        suf_max[j] = j + 1 if vals[j + 1] > vals[suf_max[j + 1]] else suf_max[j + 1]
-        suf_min[j] = j + 1 if vals[j + 1] < vals[suf_min[j + 1]] else suf_min[j + 1]
-    best = None
-    best_margin = -math.inf
-    for j in range(1, n - 1):
-        i, k = pre_max[j], suf_max[j]
-        valley = min(vals[i] - vals[j], vals[k] - vals[j])
-        if valley > best_margin:
-            best_margin, best = valley, (i, j, k)
-        i, k = pre_min[j], suf_min[j]
-        peak = min(vals[j] - vals[i], vals[j] - vals[k])
-        if peak > best_margin:
-            best_margin, best = peak, (i, j, k)
-    i, j, k = best
-    return ((ts[i], vals[i]), (ts[j], vals[j]), (ts[k], vals[k])), best_margin
 
 
 class TestScan:
@@ -154,19 +125,6 @@ class TestScan:
         if v.kind is Kind.NON_MONOTONE:
             (t1, f1), (t2, f2), (t3, f3) = v.witness
             assert (f1 > f2 < f3) or (f1 < f2 > f3)
-
-    @given(
-        st.lists(
-            st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) | st.floats(-100, 100),
-            min_size=3,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_witness_equals_the_loop_reference(self, vals):
-        ts = [0.5 * i for i in range(len(vals))]
-        # repr tells -0.0 from 0.0
-        assert repr(_best_witness(ts, vals)) == repr(_best_witness_loop(ts, vals))
 
     @given(st.integers(1, 1000))
     @settings(max_examples=30, deadline=None)

@@ -7,7 +7,7 @@ import io
 import pytest
 
 from mrlai import ageing, cli
-from mrlai.ageing import Convention, _convention_profile, profile
+from mrlai.ageing import Convention, _Profiles, _profile_for, profile
 from mrlai.classify import Grid, classify_mrl, classify_mrla, classify_mrlai
 from mrlai.cli import _fmt
 from mrlai.distributions import (
@@ -102,22 +102,30 @@ def test_classify_verdicts_equal_from_a_profile(name, conv):
 
 @pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
 @pytest.mark.parametrize("name", sorted(CLOSED))
-def test_convention_profile_equals_a_built_one(name, conv, evaluations):
+def test_shared_profiles_equal_built_ones(name, conv, evaluations):
     d = build(CLOSED[name])
     ts = GRID.points()
-    zero = profile(d, ts)
+    src = _Profiles(d)
+    assert _profile_for(src, ts, ZERO) == profile(d, ts)
     try:
         want = profile(d, ts, conv)
     except ToolkitError as exc:
-        with pytest.raises(type(exc)):
-            _convention_profile(zero, conv)
+        for _ in range(2):  # a failed build is not kept
+            with pytest.raises(type(exc)):
+                _profile_for(src, ts, conv)
         return
     evaluations.clear()
-    assert _convention_profile(zero, conv) == want
-    # built again only where the conventions differ: a support start above 0
-    # or a formal continuation
+    got = _profile_for(src, ts, conv)
+    assert got == want
+    assert _profile_for(src, ts, conv) is got
+    # built only where the conventions differ: a support start above 0 or a
+    # formal continuation; else the ZERO profile is relabelled
     coincide = conv is ZERO or (d.support[0] == 0.0 and d.formal is None)
     assert len(evaluations) == (0 if coincide else 1)
+    # the verdicts read the same profiles through the shared source
+    assert classify_mrl(src, GRID) == classify_mrl(d, GRID)
+    assert classify_mrlai(src, GRID, conv) == classify_mrlai(d, GRID, conv)
+    assert len(evaluations) == (0 if coincide else 1) + 2
 
 
 PAIRS = [
