@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import le, truediv
@@ -228,21 +227,22 @@ def _hazard_ai_on_grid(d: Dist, ts, survival=None):
 
     Such a point holds nan: below the support start no hazard has
     accumulated, and where the survival function is 0 there is no hazard.
-    S and f are evaluated once per point; a caller that has S at ``ts``
-    passes it as ``survival``.  A point t <= 0 raises GridError.
+    S and f are read once per point, as columns (``Dist._on_grid``); a
+    caller that has S at ``ts`` passes it as ``survival``.  A point t <= 0
+    raises GridError.
     """
     if min(ts) <= 0.0:
         raise GridError("hazard_ai needs t > 0")
     if survival is None:
-        survival = map(d.survival, ts)
-    density = d.density
+        survival = d._on_grid(ts, d.survival, d._survival, 1.0, 0.0)
+    density = d._on_grid(ts, d.density, d._density, 0.0, 0.0)
     vals, why = [], None
-    for t, sv in zip(ts, survival):
+    for t, sv, f in zip(ts, survival, density):
         if sv <= 0.0:
             vals.append(math.nan)
             why = why or f"{d.lineage}: hazard undefined at t={t!r}"
             continue
-        r = density(t) / sv
+        r = f / sv
         cumulative = -math.log(sv)
         if cumulative <= 0.0:
             vals.append(math.nan)
@@ -400,10 +400,7 @@ def _evaluate(d, ts, conv, cfg, method, need_mu=True):
 def _closed_mu(d, ts, conv, cfg, method):
     """mu at the increasing points ``ts`` of a closed-G profile: the closed
     mu mapped over the points on the support, ``_mrl_point`` elsewhere."""
-    point = lambda t: _mrl_point(d, t, conv, cfg, method)
-    on_support = d._mrl if d.has_closed_mrl else point
-    i, j = bisect_left(ts, d.support[0]), bisect_left(ts, d.support[1])
-    return [*map(point, ts[:i]), *map(on_support, ts[i:j]), *map(point, ts[j:])]
+    return d._on_grid(ts, lambda t: _mrl_point(d, t, conv, cfg, method), d._mrl)
 
 
 def _closed_integral(d, conv, method):
@@ -527,11 +524,11 @@ def _tails_on_grid(d, ts, conv, cfg, double=True):
     tail = d.formal.tail if formal else (lambda u: d.tail(u, cfg))
     closed = formal or d._tail is not None
     if closed and not double:
-        return [tail(t) for t in ts], None
+        return _closed_tails(d, ts, formal), None
     s1 = d.support[1]
     if closed and ts and _closed_double_tail(d, ts[0], formal) is not None:
         dd = [_closed_double_tail(d, t, formal) if t < s1 else 0.0 for t in ts]
-        return [tail(t) for t in ts], dd
+        return _closed_tails(d, ts, formal), dd
     pts = sorted({t for t in ts if t < s1})
     t_at, d_at = {}, {}
     if pts:
@@ -549,6 +546,15 @@ def _tails_on_grid(d, ts, conv, cfg, double=True):
             t_at = {k: t_top + c for k, c in zip(reversed(knots), above)}
     values = [t_at.get(t, 0.0) for t in ts]
     return values, ([d_at.get(t, 0.0) for t in ts] if double else None)
+
+
+def _closed_tails(d, ts, formal):
+    """The closed T at each of the increasing points ``ts``: the formal
+    continuation's tail, or ``Dist.tail`` (whose closed form covers the
+    points below the support start too)."""
+    if formal:
+        return list(map(d.formal.tail, ts))
+    return d._on_grid(ts, d.tail, d._tail, None, 0.0)
 
 
 def _closed_double_tail(d, t, formal):

@@ -84,7 +84,8 @@ class Grid:
 class MonotonicityVerdict:
     """Outcome of a scan.  For NON_MONOTONE, ``witness`` is a triple of
     (t, value) pairs forming a peak or a valley; ``margin`` is the smaller
-    of its two jumps.  For CONSTANT, ``level`` is the common value."""
+    of its two jumps.  For CONSTANT, ``level`` is the common value.  The
+    string form holds no comma, so a CSV cell of it needs no quoting."""
 
     kind: Kind
     level: float | None = None
@@ -95,7 +96,7 @@ class MonotonicityVerdict:
         if self.kind is Kind.CONSTANT:
             return f"constant({self.level:.9g})"
         if self.kind is Kind.NON_MONOTONE and self.witness:
-            pts = ", ".join(f"({t:.6g}, {v:.9g})" for t, v in self.witness)
+            pts = "; ".join(f"t={t:.6g}: {v:.9g}" for t, v in self.witness)
             return f"non_monotone[{pts}]"
         return self.kind.value
 

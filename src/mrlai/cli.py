@@ -8,9 +8,12 @@ pair of spec files, ``reproduce`` replays the worked-example corpus, and
 Grids are written ``min:max:step`` or ``min:max/n`` with an optional
 ``:log`` suffix on the second form; ``classify`` needs as many points
 as an ageing-class verdict does (``classify.MIN_VERDICT_POINTS``).  All
-numbers print with 12 significant digits; every output format renders
-the same strings, so values round-trip bit-equal between table, CSV and
-JSON.
+numbers print with 12 significant digits.  Every output format renders
+each cell as the same string (``_fmt``), so values round-trip bit-equal
+between table, CSV and JSON.  A table is handed over as columns: CSV
+prints a float column through ``%.12g`` directly and every row through
+one ``%`` format, and quotes a cell holding a comma, a double quote or a
+line break as ``csv.writer`` does (a float never needs it).
 
 Exit codes: 0 success (a failing order verdict is still a successful run),
 1 the corpus replay found mismatches, 2 usage or spec error.
@@ -22,6 +25,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 from itertools import repeat
 
@@ -40,8 +44,30 @@ from .errors import BeyondSupport, ToolkitError
 from .quadrature import DEFAULT_CONFIG
 
 
+_FLOAT = "%.12g"
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def _fmt(x) -> str:
-    return "%.12g" % x if isinstance(x, float) else str(x)
+    """The one cell formatter: 12 significant digits for a float, str otherwise."""
+    return _FLOAT % x if isinstance(x, float) else str(x)
+
+
+def _csv_cell(x) -> str:
+    """``_fmt(x)``, quoted where ``csv.writer`` would quote it."""
+    s = _fmt(x)
+    return '"%s"' % s.replace('"', '""') if _NEEDS_QUOTES(s) else s
+
+
+def _csv_column(col):
+    """The ``%`` slot and arguments that print ``col`` as CSV cells.
+
+    A column of floats prints through ``_FLOAT`` as it is; any other has
+    each cell formatted by ``_csv_cell``.
+    """
+    if {*map(type, col)} <= {float}:
+        return _FLOAT, col
+    return "%s", list(map(_csv_cell, col))
 
 
 def _parse_grid(text: str) -> Grid:
@@ -70,6 +96,10 @@ def _parse_grid(text: str) -> Grid:
     return Grid(lo, hi, n, spacing)
 
 
+def _survival_column(dist, ts):
+    return dist._on_grid(ts, dist.survival, dist._survival, 1.0, 0.0)
+
+
 def _load_one_spec(path_or_json: str):
     text = path_or_json.strip()
     if text.startswith("{"):
@@ -77,25 +107,32 @@ def _load_one_spec(path_or_json: str):
     return load_spec_file(path_or_json)
 
 
-def _emit_rows(header, rows, fmt, out):
+def _columns(rows, width):
+    """The columns of ``rows``: ``width`` empty ones where there are no rows."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _emit_columns(header, columns, fmt, out):
+    """Write the table whose columns are ``columns`` as ``fmt``.
+
+    CSV rows print through one ``%`` format; every cell is ``_fmt``'s
+    string, quoted in CSV as ``csv.writer`` would quote it.
+    """
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        slots, args = zip(*map(_csv_column, columns))
+        out.write(",".join(map(_csv_cell, header)) + "\n")
+        out.writelines(map((",".join(slots) + "\n").__mod__, zip(*args)))
         return
-    cells = [[_fmt(v) for v in row] for row in rows]
+    cells = [list(map(_fmt, col)) for col in columns]
     if fmt == "json":
-        out.write(
-            json.dumps([dict(zip(header, row)) for row in cells], indent=2) + "\n"
-        )
-    else:
-        widths = [
-            max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-            for i, h in enumerate(header)
-        ]
-        out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-        out.writelines(
-            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in cells
-        )
+        rows = [dict(zip(header, row)) for row in zip(*cells)]
+        out.write(json.dumps(rows, indent=2) + "\n")
+        return
+    widths = [max([len(h), *map(len, col)]) for h, col in zip(header, cells)]
+    out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
+    out.writelines(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in zip(*cells)
+    )
 
 
 @contextlib.contextmanager
@@ -112,16 +149,15 @@ def cmd_eval(args) -> int:
     conv = Convention(args.conv)
     ts = _parse_grid(args.grid).points()
     prof = profile(dist, ts, conv)
-    sv = list(map(dist.survival, prof.grid))
+    sv = _survival_column(dist, prof.grid)
     header = ["t", "survival", "mu", "mu_avg", "L"]
     columns = [prof.grid, sv, prof.mu, prof.mu_avg, prof.L]
     if dist.has_density:
         # the survival column serves the hazard AI too
         header.append("hazard_ai")
         columns.append(_hazard_ai_on_grid(dist, prof.grid, sv)[0])
-    rows = list(zip(*columns))
     with _output(args) as out:
-        _emit_rows(header, rows, args.format, out)
+        _emit_columns(header, columns, args.format, out)
     return 0
 
 
@@ -143,7 +179,7 @@ def cmd_classify(args) -> int:
             verdict = f"undefined ({exc})"
         rows.append(["hazard_ai", verdict])
     with _output(args) as out:
-        _emit_rows(["quantity", "verdict"], rows, args.format, out)
+        _emit_columns(["quantity", "verdict"], _columns(rows, 2), args.format, out)
     return 0
 
 
@@ -171,7 +207,8 @@ def cmd_compare(args) -> int:
     if shortcut is not None:
         rows.append(["shortcut", shortcut.relation.value, shortcut.decided_by, shortcut.note])
     with _output(args) as out:
-        _emit_rows(["order", "relation", "decided_by", "witness"], rows, args.format, out)
+        header = ["order", "relation", "decided_by", "witness"]
+        _emit_columns(header, _columns(rows, len(header)), args.format, out)
     return 0
 
 
@@ -196,7 +233,7 @@ def cmd_reproduce(args) -> int:
                     rows.append(
                         [rep.case_id, r.label, _fmt(r.computed), _fmt(r.expected), r.status]
                     )
-            _emit_rows(header, rows, args.format, out)
+            _emit_columns(header, _columns(rows, len(header)), args.format, out)
             mismatches = sum(r.mismatches for r in reports)
             disputed = sum(r.disputed for r in reports)
             out.write(
@@ -209,22 +246,23 @@ def cmd_reproduce(args) -> int:
 def cmd_plotdata(args) -> int:
     conv = Convention(args.conv)
     ts = _parse_grid(args.grid).points()
-    specs = args.spec
-    rows = []
-    multi = len(specs) > 1
-    for spec_text in specs:
+    series, values = [], []
+    for spec_text in args.spec:
         dist = build(_load_one_spec(spec_text))
         if args.quantity == "survival":
-            vals = map(dist.survival, ts)
+            vals = _survival_column(dist, ts)
         elif args.quantity == "hazard_ai":
             vals = _hazard_ai_on_grid(dist, ts)[0]  # nan holes, as in eval
         else:
             prof = profile(dist, ts, conv)
             vals = {"mu": prof.mu, "mu_avg": prof.mu_avg, "L": prof.L}[args.quantity]
-        rows += zip(repeat(dist.lineage), ts, vals) if multi else zip(ts, vals)
-    header = ["series", "t", args.quantity] if multi else ["t", args.quantity]
+        series += repeat(dist.lineage, len(ts))
+        values += vals
+    header, columns = ["t", args.quantity], [ts * len(args.spec), values]
+    if len(args.spec) > 1:
+        header, columns = ["series", *header], [series, *columns]
     with _output(args) as out:
-        _emit_rows(header, rows, "csv", out)
+        _emit_columns(header, columns, "csv", out)
     return 0
 
 

@@ -1134,6 +1134,31 @@ class Dist:
             return self.mean - t
         return self._integral_above(self.survival, t, self._tail_config(t, cfg))
 
+    def _on_grid(self, ts, point, closure, below=None, above=None) -> list:
+        """The per-point method ``point`` at each of the increasing points
+        ``ts``, bit for bit, without a method call per point.
+
+        The grid is split once at the support edges.  ``closure``, the
+        family formula ``point`` wraps (``_survival``, ``_density``,
+        ``_tail``), is mapped over the points in [start, end); the points
+        below and above take the constants ``below`` and ``above``, or
+        ``point``'s values where those are None.  Where the closure is None
+        or raises OverflowError, ``point`` gives the inside values too.  A
+        grid that is not in increasing order is evaluated point by point.
+        """
+        if sorted(ts) != list(ts):
+            return list(map(point, ts))
+        s0, s1 = self.support
+        i, j = bisect.bisect_left(ts, s0), bisect.bisect_left(ts, s1)
+        inside = ts[i:j]
+        try:
+            mid = list(map(closure or point, inside))
+        except OverflowError:
+            mid = list(map(point, inside))
+        lo = [below] * i if below is not None else list(map(point, ts[:i]))
+        hi = [above] * (len(ts) - j) if above is not None else list(map(point, ts[j:]))
+        return lo + mid + hi
+
     def _tail_config(self, t: float, cfg: QuadConfig) -> QuadConfig:
         """``cfg`` with abs_tol scaled by min(1, S(t)), for integrals of the
         tail from t whose callers divide by S(t) or compare values that

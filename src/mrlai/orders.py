@@ -170,10 +170,11 @@ def lr_order(
     X, Y = _source_dist(X), _source_dist(Y)
     if not (X.has_density and Y.has_density):
         raise UnsupportedCapability("lr order needs densities on both sides")
+    points = _grid_points(grid)
+    fxs = X._on_grid(points, X.density, X._density, 0.0, 0.0)
+    fys = Y._on_grid(points, Y.density, Y._density, 0.0, 0.0)
     ts, ratios = [], []
-    for t in _grid_points(grid):
-        fy = Y.density(t)
-        fx = X.density(t)
+    for t, fx, fy in zip(points, fxs, fys):
         if fy > 0.0 and fx > 0.0:
             ts.append(t)
             ratios.append(fx / fy)

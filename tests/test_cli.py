@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
@@ -301,6 +302,72 @@ class TestPlotdata:
         assert val == pytest.approx(math.exp(-0.5), rel=1e-10)
 
 
+MIXTURE_EXP = ('{"family":"mixture","weights":[0.5,0.5],"components":['
+               '{"family":"exponential","rate":1},{"family":"exponential","rate":2}]}')
+MIXTURE_LATE = ('{"family":"mixture","weights":[0.5,0.5],"components":['
+                '{"family":"uniform","lo":0.5,"hi":3},{"family":"uniform","lo":1,"hi":4}]}')
+
+
+def _csv_rows(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    assert all(len(r) == len(rows[0]) for r in rows), rows
+    return rows
+
+
+class TestCsvQuoting:
+    def test_plotdata_lineage_with_a_comma_is_one_field(self, capsys):
+        code, out, _ = run(["plotdata", MIXTURE_EXP, '{"family":"exponential","rate":1}',
+                            "--quantity", "mu", "--grid", "0.5:2/4"], capsys)
+        assert code == 0
+        rows = _csv_rows(out)
+        assert rows[0] == ["series", "t", "mu"]
+        assert [r[0] for r in rows[1:]] == ["mixture(exponential, exponential)"] * 4 + [
+            "exponential"] * 4
+        assert out.splitlines()[1].startswith('"mixture(exponential, exponential)",0.5,')
+        assert [float(r[2]) for r in rows[5:]] == [1.0] * 4
+
+    def test_classify_undefined_hazard_ai_of_a_composite(self, capsys):
+        code, out, err = run(["classify", MIXTURE_LATE, "--grid", LATE_GRID, "--format", "csv"],
+                             capsys)
+        assert (code, err) == (0, "")
+        rows = dict(_csv_rows(out)[1:])
+        assert rows["hazard_ai"] == (
+            "undefined (mixture(uniform, uniform): no hazard has accumulated by t=0.1)"
+        )
+
+    def test_non_monotone_witness_needs_no_quotes(self, capsys):
+        code, out, _ = run(["classify", ERLANG, "--grid", "0.1:10/64", "--format", "csv"], capsys)
+        assert code == 0 and '"' not in out
+        rows = dict(_csv_rows(out)[1:])
+        assert rows["mrlai"].startswith("non_monotone[t=0.1: ")
+        assert rows["mrlai"].count("; ") == 2
+
+    def test_cells_are_the_cell_formatter_s_strings(self):
+        from mrlai.cli import _emit_columns, _fmt
+
+        floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2]
+        header = ["x", "mixed", "text", 'a "b", c']
+        rows = [[x, x, "plain", "c,d"] for x in floats]
+        rows += [[0.5, 0, 'say "hi"', "two\nlines"], [2.5, 7, "cr\rhere", ""],
+                 [3.5, 10**13, "x,y", "-0.0"]]
+        columns = [list(c) for c in zip(*rows)]
+        out = io.StringIO()
+        _emit_columns(header, columns, "csv", out)
+        # csv.writer's default line end "\r\n" makes it quote a lone "\r" too
+        want = io.StringIO()
+        csv.writer(want).writerows([header] + [[_fmt(c) for c in row] for row in rows])
+        assert out.getvalue() == want.getvalue().replace("\r\n", "\n")
+        # a later int in a float column prints as str(int), not %.12g
+        assert "\n0.5,0," in out.getvalue() and ",10000000000000," in out.getvalue()
+        parsed = list(csv.reader(io.StringIO(out.getvalue())))
+        assert parsed == [header] + [[_fmt(c) for c in row] for row in rows]
+        text = io.StringIO()
+        _emit_columns(header, columns, "json", text)
+        assert json.loads(text.getvalue()) == [dict(zip(header, map(_fmt, row))) for row in rows]
+        assert [_fmt(x) for x in floats] == [
+            "nan", "inf", "-inf", "-0", "4.94065645841e-324", "1e-300", "1e+16", "0.3"]
+
+
 class TestParser:
     def test_built_once_and_reused(self):
         assert _parser() is _parser()
@@ -368,11 +435,14 @@ def _digest_argvs():
 
 
 # sha256 of each output, recorded before the closed-form grids were
-# evaluated in one pass; every printed byte must stay the same
+# evaluated in one pass; every printed byte must stay the same.  The nine
+# classify outputs with a non-monotone witness were re-recorded when the
+# witness lost its commas ("t=0.05: 1.00497512; ..." for "(0.05,
+# 1.00497512), ..."); undoing that maps them back to the old bytes.
 DIGESTS = {
-    "classify-erlang2-csv": "a2598edb968b807423f18bc18a8e7520829b4602bddc2cb38cbb76d03e993433",
-    "classify-erlang2-json": "2483c957c25722a6905f615fdf562a881de38b84b93f5604127564efdb16adbb",
-    "classify-erlang2-table": "367a2774e7c33b34af2ff99805470bc02c68fd99324b0580a579736940001c6e",
+    "classify-erlang2-csv": "42b1e171d5259e9bdb4c28b372c4431ad5fbb56d198a225699bdae2748edb662",
+    "classify-erlang2-json": "45831de00ee97881f0963b57f383d3c35994a5c55783cbd25a13ed2258cb07bc",
+    "classify-erlang2-table": "e4485a5f55fe877bbd847d2225011440de4855ed164490e79a381b2aacfebab9",
     "classify-exponential-csv": "ef1310247ac8af1bbf418c18fe3267b6c26499476d9394775bd7a2d459289027",
     "classify-exponential-json": "e3e3d892acb9afcd89fd5da660a96176c28ca94a330860e26a7778cd8f51ae5c",
     "classify-exponential-table": "ad48bbfd56532c57f03ac397c87aa9936ef29941e31b59917d51c33c09c0793c",
@@ -382,18 +452,18 @@ DIGESTS = {
     "classify-mrl_linear-csv": "d43df5f8fb688d2bee027f4dfc05bd54087e3918c1a271c105746d87b8ff667f",
     "classify-mrl_linear-json": "9939e6625d40624780e7d62b12799e23b2d77f5d8bcf2eaafbbf52c1a2c2ba61",
     "classify-mrl_linear-table": "e926fb7c064f033caf5479e23ca3b01f425058c9d80800a5edd8be93f5b4a566",
-    "classify-mrl_piecewise-csv": "c1c29200376269954cd3135645f1e224ccf5623a1689fd9124424c78165fcfc9",
-    "classify-mrl_piecewise-json": "d06592e6b76fac507248430238a40ef683c50e8bc8e22377ed1ef806592cb1a9",
-    "classify-mrl_piecewise-table": "67f4795b68dc0c5779971a128c88fd5ad9c67e8bf5d1e1f6db6e9cff073846b9",
+    "classify-mrl_piecewise-csv": "7e4e0128fe34472deae43ec363199c3fb9c995a128ba10e016c041abf2d0265e",
+    "classify-mrl_piecewise-json": "00ccb2f1920c3e3e71ae6712432cc5603d434e64846b7ede9651703f7441f332",
+    "classify-mrl_piecewise-table": "3910f41e914e39c8f288bd138434257161791d9c7e3d40f5f53305a1963a7f6a",
     "classify-mrl_reciprocal_linear-csv": "f2ea115048afe1e2112455a531f4aa58e838e409fcac906f9e6cd61dc1b6e331",
     "classify-mrl_reciprocal_linear-json": "685c7453fed2608fde6371c99c6fd5870a41e098a77f5d0c81175cd479aadf0b",
     "classify-mrl_reciprocal_linear-table": "7b74447f4635ba29923ca5a5c69efef78c972534afaeed927af703ffa8663a6f",
     "classify-pareto-csv": "b82fca17de0bc9cbc65a2ec2d0d030743cab90fec79319f35609dd5ca086a85a",
     "classify-pareto-json": "20bc73ed3ecb58f3b568c705e7444f10e07d62dadb70a03baff4754626d3d7f0",
     "classify-pareto-table": "848c8d55bdcc76500374ca6d5e61b008c8329fcc5919c4a9f09c49c04a2d8e4a",
-    "classify-uniform-csv": "575c5f27413b1ffe35d6a20e542f9b4491e8ec1c6209915db0198a06817e78fe",
-    "classify-uniform-json": "e560b2b7cba53a358209767bad3ae9b6dfe792015b1e4ee58291b37bf34060ce",
-    "classify-uniform-table": "c1f03575ff8a825e0b03c1634515c1992ad1036c31662b37d61e3f3ab53978d7",
+    "classify-uniform-csv": "539108ba625eccaa78bc263d1ecbf538625dd5016fd5adb72029f3487db69b5d",
+    "classify-uniform-json": "a97390dd4d068cc059657e0ec0a875f4d034ed8de4d397eb5ddc8bf74bbff323",
+    "classify-uniform-table": "ff2fb51a65468448fd1330c339ce101ce8cfac86801ed65b2a3ebb1619771d39",
     "compare-erlang2-csv": "e87a904ff589d214bf73ec8d1a53760b8e2c426b58d704f1c5e8927d9ad3909c",
     "compare-erlang2-json": "768e815043f77d7ecf5df5c83d535aed1fa2457044adc8ae0898b2d50021fbb1",
     "compare-erlang2-table": "831ba1865387c3396da68587ef72c2b982e8ecce417c6b030611f8a63dba17ca",

@@ -416,3 +416,66 @@ class TestJsonGrammar:
         )
         again = load_spec(dump_spec(spec))
         assert again == spec
+
+
+class TestOnGrid:
+    """``Dist._on_grid`` gives the per-point methods' values bit for bit."""
+
+    SPECS = VALID_SPECS + [
+        Mixture((0.3, 0.7), (Exponential(1.0), Uniform(0.5, 2.0))),
+        Mixture((0.5, 0.5), (Weibull(2.5, 0.8), Erlang(2, 1.0))),
+    ]
+    # straddles Uniform(0.5, 2)'s start and end and Pareto's start; 1e300
+    # overflows the raw Weibull, Pareto and MRL formulas
+    POINTS = (-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0, 40.0, 1e300)
+
+    @staticmethod
+    def _bits(values):
+        return [float(v).hex() for v in values]
+
+    def _check(self, d, point, closure, below, above, ts):
+        got = d._on_grid(ts, point, closure, below, above)
+        assert self._bits(got) == self._bits(map(point, ts))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family + repr(s)[:24])
+    def test_survival_density_and_closed_tail(self, spec):
+        d = build(spec)
+        for ts in (self.POINTS, list(self.POINTS[3:9]), (0.75,), ()):
+            self._check(d, d.survival, d._survival, 1.0, 0.0, ts)
+            if d.has_density:
+                self._check(d, d.density, d._density, 0.0, 0.0, ts)
+            if d._tail is not None:  # the MRL families' tails take no t < 0
+                self._check(d, d.tail, d._tail, None, 0.0, [t for t in ts if t >= 0.0])
+
+    @pytest.mark.parametrize(
+        "spec, method",
+        [(Weibull(2.5, 0.8), "survival"), (Weibull(2.5, 0.8), "density"),
+         (Pareto(2.5, 1.0), "density")],
+    )
+    def test_a_closure_that_overflows_falls_back_to_the_method(self, spec, method):
+        d = build(spec)
+        closure = getattr(d, "_" + method)
+        with pytest.raises(OverflowError):
+            closure(1e300)
+        ts = (0.5, 1.5, 3.0, 1e300)
+        self._check(d, getattr(d, method), closure, 1.0 if method == "survival" else 0.0, 0.0, ts)
+        assert d._on_grid(ts, getattr(d, method), closure, 0.0, 0.0)[-1] == 0.0
+
+    def test_uniform_edges(self):
+        d = build(Uniform(0.5, 2.0))
+        ts = (0.1, 0.5, 1.25, 2.0, 2.5)
+        assert d._on_grid(ts, d.survival, d._survival, 1.0, 0.0) == [1.0, 1.0, 0.5, 0.0, 0.0]
+        assert d._on_grid(ts, d.density, d._density, 0.0, 0.0) == [0.0, 2 / 3, 2 / 3, 0.0, 0.0]
+
+    def test_closure_runs_once_per_inside_point(self):
+        d = build(Uniform(0.5, 2.0))
+        calls = []
+        closure = d._survival
+        self._check(d, d.survival, lambda t: calls.append(t) or closure(t), 1.0, 0.0, self.POINTS)
+        assert calls == [0.5, 0.75, 1.0, 1.5]
+
+    def test_points_out_of_order_are_evaluated_one_by_one(self):
+        d = build(Pareto(2.5, 1.0))
+        ts = [3.0, 0.5, 1.5, 1.5, 1.0]
+        self._check(d, d.survival, d._survival, 1.0, 0.0, ts)
+        assert d._on_grid(ts, d.survival, d._survival, 1.0, 0.0)[1] == 1.0
