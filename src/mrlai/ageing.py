@@ -78,12 +78,24 @@ def _origin(d: Dist, conv: Convention) -> float:
     return d.support[0] if conv is Convention.SUPPORT_START else 0.0
 
 
+def _check_method(method):
+    """Refuse a ``method`` other than "auto" (closed forms where the family
+    has them) and "quadrature"; each public evaluation checks it once."""
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
+
+
 def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto") -> float:
     """Mean residual life mu(t) = int_t^inf survival / survival(t).
 
     Below the support start this is the true conditional mean, mean - t.
     Raises BeyondSupport where the survival function has reached zero.
     """
+    _check_method(method)
+    return _mrl(d, t, cfg, method)
+
+
+def _mrl(d, t, cfg, method):
     s0, s1 = d.support
     if t >= s1:
         raise BeyondSupport(f"{d.lineage}: mrl undefined at t={t!r} (past support end)")
@@ -118,7 +130,7 @@ def _mrl_point(d, t, conv, cfg, method):
             f"{d.lineage}: t={t!r} lies below the support start under the "
             "support-start convention"
         )
-    return mrl(d, t, cfg, method)
+    return _mrl(d, t, cfg, method)
 
 
 def mrl_average(
@@ -129,6 +141,7 @@ def mrl_average(
     method: str = "auto",
 ) -> float:
     """Running average (1/t) * int mu over [origin, t] for the convention."""
+    _check_method(method)
     origin = _origin(d, conv)
     if t <= origin:
         raise GridError(f"mrl_average needs t above the convention origin {origin!r}")
@@ -148,10 +161,10 @@ def _small_t(d, t, conv, method):
 
 def _small_t_average(d, t, cfg, method):
     # (mu(0) + mu(t))/2 = mu(0) + mu'(0) t/2 + O(t^2)
-    mu0 = mrl(d, 0.0, cfg, method)
+    mu0 = _mrl(d, 0.0, cfg, method)
     if not (math.isfinite(mu0) and mu0 > 0.0):
         raise OriginSingularity(f"{d.lineage}: MRL at the origin is {mu0!r}")
-    mut = mrl(d, t, cfg, method)
+    mut = _mrl(d, t, cfg, method)
     if abs(mut - mu0) > 0.5 * mu0:
         raise OriginSingularity(
             f"{d.lineage}: MRL jumps from {mu0!r} to {mut!r} across [0, {t!r}]"
@@ -170,6 +183,7 @@ def mrlai(
 
     Evaluated as a one-point ``profile``.
     """
+    _check_method(method)
     if t > _origin(d, conv) and not _small_t(d, t, conv, method):
         mu, g = _evaluate(d, (t,), conv, cfg, method)
         return mu[0] / (g[0] / t)
@@ -266,8 +280,8 @@ class MrlProfile:
     """Grid evaluation of mu, its running average, L, and optionally the
     hazard-based ageing intensity.  By construction L[j] = mu[j]/mu_avg[j].
 
-    The verdicts in ``classify`` and ``orders`` take a profile, or a
-    tuple of them, in place of the ``Dist`` (see ``_profile_for``).
+    The verdicts in ``classify`` and ``orders`` read its columns; they take
+    the ``Dist``, not a profile (see ``_profile_for``).
     """
 
     dist: Dist
@@ -303,6 +317,7 @@ def profile(
     the closed mu instead.  Scalar ``mrlai`` and ``mrl_average`` are
     one-point profiles.
     """
+    _check_method(method)
     ts = tuple(map(float, grid))
     if not ts:
         raise GridError("empty grid")
@@ -352,37 +367,21 @@ class _Profiles:
 
 
 def _profile_for(source, ts, conv, cfg=DEFAULT_CONFIG, method="auto") -> MrlProfile:
-    """The profile a verdict reads on the points ``ts`` under ``conv``.
-
-    ``source`` is a ``Dist``, whose profile is built here, a ``_Profiles``,
-    which builds it once, or an ``MrlProfile`` or a tuple of them, one of
-    which must be on exactly ``ts`` under ``conv``; ``cfg`` and ``method``
-    only apply to a build.  A given profile is never recomputed: a
-    mismatch raises ValueError.
-    """
-    if isinstance(source, Dist):
-        return profile(source, ts, conv, cfg, method)
-    ts = tuple(map(float, ts))
+    """The profile a verdict reads on the points ``ts`` under ``conv``:
+    built here from a ``Dist``, or asked of a ``_Profiles``, which builds it
+    once for all the verdicts that read it."""
     if isinstance(source, _Profiles):
-        return source.get(ts, conv, cfg, method)
-    profs = (source,) if isinstance(source, MrlProfile) else tuple(source)
-    for p in profs:
-        if p.convention is conv and p.grid == ts:
-            return p
-    given = ", ".join(f"{p.convention.value} on {len(p.grid)} points" for p in profs)
-    raise ValueError(
-        f"a verdict needs the {conv.value} profile on its {len(ts)} grid points; "
-        f"given {given or 'none'}"
-    )
+        return source.get(tuple(map(float, ts)), conv, cfg, method)
+    return profile(_source_dist(source), ts, conv, cfg, method)
 
 
 def _source_dist(source) -> Dist:
-    """The ``Dist`` behind a verdict's ``source`` (see ``_profile_for``)."""
+    """The ``Dist`` behind a verdict's ``source``: a ``Dist`` or its ``_Profiles``."""
+    if isinstance(source, _Profiles):
+        return source.dist
     if isinstance(source, Dist):
         return source
-    if isinstance(source, (_Profiles, MrlProfile)):
-        return source.dist
-    return source[0].dist
+    raise TypeError(f"a verdict takes a Dist or its _Profiles, not {type(source).__name__}")
 
 
 def _evaluate(d, ts, conv, cfg, method, need_mu=True):
@@ -437,7 +436,7 @@ def _sweep(d, ts, conv, cfg, method, need_mu):
         knots = _knots(d, lo, pts)
         top = knots[-1]
         if method != "quadrature" and (d.has_closed_mrl or d._tail is not None):
-            mu_closed = lambda u: mrl(d, u, cfg, method) if u < s1 else 0.0
+            mu_closed = lambda u: _mrl(d, u, cfg, method) if u < s1 else 0.0
             mu_on, seg = _integrate_knots(mu_closed, knots, cfg)
         else:
             if top < s1 and d.survival(top) <= 0.0:

@@ -8,10 +8,9 @@ as few as two.
 
 ``classify_mrl``, ``classify_mrla`` and ``classify_mrlai`` read an
 ``ageing.MrlProfile`` on ``grid.points()``: ZERO for ``classify_mrl``,
-``conv`` for the other two.  In place of the ``Dist`` each takes that
-profile, or a tuple of profiles of one distribution to pick from, and
-then ignores ``cfg`` and ``method``; a given profile is never
-recomputed, so a missing one raises ValueError.
+``conv`` for the other two.  Each takes a ``Dist``, whose profile it
+builds, or the ``ageing._Profiles`` of one, through which the CLI and the
+corpus share each profile among the verdicts that read it.
 """
 
 from __future__ import annotations
@@ -235,9 +234,9 @@ def classify_hazard_ai(
 ) -> MonotonicityVerdict:
     """Verdict on the hazard-based ageing intensity (needs a density).
 
-    ``d`` may also be a profile source (``ageing._profile_for``); only its
-    ``Dist`` is read.  Raises BeyondSupport, with the reason, where a grid
-    point has no hazard AI (``ageing._hazard_ai_on_grid``).
+    ``d`` may also be its ``ageing._Profiles``; only the ``Dist`` is read.
+    Raises BeyondSupport, with the reason, where a grid point has no
+    hazard AI (``ageing._hazard_ai_on_grid``).
     """
     ts = _verdict_points(grid)
     vals, why = _hazard_ai_on_grid(_source_dist(d), ts)

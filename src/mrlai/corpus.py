@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import fnmatch
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import orders
 from .ageing import (
     Convention,
     _Profiles,
+    _tails_on_grid,
     hazard,
     hazard_ai,
     mrl,
@@ -177,7 +178,7 @@ def _evaluate_check(
     if q == "density":
         return f"density[{check.target}]({t:g})", d.density(t)
     if q == "tail":
-        tails = orders._tails_on_grid(d, [t], conv, cfg, double=False)[0]
+        tails = _tails_on_grid(d, [t], conv, cfg, double=False)[0]
         return f"tail[{check.target}]({t:g})", tails[0]
     if q == "mean":
         return f"mean[{check.target}]", d.mean
@@ -188,8 +189,8 @@ def _evaluate_check(
             num = mrl_average(x, t, conv, cfg) * t
             den = mrl_average(y, t, conv, cfg) * t
         elif kind == "double_tail":
-            num = orders._tails_on_grid(x, [t], conv, cfg)[1][0]
-            den = orders._tails_on_grid(y, [t], conv, cfg)[1][0]
+            num = _tails_on_grid(x, [t], conv, cfg)[1][0]
+            den = _tails_on_grid(y, [t], conv, cfg)[1][0]
         else:
             raise ValueError(f"unknown ratio kind {kind!r}")
         return f"ratio[{check.params['x']}/{check.params['y']}]({t:g})", num / den
@@ -331,18 +332,7 @@ def report_to_dict(reports) -> dict:
                 "id": r.case_id,
                 "title": r.title,
                 "mismatches": r.mismatches,
-                "checks": [
-                    {
-                        "label": c.label,
-                        "computed": c.computed,
-                        "expected": c.expected,
-                        "delta": c.delta,
-                        "status": c.status,
-                        "provenance": c.provenance,
-                        "note": c.note,
-                    }
-                    for c in r.results
-                ],
+                "checks": [asdict(c) for c in r.results],
             }
             for r in reports
         ],

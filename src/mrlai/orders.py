@@ -9,14 +9,13 @@ shortcuts (monotone MRL, monotone MRL average, linear-MRL determinant)
 and the scale-transform preservation check.
 
 ``mrlai_order``, ``ratio_test``, ``mrl_order`` and
-``sufficient_conditions`` read ``ageing.MrlProfile`` columns.  Each side
-is a ``Dist``, whose profiles the check builds, or a profile or tuple of
-profiles of it, from which the check picks the one on its grid under the
-convention it needs: ``conv`` for L and mu_avg, ZERO for mu (FORMAL in
-``mrl_order`` under that convention when the distribution has a formal
-continuation), and for the shortcut the grid refined to 16 points
-(``_shortcut_grid``).  A missing profile raises ValueError; a given one
-is never recomputed.  The other checks take the profiles' ``Dist``.
+``sufficient_conditions`` read ``ageing.MrlProfile`` columns: under
+``conv`` for L and mu_avg, under ZERO for mu (FORMAL in ``mrl_order``
+under that convention when the distribution has a formal continuation),
+and for the shortcut on the grid refined to 16 points
+(``_shortcut_grid``).  Each side of every check is a ``Dist``, or the
+``ageing._Profiles`` of one, through which the CLI and the corpus share
+each profile among the checks that read it.
 
 ``icx_order`` and ``vrl_order`` read the tails and double tails of
 ``ageing._tails_on_grid``.

@@ -46,7 +46,7 @@ def test_criterion_1_erlang_intensity_both_paths():
     d = build(Erlang(2, 2.0))
     expected = {0.5: 0.885924163724462, 2.0: 0.855700709220817, 4.5: 0.875905814337691}
     for t, want in expected.items():
-        assert _rel(mrlai(d, t, method="closed"), want) < 1e-9
+        assert _rel(mrlai(d, t, method="auto"), want) < 1e-9
         assert _rel(mrlai(d, t, method="quadrature"), want) < 1e-9
     print("ACCEPTANCE 1 PASS: Erlang intensity values on closed and quadrature paths (1e-9)")
 

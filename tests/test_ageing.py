@@ -170,6 +170,59 @@ class TestMrlai:
             assert z == pytest.approx(s, rel=1e-12)
 
 
+class TestMethod:
+    d = build(Erlang(2, 1.0))
+    # the values each method gave before it was checked
+    PINNED = {
+        "auto": (1.6666666666666665, 1.8109302162163288, 0.9203373226324095,
+                 (0.9203373226324095, 0.8606003004696311), 1.999995000033333),
+        "quadrature": (1.6666666666666672, 1.8109302162163292, 0.9203373226324096,
+                       (0.9203373226324096, 0.8606003004696309), 1.9999950000499995),
+    }
+
+    @pytest.mark.parametrize("method", sorted(PINNED))
+    def test_valid_methods_give_the_pinned_values(self, method):
+        d = self.d
+        got = (
+            mrl(d, 0.5, method=method),
+            mrl_average(d, 0.5, method=method),
+            mrlai(d, 0.5, method=method),
+            profile(d, [0.5, 2.0], method=method).L,
+            mrl_average(d, 1e-5, method=method),  # the small-t expansion
+        )
+        assert got == self.PINNED[method]
+
+    def test_every_entry_point_refuses_an_unknown_method(self):
+        d = self.d
+        calls = (
+            lambda: mrl(d, 0.5, method="quad"),
+            lambda: mrl(d, 5.0, method="closed"),
+            lambda: mrl_average(d, 0.5, method="quad"),
+            lambda: mrl_average(d, 1e-5, method="quad"),
+            lambda: mrlai(d, 0.5, method="quad"),
+            lambda: mrlai(d, 1e-5, method="quad"),
+            lambda: profile(d, [0.5, 2.0], method="quad"),
+            lambda: profile(d, [0.5, 2.0], FORMAL, method=None),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="'auto' or 'quadrature'"):
+                call()
+
+    def test_checked_once_per_call_not_per_point(self, monkeypatch):
+        from mrlai import ageing
+
+        checked = []
+        real = ageing._check_method
+        monkeypatch.setattr(ageing, "_check_method", lambda m: checked.append(m) or real(m))
+        for method in ("auto", "quadrature"):
+            checked.clear()
+            profile(build(Pareto(2.5, 1.0)), _linspace(0.5, 6.0, 64), method=method)
+            assert checked == [method]
+            checked.clear()
+            mrlai(build(Weibull(1.5, 1.0)), 2.0, method=method)
+            assert checked == [method]
+
+
 class TestCoxInversion:
     def test_linear_closed_form(self):
         a, b = 1.0, 8.0

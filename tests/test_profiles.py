@@ -1,5 +1,5 @@
-"""Profile-taking verdicts: one MrlProfile per (distribution, convention)
-serves every classify verdict and profile-based order."""
+"""Shared profiles: one ``ageing._Profiles`` per distribution builds each
+MrlProfile once and serves every classify verdict and profile-based order."""
 
 import contextlib
 import csv
@@ -21,6 +21,7 @@ from mrlai.distributions import (
     Pareto,
     PieceLinear,
     Uniform,
+    Weibull,
     build,
 )
 from mrlai.errors import ToolkitError
@@ -33,6 +34,7 @@ from mrlai.orders import (
     sufficient_conditions,
     vrl_order,
 )
+from mrlai.quadrature import DEFAULT_CONFIG, QuadConfig
 
 ZERO, SUPPORT, FORMAL = Convention.ZERO, Convention.SUPPORT_START, Convention.FORMAL
 CONVENTIONS = (ZERO, SUPPORT, FORMAL)
@@ -65,40 +67,22 @@ def evaluations(monkeypatch):
     return calls
 
 
-def _profiles(d, grid, conv):
-    """(ZERO profile, conv profile) on the grid's points."""
-    ts = grid.points()
-    return profile(d, ts), profile(d, ts, conv)
+def _verdicts(X, Y, conv):
+    """Every order's verdict on the pair over GRID, or the error it raises."""
+    out = []
+    for order in ORDERS:
+        args = (GRID,) if order is lr_order else (GRID, conv)
+        try:
+            out.append(order(X, Y, *args))
+        except ToolkitError as exc:
+            out.append(type(exc))
+    return out
 
 
-def _same(dist_call, prof_call):
-    """Both calls give the same verdict, or both raise the same error."""
-    try:
-        want = dist_call()
-    except ToolkitError as exc:
-        with pytest.raises(type(exc)):
-            prof_call()
-        return
-    assert prof_call() == want
-
-
-@pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
-@pytest.mark.parametrize("name", sorted(CLOSED))
-def test_classify_verdicts_equal_from_a_profile(name, conv):
-    d = build(CLOSED[name])
-    try:
-        zero, prof = _profiles(d, GRID, conv)
-    except ToolkitError:
-        # the Dist forms raise too; nothing to share
-        with pytest.raises(ToolkitError):
-            classify_mrla(d, GRID, conv)
-        return
-    assert classify_mrl(zero, GRID) == classify_mrl(d, GRID)
-    assert classify_mrla(prof, GRID, conv) == classify_mrla(d, GRID, conv)
-    assert classify_mrlai(prof, GRID, conv) == classify_mrlai(d, GRID, conv)
-    for f in (classify_mrla, classify_mrlai):
-        assert f((zero, prof), GRID, conv) == f(d, GRID, conv)
-    assert classify_mrl((prof, zero), GRID) == classify_mrl(d, GRID)
+def _coincide(d, conv):
+    """The ``conv`` profile of ``d`` is its ZERO profile relabelled: support
+    from 0 and no formal continuation."""
+    return conv is ZERO or (d.support[0] == 0.0 and d.formal is None)
 
 
 @pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
@@ -114,6 +98,8 @@ def test_shared_profiles_equal_built_ones(name, conv, evaluations):
         for _ in range(2):  # a failed build is not kept
             with pytest.raises(type(exc)):
                 _profile_for(src, ts, conv)
+        with pytest.raises(type(exc)):
+            classify_mrla(src, GRID, conv)
         return
     evaluations.clear()
     got = _profile_for(src, ts, conv)
@@ -121,12 +107,13 @@ def test_shared_profiles_equal_built_ones(name, conv, evaluations):
     assert _profile_for(src, ts, conv) is got
     # built only where the conventions differ: a support start above 0 or a
     # formal continuation; else the ZERO profile is relabelled
-    coincide = conv is ZERO or (d.support[0] == 0.0 and d.formal is None)
-    assert len(evaluations) == (0 if coincide else 1)
+    built = 0 if _coincide(d, conv) else 1
+    assert len(evaluations) == built
     # the verdicts read the same profiles through the shared source
     assert classify_mrl(src, GRID) == classify_mrl(d, GRID)
+    assert classify_mrla(src, GRID, conv) == classify_mrla(d, GRID, conv)
     assert classify_mrlai(src, GRID, conv) == classify_mrlai(d, GRID, conv)
-    assert len(evaluations) == (0 if coincide else 1) + 2
+    assert len(evaluations) == built + 3
 
 
 PAIRS = [
@@ -137,68 +124,58 @@ PAIRS = [
     ("mrl_reciprocal_linear", "mrl_exponential"),
     ("uniform", "erlang2"),
 ]
+ORDERS = (mrlai_order, ratio_test, mrl_order, sufficient_conditions, lr_order, icx_order,
+          vrl_order)
 
 
 @pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
 @pytest.mark.parametrize("nx,ny", PAIRS)
-def test_orders_equal_from_profiles(nx, ny, conv):
+def test_orders_equal_from_shared_profiles(nx, ny, conv, evaluations):
     X, Y = build(CLOSED[nx]), build(CLOSED[ny])
-    try:
-        px, py = _profiles(X, GRID, conv), _profiles(Y, GRID, conv)
-    except ToolkitError:
-        with pytest.raises(ToolkitError):
-            mrlai_order(X, Y, GRID, conv)
-        return
-    for order in (mrlai_order, ratio_test, mrl_order, sufficient_conditions, lr_order):
-        args = (GRID,) if order is lr_order else (GRID, conv)
-        _same(lambda: order(X, Y, *args), lambda: order(px, py, *args))
-    for order in (icx_order, vrl_order):
-        _same(lambda: order(X, Y, GRID, conv), lambda: order(px, py, GRID, conv))
-    # a single profile is enough where the check reads one convention
-    assert mrlai_order(px[1], py[1], GRID, conv) == mrlai_order(X, Y, GRID, conv)
-
-
-def test_given_profiles_are_never_recomputed(evaluations):
-    X, Y = build(Erlang(3, 1.0)), build(Pareto(2.5, 1.0))
-    px, py = _profiles(X, GRID, FORMAL), _profiles(Y, GRID, FORMAL)
     evaluations.clear()
-    classify_mrl(px, GRID)
-    classify_mrla(px, GRID, FORMAL)
-    classify_mrlai(px, GRID, FORMAL)
-    for order in (mrlai_order, ratio_test, mrl_order, sufficient_conditions):
-        order(px, py, GRID, FORMAL)
-    assert evaluations == []
+    shared = _verdicts(_Profiles(X), _Profiles(Y), conv)
+    if not any(isinstance(v, type) for v in shared):
+        # each profile the checks read is built once: the ZERO one, and the
+        # ``conv`` one unless that is the ZERO one relabelled
+        assert len(evaluations) == sum(1 if _coincide(d, conv) else 2 for d in (X, Y))
+    assert shared == _verdicts(X, Y, conv)
 
 
-class TestMismatch:
+@pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
+def test_shared_profiles_follow_method_and_cfg(conv):
+    # Weibull's profile depends on the QuadConfig, Pareto's on the method:
+    # a source that has built the default ones must not serve them for these
+    X, Y = build(Weibull(1.5, 1.0)), build(Pareto(2.5, 1.0))
+    sx, sy = _Profiles(X), _Profiles(Y)
+    ts = GRID.points()
+    for d, src in ((X, sx), (Y, sy)):
+        assert _profile_for(src, ts, conv) == profile(d, ts, conv)
+    tight = QuadConfig(abs_tol=1e-12, rel_tol=1e-11)
+    for cfg, method in ((tight, "auto"), (DEFAULT_CONFIG, "quadrature"), (tight, "quadrature")):
+        for d, src in ((X, sx), (Y, sy)):
+            assert _profile_for(src, ts, conv, cfg, method) == profile(d, ts, conv, cfg, method)
+            assert classify_mrl(src, GRID, cfg=cfg, method=method) == classify_mrl(
+                d, GRID, cfg=cfg, method=method
+            )
+            for f in (classify_mrla, classify_mrlai):
+                assert f(src, GRID, conv, cfg=cfg, method=method) == f(
+                    d, GRID, conv, cfg=cfg, method=method
+                )
+    assert _profile_for(sx, ts, conv, tight) != _profile_for(sx, ts, conv)
+    assert _profile_for(sy, ts, conv, method="quadrature") != _profile_for(sy, ts, conv)
+    for order in ORDERS:
+        if order is not lr_order:
+            assert order(sx, sy, GRID, conv, cfg=tight) == order(X, Y, GRID, conv, cfg=tight)
+
+
+def test_a_profile_is_not_a_source():
     d = build(Erlang(2, 1.5))
-
-    def test_profile_on_another_grid(self):
-        other = profile(self.d, Grid(1.2, 6.5, 25).points())
-        with pytest.raises(ValueError, match="zero profile on its 24 grid points"):
-            classify_mrl(other, GRID)
-        with pytest.raises(ValueError):
-            mrlai_order(other, other, GRID)
-
-    def test_profile_under_another_convention(self):
-        zero, formal = _profiles(self.d, GRID, FORMAL)
-        with pytest.raises(ValueError, match="formal profile"):
-            classify_mrla(zero, GRID, FORMAL)
-        with pytest.raises(ValueError, match="zero profile"):
-            classify_mrl(formal, GRID)
-        with pytest.raises(ValueError, match="support profile"):
-            ratio_test((zero, formal), (zero, formal), GRID, SUPPORT)
-
-    def test_shortcut_needs_both_conventions(self):
-        zero, formal = _profiles(self.d, GRID, FORMAL)
-        with pytest.raises(ValueError, match="formal profile"):
-            # the MRL verdicts pass on ZERO alone; the averages need FORMAL
-            sufficient_conditions(zero, zero, GRID, FORMAL)
-
-    def test_mismatch_is_a_value_error_not_a_toolkit_error(self):
-        with pytest.raises(ValueError) as info:
-            classify_mrlai(profile(self.d, GRID.points()), GRID, FORMAL)
-        assert not isinstance(info.value, ToolkitError)
+    prof = profile(d, GRID.points())
+    for source in (prof, (prof,)):
+        with pytest.raises(TypeError, match="a Dist or its _Profiles"):
+            classify_mrl(source, GRID)
+        with pytest.raises(TypeError, match="a Dist or its _Profiles"):
+            mrlai_order(d, source, GRID)
 
 
 ERLANG3 = '{"family":"erlang","k":3,"rate":1}'
