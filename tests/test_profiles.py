@@ -9,7 +9,13 @@ import pytest
 
 from mrlai import ageing, cli
 from mrlai.ageing import Convention, _Profiles, _profile_for, profile
-from mrlai.classify import Grid, classify_mrl, classify_mrla, classify_mrlai
+from mrlai.classify import (
+    Grid,
+    classify_hazard_ai,
+    classify_mrl,
+    classify_mrla,
+    classify_mrlai,
+)
 from mrlai.cli import _fmt
 from mrlai.distributions import (
     Erlang,
@@ -116,6 +122,38 @@ def test_shared_profiles_equal_built_ones(name, conv, evaluations):
     assert len(evaluations) == built + 3
 
 
+@pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_classify_verdicts_equal_from_a_profile(name, conv):
+    # a fresh source, read by the verdicts alone and in the reverse of the
+    # order above: the conv profile is asked for before the ZERO one
+    d = build(CLOSED[name])
+    src = _Profiles(d)
+    try:
+        profile(d, GRID.points(), conv)
+    except ToolkitError as exc:
+        with pytest.raises(type(exc)):
+            classify_mrlai(src, GRID, conv)
+        with pytest.raises(type(exc)):
+            classify_mrla(d, GRID, conv)
+        return
+    verdicts = (
+        (classify_mrlai, (GRID, conv)),
+        (classify_mrla, (GRID, conv)),
+        (classify_mrl, (GRID,)),
+    )
+    for _ in range(2):
+        for f, args in verdicts:
+            assert f(src, *args) == f(d, *args)
+    try:
+        want = classify_hazard_ai(d, GRID)
+    except ToolkitError as exc:
+        with pytest.raises(type(exc)):
+            classify_hazard_ai(src, GRID)
+    else:
+        assert classify_hazard_ai(src, GRID) == want
+
+
 PAIRS = [
     ("exponential", "pareto"),
     ("erlang2", "mrl_linear"),
@@ -130,7 +168,7 @@ ORDERS = (mrlai_order, ratio_test, mrl_order, sufficient_conditions, lr_order, i
 
 @pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
 @pytest.mark.parametrize("nx,ny", PAIRS)
-def test_orders_equal_from_shared_profiles(nx, ny, conv, evaluations):
+def test_orders_equal_from_profiles(nx, ny, conv, evaluations):
     X, Y = build(CLOSED[nx]), build(CLOSED[ny])
     evaluations.clear()
     shared = _verdicts(_Profiles(X), _Profiles(Y), conv)
@@ -166,6 +204,22 @@ def test_shared_profiles_follow_method_and_cfg(conv):
     for order in ORDERS:
         if order is not lr_order:
             assert order(sx, sy, GRID, conv, cfg=tight) == order(X, Y, GRID, conv, cfg=tight)
+
+
+def test_given_profiles_are_never_recomputed(evaluations):
+    X, Y = build(Erlang(3, 1.0)), build(Pareto(2.5, 1.0))
+    sx, sy = _Profiles(X), _Profiles(Y)
+    ts = GRID.points()
+    for src in (sx, sy):
+        for conv in (ZERO, FORMAL):
+            _profile_for(src, ts, conv)
+    evaluations.clear()
+    classify_mrl(sx, GRID)
+    classify_mrla(sx, GRID, FORMAL)
+    classify_mrlai(sx, GRID, FORMAL)
+    for order in (mrlai_order, ratio_test, mrl_order, sufficient_conditions):
+        order(sx, sy, GRID, FORMAL)
+    assert evaluations == []
 
 
 def test_a_profile_is_not_a_source():
