@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 from operator import le, truediv
 
@@ -52,6 +53,7 @@ from .quadrature import DEFAULT_CONFIG, QuadConfig, cheb_sweep, integrate_finite
 
 __all__ = [
     "Convention",
+    "Grid",
     "MrlProfile",
     "mrl",
     "mrl_average",
@@ -245,7 +247,7 @@ def _hazard_ai_on_grid(d: Dist, ts, survival=None):
     caller that has S at ``ts`` passes it as ``survival``.  A point t <= 0
     raises GridError.
     """
-    if min(ts) <= 0.0:
+    if ts[0] <= 0.0:
         raise GridError("hazard_ai needs t > 0")
     if survival is None:
         survival = d._on_grid(ts, d.survival, d._survival, 1.0, 0.0)
@@ -276,6 +278,57 @@ def mrlai_closed_form(spec, t: float):
 
 
 @dataclass(frozen=True)
+class Grid:
+    """Evaluation grid on [t_min, t_max], linear or logarithmic spacing."""
+
+    t_min: float
+    t_max: float
+    n_points: int = 512
+    spacing: str = "linear"
+
+    def __post_init__(self):
+        if not (self.t_min < self.t_max):
+            raise GridError("t_min must be below t_max")
+        if self.n_points < 2:
+            raise GridError("n_points must be at least 2")
+        if self.spacing not in ("linear", "log"):
+            raise GridError("spacing must be 'linear' or 'log'")
+        if self.spacing == "log" and self.t_min <= 0:
+            raise GridError("log spacing needs t_min > 0")
+
+    def points(self):
+        return list(self._points)
+
+    @cached_property
+    def _points(self):
+        # worked out and read on the first call; the grid is frozen
+        n, lo, hi = self.n_points, self.t_min, self.t_max
+        if self.spacing == "log":
+            la, lb = math.log(lo), math.log(hi)
+            return _grid_points([math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)])
+        return _grid_points([lo + (hi - lo) * i / (n - 1) for i in range(n)])
+
+
+class _Points(tuple):
+    """Strictly increasing floats that ``_grid_points`` has read."""
+
+
+def _grid_points(grid) -> tuple:
+    """A grid argument, a ``Grid`` or a sequence of numbers, read into
+    strictly increasing floats (``_Points``, returned as they are when read
+    again); an empty or not strictly increasing grid raises GridError."""
+    ts = grid._points if isinstance(grid, Grid) else grid
+    if type(ts) is _Points:
+        return ts
+    ts = tuple(map(float, ts))
+    if not ts:
+        raise GridError("empty grid")
+    if any(map(le, ts[1:], ts)):
+        raise GridError("grid must be strictly increasing")
+    return _Points(ts)
+
+
+@dataclass(frozen=True)
 class MrlProfile:
     """Grid evaluation of mu, its running average, L, and optionally the
     hazard-based ageing intensity.  By construction L[j] = mu[j]/mu_avg[j].
@@ -284,7 +337,6 @@ class MrlProfile:
     the ``Dist``, not a profile (see ``_profile_for``).
     """
 
-    dist: Dist
     grid: tuple
     mu: tuple
     mu_avg: tuple
@@ -301,7 +353,7 @@ def profile(
     method: str = "auto",
     with_hazard_ai: bool = False,
 ) -> MrlProfile:
-    """Evaluate the ageing quantities along a strictly increasing grid.
+    """Evaluate the ageing quantities along a grid (``_grid_points``).
 
     Closed forms are used where the method allows.  Otherwise one sweep
     from the top of the grid down to the convention origin produces mu and
@@ -318,11 +370,7 @@ def profile(
     one-point profiles.
     """
     _check_method(method)
-    ts = tuple(map(float, grid))
-    if not ts:
-        raise GridError("empty grid")
-    if any(map(le, ts[1:], ts)):
-        raise GridError("grid must be strictly increasing")
+    ts = _grid_points(grid)
     origin = _origin(d, conv)
     if ts[0] <= origin:
         raise GridError(f"grid must start above the convention origin {origin!r}")
@@ -335,7 +383,7 @@ def profile(
     ai = None
     if with_hazard_ai and d.has_density:
         ai = tuple(_hazard_ai_on_grid(d, ts)[0])
-    return MrlProfile(d, ts, mu_vals, mu_avg, L, ai, conv)
+    return MrlProfile(ts, mu_vals, mu_avg, L, ai, conv)
 
 
 class _Profiles:
@@ -366,13 +414,13 @@ class _Profiles:
         return p
 
 
-def _profile_for(source, ts, conv, cfg=DEFAULT_CONFIG, method="auto") -> MrlProfile:
-    """The profile a verdict reads on the points ``ts`` under ``conv``:
-    built here from a ``Dist``, or asked of a ``_Profiles``, which builds it
-    once for all the verdicts that read it."""
+def _profile_for(source, grid, conv, cfg=DEFAULT_CONFIG, method="auto") -> MrlProfile:
+    """The profile a verdict reads on ``grid`` under ``conv``: built here
+    from a ``Dist``, or asked of a ``_Profiles``, which builds it once for
+    all the verdicts that read it."""
     if isinstance(source, _Profiles):
-        return source.get(tuple(map(float, ts)), conv, cfg, method)
-    return profile(_source_dist(source), ts, conv, cfg, method)
+        return source.get(_grid_points(grid), conv, cfg, method)
+    return profile(_source_dist(source), grid, conv, cfg, method)
 
 
 def _source_dist(source) -> Dist:
@@ -506,8 +554,8 @@ def _chained_tail(d, tail_top, over_survival=False):
 
 
 def _tails_on_grid(d, ts, conv, cfg, double=True):
-    """T(t) = int_t^inf S at each of ``ts`` and, with ``double``, the double
-    tail D(t) = int_t^inf T; D is None without it.
+    """T(t) = int_t^inf S at each of the increasing points ``ts`` and, with
+    ``double``, the double tail D(t) = int_t^inf T; D is None without it.
 
     Under the formal convention T is the formal continuation's tail.  A
     closed T, and a closed double tail (``_closed_double_tail``), are
@@ -525,10 +573,10 @@ def _tails_on_grid(d, ts, conv, cfg, double=True):
     if closed and not double:
         return _closed_tails(d, ts, formal), None
     s1 = d.support[1]
-    if closed and ts and _closed_double_tail(d, ts[0], formal) is not None:
+    if closed and _closed_double_tail(d, ts[0], formal) is not None:
         dd = [_closed_double_tail(d, t, formal) if t < s1 else 0.0 for t in ts]
         return _closed_tails(d, ts, formal), dd
-    pts = sorted({t for t in ts if t < s1})
+    pts = [t for t in ts if t < s1]
     t_at, d_at = {}, {}
     if pts:
         knots = _knots(d, pts[0], pts)

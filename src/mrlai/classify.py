@@ -2,12 +2,14 @@
 
 A verdict is grid-relative: NonMonotone comes with an explicit witness
 triple and is therefore a certificate, while Increasing/Decreasing/
-Constant are evidence on the scanned grid, not proofs.  A verdict needs
-at least ``MIN_VERDICT_POINTS`` grid points; a ``Grid`` itself may have
-as few as two.
+Constant are evidence on the scanned grid, not proofs.  A grid, a
+``Grid`` or a sequence of numbers, is read once into strictly increasing
+points (``ageing._grid_points``); any other raises GridError.  A verdict
+needs at least ``MIN_VERDICT_POINTS`` of them; a ``Grid`` itself may
+have as few as two.
 
 ``classify_mrl``, ``classify_mrla`` and ``classify_mrlai`` read an
-``ageing.MrlProfile`` on ``grid.points()``: ZERO for ``classify_mrl``,
+``ageing.MrlProfile`` on those points: ZERO for ``classify_mrl``,
 ``conv`` for the other two.  Each takes a ``Dist``, whose profile it
 builds, or the ``ageing._Profiles`` of one, through which the CLI and the
 corpus share each profile among the verdicts that read it.
@@ -18,10 +20,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import sub
 
-from .ageing import Convention, _hazard_ai_on_grid, _profile_for, _source_dist
+from .ageing import Convention, Grid, _grid_points, _hazard_ai_on_grid, _profile_for, _source_dist
 from .errors import BeyondSupport, GridError
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
@@ -45,38 +46,6 @@ class Kind(enum.Enum):
     DECREASING = "decreasing"
     CONSTANT = "constant"
     NON_MONOTONE = "non_monotone"
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Evaluation grid on (t_min, t_max], linear or logarithmic spacing."""
-
-    t_min: float
-    t_max: float
-    n_points: int = 512
-    spacing: str = "linear"
-
-    def __post_init__(self):
-        if not (self.t_min < self.t_max):
-            raise GridError("t_min must be below t_max")
-        if self.n_points < 2:
-            raise GridError("n_points must be at least 2")
-        if self.spacing not in ("linear", "log"):
-            raise GridError("spacing must be 'linear' or 'log'")
-        if self.spacing == "log" and self.t_min <= 0:
-            raise GridError("log spacing needs t_min > 0")
-
-    def points(self):
-        return list(self._points)
-
-    @cached_property
-    def _points(self):
-        # worked out on the first call; the grid is frozen
-        n, lo, hi = self.n_points, self.t_min, self.t_max
-        if self.spacing == "log":
-            la, lb = math.log(lo), math.log(hi)
-            return tuple([math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)])
-        return tuple([lo + (hi - lo) * i / (n - 1) for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -182,18 +151,19 @@ def _best_witness(ts, vals):
     return witness, best_margin
 
 
-def _verdict_points(grid: Grid):
-    if grid.n_points < MIN_VERDICT_POINTS:
+def _verdict_points(grid) -> tuple:
+    ts = _grid_points(grid)
+    if len(ts) < MIN_VERDICT_POINTS:
         raise GridError(
             f"ageing-class verdicts need at least {MIN_VERDICT_POINTS} grid points, "
-            f"got {grid.n_points}"
+            f"got {len(ts)}"
         )
-    return grid.points()
+    return ts
 
 
 def classify_mrl(
     d,
-    grid: Grid,
+    grid,
     tol: float = DEFAULT_TOL,
     cfg: QuadConfig = DEFAULT_CONFIG,
     method: str = "auto",
@@ -205,7 +175,7 @@ def classify_mrl(
 
 def classify_mrla(
     d,
-    grid: Grid,
+    grid,
     conv: Convention = Convention.ZERO,
     tol: float = DEFAULT_TOL,
     cfg: QuadConfig = DEFAULT_CONFIG,
@@ -218,7 +188,7 @@ def classify_mrla(
 
 def classify_mrlai(
     d,
-    grid: Grid,
+    grid,
     conv: Convention = Convention.ZERO,
     tol: float = DEFAULT_TOL,
     cfg: QuadConfig = DEFAULT_CONFIG,
@@ -229,9 +199,7 @@ def classify_mrlai(
     return scan_monotonicity(prof.grid, prof.L, tol)
 
 
-def classify_hazard_ai(
-    d, grid: Grid, tol: float = DEFAULT_TOL
-) -> MonotonicityVerdict:
+def classify_hazard_ai(d, grid, tol: float = DEFAULT_TOL) -> MonotonicityVerdict:
     """Verdict on the hazard-based ageing intensity (needs a density).
 
     ``d`` may also be its ``ageing._Profiles``; only the ``Dist`` is read.

@@ -5,15 +5,15 @@ prints ageing-class verdicts, ``compare`` runs stochastic-order checks on a
 pair of spec files, ``reproduce`` replays the worked-example corpus, and
 ``plotdata`` emits plot-ready CSV.
 
-Grids are written ``min:max:step`` or ``min:max/n`` with an optional
-``:log`` suffix on the second form; ``classify`` needs as many points
-as an ageing-class verdict does (``classify.MIN_VERDICT_POINTS``).  All
-numbers print with 12 significant digits.  Every output format renders
+Grids are written ``min:max:step`` or ``min:max/n[:log]`` (log spacing) and
+read as any grid is (``ageing._grid_points``); ``classify`` needs as many
+points as an ageing-class verdict does (``classify.MIN_VERDICT_POINTS``).
+All numbers print with 12 significant digits.  Every output format renders
 each cell as the same string (``_fmt``), so values round-trip bit-equal
-between table, CSV and JSON.  A table is handed over as columns: CSV
-prints a float column through ``%.12g`` directly and every row through
-one ``%`` format, and quotes a cell holding a comma, a double quote or a
-line break as ``csv.writer`` does (a float never needs it).
+between table, CSV and JSON.  A table is handed over as columns: CSV prints
+a float column through ``%.12g`` directly and every row through one ``%``
+format, and quotes a cell holding a comma, a double quote or a line break as
+``csv.writer`` does (a float never needs it).
 
 Exit codes: 0 success (a failing order verdict is still a successful run),
 1 the corpus replay found mismatches, 2 usage or spec error.

@@ -215,8 +215,7 @@ def _evaluate_check(
             return f"order_linear_mrl{tuple(check.params['coeffs'])}", verdict.relation.value
         x, y = sources[check.params["x"]], sources[check.params["y"]]
         label = f"order_{name}[{check.params['x']}<={check.params['y']}]"
-        grid = Grid(*check.params["grid"]).points()
-        verdict = orders.BY_NAME[name](x, y, grid, conv, cfg)
+        verdict = orders.BY_NAME[name](x, y, Grid(*check.params["grid"]), conv, cfg)
         return label, verdict.relation.value
     raise ValueError(f"unknown check quantity {check.quantity!r}")
 

@@ -1143,11 +1143,8 @@ class Dist:
         ``_tail``), is mapped over the points in [start, end); the points
         below and above take the constants ``below`` and ``above``, or
         ``point``'s values where those are None.  Where the closure is None
-        or raises OverflowError, ``point`` gives the inside values too.  A
-        grid that is not in increasing order is evaluated point by point.
+        or raises OverflowError, ``point`` gives the inside values too.
         """
-        if sorted(ts) != list(ts):
-            return list(map(point, ts))
         s0, s1 = self.support
         i, j = bisect.bisect_left(ts, s0), bisect.bisect_left(ts, s1)
         inside = ts[i:j]

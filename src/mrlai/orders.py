@@ -12,14 +12,15 @@ and the scale-transform preservation check.
 ``sufficient_conditions`` read ``ageing.MrlProfile`` columns: under
 ``conv`` for L and mu_avg, under ZERO for mu (FORMAL in ``mrl_order``
 under that convention when the distribution has a formal continuation),
-and for the shortcut on the grid refined to 16 points
-(``_shortcut_grid``).  Each side of every check is a ``Dist``, or the
-``ageing._Profiles`` of one, through which the CLI and the corpus share
-each profile among the checks that read it.
+and for the shortcut on at least 16 points.  Each side of every check is
+a ``Dist``, or the ``ageing._Profiles`` of one, through which the CLI and
+the corpus share each profile among the checks that read it.
 
 ``icx_order`` and ``vrl_order`` read the tails and double tails of
 ``ageing._tails_on_grid``.
 
+A grid, a ``Grid`` or a sequence of numbers, is read once into strictly
+increasing points (``ageing._grid_points``); any other raises GridError.
 A Holds verdict is grid evidence, not a proof; the verdict records the
 grid and which rule decided it so a consumer can demand refinement.
 """
@@ -27,10 +28,10 @@ grid and which rule decided it so a consumer can demand refinement.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul, sub, truediv
 
-from .ageing import Convention, _profile_for, _source_dist, _tails_on_grid, profile
+from .ageing import Convention, _grid_points, _profile_for, _source_dist, _tails_on_grid, profile
 from .classify import Grid, Kind, classify_mrl, classify_mrla, scan_monotonicity
 from .distributions import Dist
 from .errors import UnsupportedCapability
@@ -125,10 +126,6 @@ def _ratio_nonincreasing(ts, ratios, tol, decided_by) -> OrderVerdict:
         witness=Witness(ts[worst + 1], ratios[worst + 1], ratios[worst]),
         grid=tuple(ts),
     )
-
-
-def _grid_points(grid):
-    return grid.points() if isinstance(grid, Grid) else [float(t) for t in grid]
 
 
 def mrlai_order(
@@ -283,19 +280,20 @@ def sufficient_conditions(
 
     X decreasing in MRL with Y increasing settles the order outright; so
     does X decreasing in MRL average with Y increasing.  Hypotheses are
-    verified on the grid refined to at least 16 points
-    (``_shortcut_grid``), from the ZERO profiles for the MRL and the
-    ``conv`` profiles for its average, and the stricter pair is preferred
-    when both apply.
+    verified on the grid's points, or on 16 evenly spaced between its ends
+    where it has fewer (a grid too coarse is refined, not refused), from
+    the ZERO profiles for the MRL and the ``conv`` profiles for its
+    average, and the stricter pair is preferred when both apply.
     """
-    g = _shortcut_grid(grid)
+    ts = _grid_points(grid)
+    g = ts if len(ts) >= 16 else _grid_points(Grid(ts[0], ts[-1], 16))
     vx = classify_mrl(X, g, cfg=cfg)
     vy = classify_mrl(Y, g, cfg=cfg)
     if vx.kind is Kind.DECREASING and vy.kind is Kind.INCREASING:
         return OrderVerdict(
             Relation.HOLDS,
             "thm_4_3",
-            grid=tuple(g.points()),
+            grid=g,
             note="X decreasing in MRL, Y increasing in MRL",
         )
     ax = classify_mrla(X, g, conv, cfg=cfg)
@@ -304,20 +302,10 @@ def sufficient_conditions(
         return OrderVerdict(
             Relation.HOLDS,
             "thm_4_2",
-            grid=tuple(g.points()),
+            grid=g,
             note="X decreasing in MRL average, Y increasing in MRL average",
         )
     return None
-
-
-def _shortcut_grid(grid) -> Grid:
-    """The grid ``sufficient_conditions`` scans: ``grid`` (a list of points
-    becomes the linear grid between its ends) with at least the points an
-    MRL verdict needs, because a grid too coarse is refined, not refused."""
-    if not isinstance(grid, Grid):
-        ts = _grid_points(grid)
-        grid = Grid(ts[0], ts[-1], len(ts))
-    return grid if grid.n_points >= 16 else replace(grid, n_points=16)
 
 
 # order name -> check, as the corpus and the CLI spell it; every entry is
@@ -381,8 +369,8 @@ def check_scale_preservation(
     """
     from .ops import scale
 
-    base = mrlai_order(X, Y, grid, conv, tol, cfg)
     ts = _grid_points(grid)
+    base = mrlai_order(X, Y, ts, conv, tol, cfg)
     scaled_ts = [factor * t for t in ts]
     # the scaled verdict and the margin come from the same two profiles
     lx = profile(scale(X, factor), scaled_ts, conv, cfg).L

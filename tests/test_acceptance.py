@@ -186,7 +186,7 @@ def test_criterion_8_order_theory():
 
     # example 4.2: variance-residual-life order fails, ratio values reproduce
     X, Y = build(Exponential(2.0)), build(Pareto(3.0, 1.0))
-    from mrlai.orders import _tails_on_grid
+    from mrlai.ageing import _tails_on_grid
 
     for t, want in [(0.2, 0.067032), (0.6, 0.09035826), (1.0, 0.06766764)]:
         dx = _tails_on_grid(X, [t], FORMAL, QuadConfig())[1][0]

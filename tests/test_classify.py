@@ -59,10 +59,13 @@ class TestGrid:
     "classify", [classify_mrl, classify_mrla, classify_mrlai, classify_hazard_ai]
 )
 def test_verdicts_need_sixteen_points(classify):
+    # a Grid and its points alike
     d = build(Exponential(1.0))
-    with pytest.raises(GridError, match="at least 16 grid points, got 8"):
-        classify(d, Grid(0.1, 2.0, 8))
-    assert classify(d, Grid(0.1, 2.0, 16)).kind is Kind.CONSTANT
+    for grid in (Grid(0.1, 2.0, 8), Grid(0.1, 2.0, 8).points()):
+        with pytest.raises(GridError, match="at least 16 grid points, got 8"):
+            classify(d, grid)
+    for grid in (Grid(0.1, 2.0, 16), Grid(0.1, 2.0, 16).points()):
+        assert classify(d, grid).kind is Kind.CONSTANT
 
 
 class TestScan:

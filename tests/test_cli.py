@@ -226,12 +226,19 @@ class TestCompare:
         assert "[0.0, 1.0]" not in err  # the substituted variable's interval
 
 
+# sha256 of the full text report and of the dumped corpus; every byte of
+# both must stay the same (the JSON report is tests/data/reproduce.json)
+REPORT_DIGEST = "d2ff21f71fe1976c84b8a5a97d578dec77ba0aa4ea4f5893c9a8a1419d501b1e"
+DUMP_DIGEST = "6a620bcd5f79b462d595d38fdadea7f9e36d4a83ae85cbf196e9faa7e3b020f5"
+
+
 class TestReproduce:
     def test_full_run_exits_zero(self, capsys):
         code, out, _ = run(["reproduce"], capsys)
         assert code == 0
         assert "0 mismatches" in out
         assert "disputed-as-expected" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGEST
 
     def test_filter_counts(self, capsys):
         code, out, _ = run(["reproduce", "--filter", "ex3.*"], capsys)
@@ -262,6 +269,7 @@ class TestReproduce:
         doc = json.loads(path.read_text())
         assert doc["version"] == 1
         assert {c["id"] for c in doc["cases"]} >= {"ex2.2", "ex3.3", "thm2.8"}
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_DIGEST
 
 
 class TestPlotdata:

@@ -473,9 +473,3 @@ class TestOnGrid:
         closure = d._survival
         self._check(d, d.survival, lambda t: calls.append(t) or closure(t), 1.0, 0.0, self.POINTS)
         assert calls == [0.5, 0.75, 1.0, 1.5]
-
-    def test_points_out_of_order_are_evaluated_one_by_one(self):
-        d = build(Pareto(2.5, 1.0))
-        ts = [3.0, 0.5, 1.5, 1.5, 1.0]
-        self._check(d, d.survival, d._survival, 1.0, 0.0, ts)
-        assert d._on_grid(ts, d.survival, d._survival, 1.0, 0.0)[1] == 1.0

@@ -20,7 +20,7 @@ from mrlai.distributions import (
     Weibull,
     build,
 )
-from mrlai.errors import UnsupportedCapability
+from mrlai.errors import GridError, UnsupportedCapability
 from mrlai.ops import parallel
 from mrlai.orders import (
     Relation,
@@ -42,6 +42,15 @@ FORMAL = Convention.FORMAL
 
 def ts(lo, hi, n=64):
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def scale_preservation(X, Y, grid):
+    return check_scale_preservation(X, Y, 2.0, grid)
+
+
+# every check that takes a grid: those that read profiles, then the rest
+PROFILE_ORDERS = (mrlai_order, ratio_test, mrl_order, sufficient_conditions, scale_preservation)
+GRID_ORDERS = PROFILE_ORDERS + (lr_order, icx_order, vrl_order)
 
 
 class TestMrlaiOrder:
@@ -334,7 +343,7 @@ class TestScalePreservation:
 
 
 def _double_tails(d, grid, conv=ZERO):
-    from mrlai.orders import _tails_on_grid
+    from mrlai.ageing import _tails_on_grid
     from mrlai.quadrature import DEFAULT_CONFIG
 
     return _tails_on_grid(d, grid, conv, DEFAULT_CONFIG)[1]
@@ -407,16 +416,19 @@ class TestDoubleTail:
         ids=["weibull", "uniform", "pareto", "exponential"],
     )
     def test_any_grid_order_gives_the_sorted_values(self, spec):
+        # the tails take increasing points; the checks refuse any other order
         d = build(spec)
         s0, s1 = d.support
         base = sorted({0.25, 0.5 * s0, s0, s0 + 0.3, s0 + 1.1, min(s0 + 1.9, 0.5 * (s0 + s1))})
-        want = dict(zip(base, _double_tails(d, base)))
+        past = [s1, s1 + 1.0] if math.isfinite(s1) else []
+        got = _double_tails(d, base + past)
+        assert got[: len(base)] == _double_tails(d, base)
+        assert got[len(base):] == [0.0] * len(past)
         messy = list(base) * 2
         random.Random(7).shuffle(messy)
-        past = [s1, s1 + 1.0] if math.isfinite(s1) else []
-        got = _double_tails(d, messy + past)
-        assert got[: len(messy)] == [want[t] for t in messy]
-        assert got[len(messy):] == [0.0] * len(past)
+        for order in (icx_order, vrl_order):
+            with pytest.raises(GridError, match="strictly increasing"):
+                order(d, d, messy)
 
     def test_one_point_grid_gives_the_corpus_value(self):
         from mrlai.corpus import run_case
@@ -437,7 +449,7 @@ class TestDoubleTail:
         from scipy.special import gamma as gamma_fn
         from scipy.special import gammaincc
 
-        from mrlai.orders import _tails_on_grid
+        from mrlai.ageing import _tails_on_grid
         from mrlai.quadrature import DEFAULT_CONFIG
 
         grid = ts(0.05, 5.0, 64)
@@ -448,7 +460,7 @@ class TestDoubleTail:
             assert v == pytest.approx(want, rel=1e-9, abs=0.0), t
 
     def test_closed_tails_for_icx_are_sampled_exactly(self):
-        from mrlai.orders import _tails_on_grid
+        from mrlai.ageing import _tails_on_grid
         from mrlai.quadrature import DEFAULT_CONFIG
 
         grid = ts(0.1, 30.0, 100)
@@ -617,10 +629,21 @@ class TestMrlOrderFromProfiles:
         assert zero.witness.lhs == pytest.approx(2.5 / 1.5 - 0.2, rel=1e-15)
         assert mrl_order(X, Y, grid, FORMAL).relation is Relation.HOLDS
 
-    @pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0], [-1.0, 1.0], [1.0, 2.0, 2.0], [2.0, 1.0]])
-    def test_bad_grids_raise_grid_error(self, grid):
-        from mrlai.errors import GridError
-
+    @pytest.mark.parametrize(
+        "order,grid",
+        # every grid check refuses an empty, duplicate or reversed grid; the
+        # profile-based ones also one that does not start above the origin
+        [
+            pytest.param(order, grid, id=f"{order.__name__}-{name}")
+            for order in GRID_ORDERS
+            for name, grid in (
+                ("empty", []), ("duplicate", [1.0, 2.0, 2.0]), ("reversed", [2.0, 1.0]),
+                ("at-origin", [0.0, 1.0, 2.0]), ("below-origin", [-1.0, 1.0]),
+            )
+            if order in PROFILE_ORDERS or "origin" not in name
+        ],
+    )
+    def test_bad_grids_raise_grid_error(self, order, grid):
         X, Y = build(Exponential(1.0)), build(Erlang(2, 1.0))
         with pytest.raises(GridError):
-            mrl_order(X, Y, grid)
+            order(X, Y, grid)

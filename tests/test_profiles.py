@@ -73,11 +73,11 @@ def evaluations(monkeypatch):
     return calls
 
 
-def _verdicts(X, Y, conv):
-    """Every order's verdict on the pair over GRID, or the error it raises."""
+def _verdicts(X, Y, conv, grid=GRID):
+    """Every order's verdict on the pair over ``grid``, or the error it raises."""
     out = []
     for order in ORDERS:
-        args = (GRID,) if order is lr_order else (GRID, conv)
+        args = (grid,) if order is lr_order else (grid, conv)
         try:
             out.append(order(X, Y, *args))
         except ToolkitError as exc:
@@ -142,16 +142,19 @@ def test_classify_verdicts_equal_from_a_profile(name, conv):
         (classify_mrla, (GRID, conv)),
         (classify_mrl, (GRID,)),
     )
+    # and the same from the Grid's points as from the Grid
+    points = tuple(GRID.points())
     for _ in range(2):
         for f, args in verdicts:
-            assert f(src, *args) == f(d, *args)
+            assert f(src, *args) == f(d, *args) == f(d, points, *args[1:])
     try:
         want = classify_hazard_ai(d, GRID)
     except ToolkitError as exc:
-        with pytest.raises(type(exc)):
-            classify_hazard_ai(src, GRID)
+        for grid in (GRID, points):
+            with pytest.raises(type(exc)):
+                classify_hazard_ai(src, grid)
     else:
-        assert classify_hazard_ai(src, GRID) == want
+        assert classify_hazard_ai(src, GRID) == classify_hazard_ai(d, points) == want
 
 
 PAIRS = [
@@ -176,7 +179,8 @@ def test_orders_equal_from_profiles(nx, ny, conv, evaluations):
         # each profile the checks read is built once: the ZERO one, and the
         # ``conv`` one unless that is the ZERO one relabelled
         assert len(evaluations) == sum(1 if _coincide(d, conv) else 2 for d in (X, Y))
-    assert shared == _verdicts(X, Y, conv)
+    # the same from the bare Dists, and from the Grid's points
+    assert shared == _verdicts(X, Y, conv) == _verdicts(X, Y, conv, tuple(GRID.points()))
 
 
 @pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
