@@ -22,6 +22,12 @@ made explicit here as a ``Convention``:
 
 For distributions supported from 0 the three conventions coincide.
 
+Each public evaluation takes ``method``: "auto" reads the closed tail, MRL
+and MRL integral where the family has them, and "quadrature" integrates
+the survival function instead, the library's own check of its closed
+forms.  The method is resolved once per call into the ``Dist`` that is
+evaluated (``_resolve``), so the code below it follows the ``Dist`` alone.
+
 The increasing-convex and variance-residual-life orders read the tail
 T(t) = int_t^inf S and the double tail D(t) = int_t^inf T on a grid
 (``_tails_on_grid``).  Without closed forms they run on the chain of the
@@ -80,11 +86,26 @@ def _origin(d: Dist, conv: Convention) -> float:
     return d.support[0] if conv is Convention.SUPPORT_START else 0.0
 
 
-def _check_method(method):
-    """Refuse a ``method`` other than "auto" (closed forms where the family
-    has them) and "quadrature"; each public evaluation checks it once."""
-    if method not in ("auto", "quadrature"):
+def _resolve(d: Dist, method) -> Dist:
+    """The ``Dist`` that ``method`` evaluates: ``d`` for "auto", and for
+    "quadrature" a view of ``d`` without its closed tail, MRL and MRL
+    integral, its formal continuation's MRL integral included, that keeps
+    everything else.  Any other method raises ValueError."""
+    if method == "auto":
+        return d
+    if method != "quadrature":
         raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
+    formal = None if d.formal is None else replace(d.formal, mrl_integral=None)
+    return Dist(
+        d.spec,
+        d._survival,
+        d.support,
+        density=d._density,
+        mean=d._mean,
+        formal=formal,
+        lineage=d.lineage,
+        breakpoints=d.breakpoints,
+    )
 
 
 def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto") -> float:
@@ -92,23 +113,24 @@ def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto
 
     Below the support start this is the true conditional mean, mean - t.
     Raises BeyondSupport where the survival function has reached zero.
+    ``method="quadrature"`` integrates the survival function in place of
+    the closed MRL and tail (``_resolve``).
     """
-    _check_method(method)
-    return _mrl(d, t, cfg, method)
+    return _mrl(_resolve(d, method), t, cfg)
 
 
-def _mrl(d, t, cfg, method):
+def _mrl(d, t, cfg):
     s0, s1 = d.support
     if t >= s1:
         raise BeyondSupport(f"{d.lineage}: mrl undefined at t={t!r} (past support end)")
     if t < s0:
         return d.mean - t
-    if method != "quadrature" and d.has_closed_mrl:
+    if d.has_closed_mrl:
         return d.mrl_closed(t)
     sv = d.survival(t)
     if sv <= 0.0:
         raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={t!r}")
-    return d.tail(t, cfg, numeric=method == "quadrature") / sv
+    return d.tail(t, cfg) / sv
 
 
 def _formal_parts(d: Dist):
@@ -121,7 +143,7 @@ def _formal_parts(d: Dist):
     )
 
 
-def _mrl_point(d, t, conv, cfg, method):
+def _mrl_point(d, t, conv, cfg):
     """MRL value entering the MRLAI numerator under the given convention."""
     if conv is Convention.FORMAL:
         fm, _ = _formal_parts(d)
@@ -132,7 +154,7 @@ def _mrl_point(d, t, conv, cfg, method):
             f"{d.lineage}: t={t!r} lies below the support start under the "
             "support-start convention"
         )
-    return _mrl(d, t, cfg, method)
+    return _mrl(d, t, cfg)
 
 
 def mrl_average(
@@ -143,30 +165,30 @@ def mrl_average(
     method: str = "auto",
 ) -> float:
     """Running average (1/t) * int mu over [origin, t] for the convention."""
-    _check_method(method)
+    d = _resolve(d, method)
     origin = _origin(d, conv)
     if t <= origin:
         raise GridError(f"mrl_average needs t above the convention origin {origin!r}")
-    if _small_t(d, t, conv, method):
-        return _small_t_average(d, t, cfg, method)
-    return _evaluate(d, (t,), conv, cfg, method, need_mu=False)[1][0] / t
+    if _small_t(d, t, conv):
+        return _small_t_average(d, t, cfg)
+    return _evaluate(d, (t,), conv, cfg, need_mu=False)[1][0] / t
 
 
-def _small_t(d, t, conv, method):
+def _small_t(d, t, conv):
     return (
         conv is not Convention.SUPPORT_START
         and d.support[0] == 0.0
         and t < _SMALL_T_FRACTION * d.mean
-        and (method == "quadrature" or d.mrl_integral_closed(t) is None)
+        and d._mrl_integral is None
     )
 
 
-def _small_t_average(d, t, cfg, method):
+def _small_t_average(d, t, cfg):
     # (mu(0) + mu(t))/2 = mu(0) + mu'(0) t/2 + O(t^2)
-    mu0 = _mrl(d, 0.0, cfg, method)
+    mu0 = _mrl(d, 0.0, cfg)
     if not (math.isfinite(mu0) and mu0 > 0.0):
         raise OriginSingularity(f"{d.lineage}: MRL at the origin is {mu0!r}")
-    mut = _mrl(d, t, cfg, method)
+    mut = _mrl(d, t, cfg)
     if abs(mut - mu0) > 0.5 * mu0:
         raise OriginSingularity(
             f"{d.lineage}: MRL jumps from {mu0!r} to {mut!r} across [0, {t!r}]"
@@ -185,11 +207,11 @@ def mrlai(
 
     Evaluated as a one-point ``profile``.
     """
-    _check_method(method)
-    if t > _origin(d, conv) and not _small_t(d, t, conv, method):
-        mu, g = _evaluate(d, (t,), conv, cfg, method)
+    d = _resolve(d, method)
+    if t > _origin(d, conv) and not _small_t(d, t, conv):
+        mu, g = _evaluate(d, (t,), conv, cfg)
         return mu[0] / (g[0] / t)
-    return _mrl_point(d, t, conv, cfg, method) / mrl_average(d, t, conv, cfg, method)
+    return _mrl_point(d, t, conv, cfg) / mrl_average(d, t, conv, cfg)
 
 
 def survival_from_mrl(mu, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -355,7 +377,8 @@ def profile(
 ) -> MrlProfile:
     """Evaluate the ageing quantities along a grid (``_grid_points``).
 
-    Closed forms are used where the method allows.  Otherwise one sweep
+    Closed forms are used where the ``Dist`` that ``method`` resolves to
+    has them (``_resolve``): "quadrature" drops them.  Otherwise one sweep
     from the top of the grid down to the convention origin produces mu and
     G(t) = int mu together: it starts from a single tail integral at the
     top grid point and covers each grid panel with adaptive 33-point
@@ -369,13 +392,13 @@ def profile(
     the closed mu instead.  Scalar ``mrlai`` and ``mrl_average`` are
     one-point profiles.
     """
-    _check_method(method)
+    d = _resolve(d, method)
     ts = _grid_points(grid)
     origin = _origin(d, conv)
     if ts[0] <= origin:
         raise GridError(f"grid must start above the convention origin {origin!r}")
 
-    mu_vals, g_vals = _evaluate(d, ts, conv, cfg, method)
+    mu_vals, g_vals = _evaluate(d, ts, conv, cfg)
     mu_vals = tuple(mu_vals)
     mu_avg = tuple(map(truediv, g_vals, ts))
     L = tuple(map(truediv, mu_vals, mu_avg))
@@ -432,28 +455,26 @@ def _source_dist(source) -> Dist:
     raise TypeError(f"a verdict takes a Dist or its _Profiles, not {type(source).__name__}")
 
 
-def _evaluate(d, ts, conv, cfg, method, need_mu=True):
+def _evaluate(d, ts, conv, cfg, need_mu=True):
     """(mu, G) at the grid points, G(t) = int mu from the convention origin.
 
     ``mu`` is None when ``need_mu`` is false.
     """
-    g_closed = _closed_integral(d, conv, method)
+    g_closed = _closed_integral(d, conv)
     if g_closed is None:
-        return _sweep(d, ts, conv, cfg, method, need_mu)
-    mu = _closed_mu(d, ts, conv, cfg, method) if need_mu else None
+        return _sweep(d, ts, conv, cfg, need_mu)
+    mu = _closed_mu(d, ts, conv, cfg) if need_mu else None
     return mu, list(map(g_closed, ts))
 
 
-def _closed_mu(d, ts, conv, cfg, method):
+def _closed_mu(d, ts, conv, cfg):
     """mu at the increasing points ``ts`` of a closed-G profile: the closed
     mu mapped over the points on the support, ``_mrl_point`` elsewhere."""
-    return d._on_grid(ts, lambda t: _mrl_point(d, t, conv, cfg, method), d._mrl)
+    return d._on_grid(ts, lambda t: _mrl_point(d, t, conv, cfg), d._mrl)
 
 
-def _closed_integral(d, conv, method):
-    """t -> G(t) in closed form, or None where the method or family rules it out."""
-    if method == "quadrature":
-        return None
+def _closed_integral(d, conv):
+    """t -> G(t) in closed form, or None where the family has none."""
     if conv is Convention.FORMAL:
         _, fint = _formal_parts(d)
         if fint is not None:
@@ -467,7 +488,7 @@ def _closed_integral(d, conv, method):
     return d._mrl_integral
 
 
-def _sweep(d, ts, conv, cfg, method, need_mu):
+def _sweep(d, ts, conv, cfg, need_mu):
     """mu and G at the grid points without a closed G (see ``profile``)."""
     s0, s1 = d.support
     fm = _formal_parts(d)[0] if conv is Convention.FORMAL else None
@@ -483,13 +504,13 @@ def _sweep(d, ts, conv, cfg, method, need_mu):
     if pts:
         knots = _knots(d, lo, pts)
         top = knots[-1]
-        if method != "quadrature" and (d.has_closed_mrl or d._tail is not None):
-            mu_closed = lambda u: _mrl(d, u, cfg, method) if u < s1 else 0.0
+        if d.has_closed_mrl or d._tail is not None:
+            mu_closed = lambda u: _mrl(d, u, cfg) if u < s1 else 0.0
             mu_on, seg = _integrate_knots(mu_closed, knots, cfg)
         else:
             if top < s1 and d.survival(top) <= 0.0:
                 raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={top!r}")
-            hook = _chained_tail(d, d.tail(top, cfg, numeric=True), over_survival=True)
+            hook = _chained_tail(d, d.tail(top, cfg), over_survival=True)
             mu_on, seg = _integrate_knots(d.survival, knots, cfg, hook)
         mu_at = {k: m for k, m in zip(knots, mu_on) if k < s1}
         g_at = dict(zip(knots, accumulate(seg, initial=0.0)))
@@ -507,7 +528,7 @@ def _sweep(d, ts, conv, cfg, method, need_mu):
     g = [g_below(min(t, s0)) + g_at.get(t, 0.0) for t in ts]
     mu = None
     if need_mu:
-        mu = [mu_at[t] if t in mu_at else _mrl_point(d, t, conv, cfg, method) for t in ts]
+        mu = [mu_at[t] if t in mu_at else _mrl_point(d, t, conv, cfg) for t in ts]
     return mu, g
 
 

@@ -299,24 +299,7 @@ def corpus_to_dict() -> dict:
                 "title": case.title,
                 "convention": case.convention.value,
                 "specs": {k: spec_to_dict(v) for k, v in sorted(case.specs.items())},
-                "checks": [
-                    {
-                        "quantity": c.quantity,
-                        "at": c.at,
-                        "target": c.target,
-                        "expected": c.expected,
-                        "tol": c.tol,
-                        "provenance": c.provenance,
-                        "disputed": c.disputed,
-                        "source_value": c.source_value,
-                        "note": c.note,
-                        "params": {
-                            k: (list(v) if isinstance(v, tuple) else v)
-                            for k, v in sorted(c.params.items())
-                        },
-                    }
-                    for c in case.checks
-                ],
+                "checks": [asdict(c) for c in case.checks],
                 "notes": case.notes,
             }
         )

@@ -12,7 +12,7 @@ builds its ``Dist``, rescales itself and carries its published closed
 ageing intensity, so the dispatchers here (``validate``, ``build``) and
 in the other modules stay generic.
 
-``build`` turns a validated spec into a ``Dist``: an immutable object
+``build`` validates a spec and turns it into a ``Dist``: an immutable object
 exposing the survival function, an optional density, the support, the
 mean, and whatever closed forms the family admits (tail integral, mean
 residual life and its running integral).  Everything a family cannot
@@ -816,9 +816,7 @@ class Mixture(_Family):
         return Mixture(tuple(w for w, _ in pairs), tuple(c for _, c in pairs))
 
     def _build(self):
-        return ops.mixture(
-            list(self.weights), [build(c, validated=True) for c in self.components]
-        )
+        return ops.mixture(list(self.weights), [c._build() for c in self.components])
 
     def rescaled(self, a):
         comps = tuple(c.rescaled(a) for c in self.components)
@@ -838,7 +836,7 @@ class Convolution(_Family):
         return Convolution(comps)
 
     def _build(self):
-        dists = [build(c, validated=True) for c in self.components]
+        dists = [c._build() for c in self.components]
         out = dists[0]
         for d in dists[1:]:
             out = ops.convolution(out, d)
@@ -867,7 +865,7 @@ class OrderStatistic(_Family):
         return OrderStatistic(base, self.k, self.n)
 
     def _build(self):
-        return ops.order_statistic(build(self.base, validated=True), self.k, self.n)
+        return ops.order_statistic(self.base._build(), self.k, self.n)
 
     def rescaled(self, a):
         inner = self.base.rescaled(a)
@@ -891,7 +889,7 @@ class Scaled(_Family):
         return Scaled(base, factor)
 
     def _build(self):
-        return ops.scale(build(self.base, validated=True), self.factor)
+        return ops.scale(self.base._build(), self.factor)
 
 
 _FAMILIES = {cls.family: cls for cls in _Family.__subclasses__()}
@@ -913,13 +911,9 @@ def validate(spec, path: str = "spec"):
     return spec._validated(path)
 
 
-def build(spec, *, validated: bool = False) -> Dist:
-    """Realise a spec as an evaluatable Dist."""
-    if not validated:
-        spec = validate(spec)
-    if not isinstance(spec, _Family):
-        raise SpecError("spec", f"cannot build {type(spec).__name__}")
-    return spec._build()
+def build(spec) -> Dist:
+    """Validate a spec and realise it as an evaluatable Dist."""
+    return validate(spec)._build()
 
 
 # ---------------------------------------------------------------------------
@@ -1113,11 +1107,12 @@ class Dist:
         except OverflowError:
             return 0.0
 
-    def tail(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG, numeric: bool = False) -> float:
+    def tail(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """T(t) = integral of the survival function S over [t, infinity).
 
-        ``numeric=True`` bypasses the closed form so callers can exercise
-        the pure quadrature route.  The quadrature meets
+        The closed tail where the family has one, otherwise quadrature
+        (``ageing``'s ``method="quadrature"`` evaluates a view of the
+        distribution without the closed tail).  The quadrature meets
         max(abs_tol * min(1, S(t)), rel_tol * T(t)) in one pass: callers
         divide T by S(t), and since T = S * mu the scaled floor bounds the
         error of mu.
@@ -1125,7 +1120,7 @@ class Dist:
         s0, s1 = self.support
         if t >= s1:
             return 0.0
-        if self._tail is not None and not numeric:
+        if self._tail is not None:
             try:
                 return self._tail(t)
             except OverflowError:
@@ -1197,12 +1192,6 @@ class Dist:
         if self._mrl is None:
             return None
         return self._mrl(t)
-
-    def mrl_integral_closed(self, t: float):
-        """Closed-form int_0^t mu(u) du (true MRL below the support), or None."""
-        if self._mrl_integral is None:
-            return None
-        return self._mrl_integral(t)
 
     def __repr__(self):
         return f"Dist({self.lineage})"

@@ -21,10 +21,9 @@ from .distributions import (
     Mixture,
     OrderStatistic,
     Scaled,
-    build,
 )
 from .errors import SpecError, UnsupportedCapability
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_finite
+from .quadrature import integrate_finite
 
 __all__ = ["mixture", "convolution", "order_statistic", "parallel", "scale"]
 
@@ -63,9 +62,7 @@ def mixture(weights, components) -> Dist:
     )
 
 
-def convolution(
-    x: Dist, y: Dist, cfg: QuadConfig = DEFAULT_CONFIG, closed_forms: bool = True
-) -> Dist:
+def convolution(x: Dist, y: Dist, closed_forms: bool = True) -> Dist:
     """Distribution of the sum of two independent lifetimes.
 
     Same-rate exponential/Erlang summands merge into a closed-form
@@ -76,12 +73,13 @@ def convolution(
     with the roles swapped if only y carries a density.  The integrand
     can only kink at the breakpoints of x and at t minus those of y, so
     the quadrature splits there first; the sum's own breakpoints are
-    the pairwise sums of its summands'.
+    the pairwise sums of its summands'.  The inner integrals meet the
+    default ``QuadConfig``.  ``closed_forms=False`` skips the merge.
     """
     if closed_forms:
         merged = _erlang_merge(x.spec, y.spec)
         if merged is not None:
-            d = build(merged, validated=True)
+            d = merged._build()
             return d.relabel(
                 Convolution((x.spec, y.spec)),
                 f"convolution[{d.lineage}]({x.lineage}, {y.lineage})",
@@ -105,7 +103,7 @@ def convolution(
         inner = 0.0
         if hi > lo:
             inner = integrate_finite(
-                lambda u: x.density(u) * y.survival(t - u), lo, hi, cfg, kinks(t)
+                lambda u: x.density(u) * y.survival(t - u), lo, hi, points=kinks(t)
             )
         return x.survival(t) + inner
 
@@ -118,7 +116,7 @@ def convolution(
             if hi <= lo:
                 return 0.0
             return integrate_finite(
-                lambda u: x.density(u) * y.density(t - u), lo, hi, cfg, kinks(t)
+                lambda u: x.density(u) * y.density(t - u), lo, hi, points=kinks(t)
             )
 
     return Dist(
@@ -154,7 +152,7 @@ def order_statistic(base: Dist, k: int, n: int) -> Dist:
         return base
     if k == 1 and isinstance(base.spec, Exponential):
         # minimum of iid exponentials is exponential with n times the rate
-        d = build(Exponential(base.spec.rate * n), validated=True)
+        d = Exponential(base.spec.rate * n)._build()
         return d.relabel(
             OrderStatistic(base.spec, k, n), f"series[{d.lineage}]({base.lineage} x{n})"
         )
@@ -208,7 +206,7 @@ def scale(base: Dist, factor: float, rewrite: bool = True) -> Dist:
         return base
     rewritten = base.spec.rescaled(a) if rewrite and base.spec is not None else None
     if rewritten is not None:
-        d = build(rewritten, validated=True)
+        d = rewritten._build()
         return d.relabel(Scaled(base.spec, a), f"scaled[{a:g}]({base.lineage})")
 
     s0, s1 = base.support

@@ -373,8 +373,8 @@ def check_scale_preservation(
     base = mrlai_order(X, Y, ts, conv, tol, cfg)
     scaled_ts = [factor * t for t in ts]
     # the scaled verdict and the margin come from the same two profiles
-    lx = profile(scale(X, factor), scaled_ts, conv, cfg).L
-    ly = profile(scale(Y, factor), scaled_ts, conv, cfg).L
+    lx = profile(scale(_source_dist(X), factor), scaled_ts, conv, cfg).L
+    ly = profile(scale(_source_dist(Y), factor), scaled_ts, conv, cfg).L
     scaled = _pointwise_leq(scaled_ts, lx, ly, tol, "grid")
     max_margin = max(a - b for a, b in zip(lx, ly))
     return ScaleReport(factor, base, scaled, max_margin)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .errors import Divergence, DomainError, NonConvergence
+from .errors import Divergence, DomainError, GridError, NonConvergence
 
 __all__ = [
     "QuadConfig",
@@ -227,15 +227,16 @@ def cumulative_on_grid(
     """Prefix integrals of ``f`` from ``origin`` to each grid point.
 
     Each panel between consecutive grid points is integrated exactly once
-    and prefix-summed, so a whole table costs a single pass.
+    and prefix-summed, so a whole table costs a single pass.  An empty,
+    repeated, decreasing or below-origin grid raises GridError.
     """
     pts = tuple(float(t) for t in grid)
     if not pts:
-        raise ValueError("grid must be non-empty")
+        raise GridError("grid must be non-empty")
     if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("grid must be strictly increasing")
+        raise GridError("grid must be strictly increasing")
     if pts[0] < origin:
-        raise ValueError(f"grid[0]={pts[0]!r} lies below the origin {origin!r}")
+        raise GridError(f"grid[0]={pts[0]!r} lies below the origin {origin!r}")
 
     values = []
     acc = 0.0

@@ -24,6 +24,7 @@ from mrlai.distributions import (
     MrlLinear,
     MrlPiecewise,
     MrlReciprocalLinear,
+    OrderStatistic,
     Pareto,
     PieceExpAffine,
     PieceLinear,
@@ -172,24 +173,70 @@ class TestMrlai:
 
 class TestMethod:
     d = build(Erlang(2, 1.0))
-    # the values each method gave before it was checked
+    # (Dist, convention, t, grid, small t): closed and numeric families,
+    # points below a support start, relabelled closed forms (a rescaled
+    # and a merged Erlang), and an order statistic with no stated mean
+    # whose small t takes the small-t expansion under both methods
+    INPUTS = {
+        "erlang": (d, ZERO, 0.5, [0.5, 2.0], 1e-5),
+        "pareto-formal": (build(Pareto(2.5, 1.0)), FORMAL, 0.5, [0.5, 2.0], 1e-5),
+        "pareto-support": (build(Pareto(2.5, 1.0)), SUPPORT, 2.0, [1.5, 3.0], 1.00001),
+        "uniform": (build(Uniform(0.5, 2.0)), ZERO, 1.0, [0.25, 1.0, 1.9], 1e-5),
+        "os-weibull": (build(OrderStatistic(Weibull(1.5, 1.0), 2, 3)), ZERO, 0.5, [0.5, 2.0], 1e-5),
+        "scaled-erlang": (scale(d, 2.0), ZERO, 0.5, [0.5, 2.0], 1e-5),
+        "merged-erlang": (
+            build(Convolution((Erlang(2, 1.0), Exponential(1.0)))), ZERO, 0.5, [0.5, 2.0], 1e-5
+        ),
+    }
+    # the values each method gave before it was resolved once per call:
+    # (mrl, mrl_average, mrlai, profile L, mrl_average at the small t)
     PINNED = {
-        "auto": (1.6666666666666665, 1.8109302162163288, 0.9203373226324095,
-                 (0.9203373226324095, 0.8606003004696311), 1.999995000033333),
-        "quadrature": (1.6666666666666672, 1.8109302162163292, 0.9203373226324096,
+        "auto": {
+            "erlang": (1.6666666666666665, 1.8109302162163288, 0.9203373226324095,
+                       (0.9203373226324095, 0.8606003004696311), 1.999995000033333),
+            "pareto-formal": (1.1666666666666667, 0.16666666666666666, 2.0, (2.0, 2.0),
+                              3.3333333333333337e-06),
+            "pareto-support": (1.3333333333333333, 0.5000000000000001, 2.666666666666666,
+                               (3.599999999999999, 2.2500000000000004), 6.666633333713095e-06),
+            "uniform": (0.5, 0.8125, 0.6153846153846154,
+                        (0.8888888888888888, 0.6153846153846154, 0.08962264150943403), 1.249995),
+            "os-weibull": (0.4693664356094636, 0.6278939472900165, 0.7475250201650201,
+                           (0.7475250201650201, 0.5861972529251803), 0.8380873553532493),
+            "scaled-erlang": (3.5999999999999996, 3.785148410513678, 0.9510855611369404,
+                              (0.9510855611369404, 0.8859241637244618), 3.9999950000166664),
+            "merged-erlang": (2.5384615384615383, 2.7605978709629246, 0.9195332522574529,
+                              (0.9195332522574529, 0.793522540668874), 2.9999950000192395),
+        },
+        "quadrature": {
+            "erlang": (1.6666666666666672, 1.8109302162163292, 0.9203373226324096,
                        (0.9203373226324096, 0.8606003004696309), 1.9999950000499995),
+            "pareto-formal": (1.1666666666666667, 0.16666666666666666, 2.0,
+                              (2.0, 2.0000000001344733), 3.3333333333333337e-06),
+            "pareto-support": (1.3333333335204618, 0.5000000000487397, 2.6666666667809786,
+                               (3.600000000025556, 2.2500000000760707), 6.666633334645979e-06),
+            "uniform": (0.5000000000000002, 0.8125, 0.6153846153846156,
+                        (0.8888888888888888, 0.6153846153846156, 0.08962264150943404), 1.249995),
+            "os-weibull": (0.4693664356094636, 0.6278939472900165, 0.7475250201650201,
+                           (0.7475250201650201, 0.5861972529251803), 0.8380873553532493),
+            "scaled-erlang": (3.6000000000000005, 3.7851484105136786, 0.9510855611369405,
+                              (0.9510855611369405, 0.8859241637244617), 3.999995000025001),
+            "merged-erlang": (2.538461538461539, 2.7605978709629255, 0.9195332522574529,
+                              (0.9195332522574527, 0.7935225406688735), 2.9999950000000006),
+        },
     }
 
     @pytest.mark.parametrize("method", sorted(PINNED))
     def test_valid_methods_give_the_pinned_values(self, method):
-        d = self.d
-        got = (
-            mrl(d, 0.5, method=method),
-            mrl_average(d, 0.5, method=method),
-            mrlai(d, 0.5, method=method),
-            profile(d, [0.5, 2.0], method=method).L,
-            mrl_average(d, 1e-5, method=method),  # the small-t expansion
-        )
+        got = {
+            name: (
+                mrl(d, t, method=method),
+                mrl_average(d, t, conv, method=method),
+                mrlai(d, t, conv, method=method),
+                profile(d, grid, conv, method=method).L,
+                mrl_average(d, small, conv, method=method),
+            )
+            for name, (d, conv, t, grid, small) in self.INPUTS.items()
+        }
         assert got == self.PINNED[method]
 
     def test_every_entry_point_refuses_an_unknown_method(self):
@@ -212,8 +259,8 @@ class TestMethod:
         from mrlai import ageing
 
         checked = []
-        real = ageing._check_method
-        monkeypatch.setattr(ageing, "_check_method", lambda m: checked.append(m) or real(m))
+        real = ageing._resolve
+        monkeypatch.setattr(ageing, "_resolve", lambda d, m: checked.append(m) or real(d, m))
         for method in ("auto", "quadrature"):
             checked.clear()
             profile(build(Pareto(2.5, 1.0)), _linspace(0.5, 6.0, 64), method=method)

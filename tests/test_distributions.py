@@ -217,7 +217,7 @@ class TestWeibullTailOracle:
         a, b = 1.5, 1.3
         want = (b / a) * gamma_fn(1 / a) * gammaincc(1 / a, (t / b) ** a)
         assert 1e-7 < want < 0.1
-        assert build(Weibull(a, b)).tail(t, numeric=True) == pytest.approx(want, rel=1e-9, abs=0)
+        assert build(Weibull(a, b)).tail(t) == pytest.approx(want, rel=1e-9, abs=0)
 
 
 class TestClosedTails:

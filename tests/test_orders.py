@@ -336,6 +336,15 @@ class TestScalePreservation:
         assert rep.scaled.relation is Relation.FAILS and rep.scaled.witness is not None
         assert len(calls) == 4
 
+    def test_a_dist_and_its_profiles_give_the_same_report(self):
+        from mrlai.ageing import _Profiles
+
+        X, Y = build(Exponential(1.0)), build(Erlang(2, 2.0))
+        grid = Grid(0.1, 5.0, 16)
+        want = check_scale_preservation(X, Y, 2.0, grid)
+        assert check_scale_preservation(_Profiles(X), _Profiles(Y), 2.0, grid) == want
+        assert check_scale_preservation(X, _Profiles(Y), 2.0, grid) == want
+
 
 # ---------------------------------------------------------------------------
 # double tails D(t) = int_t^inf int_u^inf S, one sweep per grid

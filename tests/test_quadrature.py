@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mrlai.errors import Divergence, DomainError, NonConvergence
+from mrlai.errors import Divergence, DomainError, GridError, NonConvergence
 from mrlai.quadrature import (
     QuadConfig,
     cheb_sweep,
@@ -222,12 +222,12 @@ class TestCumulative:
             )
 
     def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            cumulative_on_grid(lambda u: 1.0, [1.0, 1.0])
-        with pytest.raises(ValueError):
-            cumulative_on_grid(lambda u: 1.0, [1.0, 0.5])
-        with pytest.raises(ValueError):
-            cumulative_on_grid(lambda u: 1.0, [])
+        # repeated, decreasing, empty and below the origin: a GridError,
+        # which is also a ValueError
+        for grid in ([1.0, 1.0], [1.0, 0.5], [], [-1.0, 1.0]):
+            with pytest.raises(ValueError) as excinfo:
+                cumulative_on_grid(lambda u: 1.0, grid)
+            assert excinfo.type is GridError
 
     def test_error_carries_panel_index(self):
         def bad(u):
