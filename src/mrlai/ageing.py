@@ -88,24 +88,14 @@ def _origin(d: Dist, conv: Convention) -> float:
 
 def _resolve(d: Dist, method) -> Dist:
     """The ``Dist`` that ``method`` evaluates: ``d`` for "auto", and for
-    "quadrature" a view of ``d`` without its closed tail, MRL and MRL
-    integral, its formal continuation's MRL integral included, that keeps
-    everything else.  Any other method raises ValueError."""
+    "quadrature" its view without closed tail, MRL and MRL integral
+    (``Dist._quadrature_view``, built once per ``Dist``).  Any other
+    method raises ValueError."""
     if method == "auto":
         return d
     if method != "quadrature":
         raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
-    formal = None if d.formal is None else replace(d.formal, mrl_integral=None)
-    return Dist(
-        d.spec,
-        d._survival,
-        d.support,
-        density=d._density,
-        mean=d._mean,
-        formal=formal,
-        lineage=d.lineage,
-        breakpoints=d.breakpoints,
-    )
+    return d._quadrature_view
 
 
 def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto") -> float:

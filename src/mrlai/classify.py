@@ -122,33 +122,44 @@ def _best_witness(ts, vals):
     """Largest-margin triple i < j < k with a peak or a valley at j.
 
     The margin of a triple is the smaller of its two jumps; prefix/suffix
-    extrema give the global optimum in one pass.
+    extrema give the global optimum.  On ties the first j wins, a valley
+    before a peak at the same j, with the first extreme index before j
+    and the last one after it.
     """
-    n = len(vals)
-    pre_max, pre_min = [0] * n, [0] * n
-    for j in range(1, n):
-        pre_max[j] = j - 1 if vals[j - 1] > vals[pre_max[j - 1]] else pre_max[j - 1]
-        pre_min[j] = j - 1 if vals[j - 1] < vals[pre_min[j - 1]] else pre_min[j - 1]
-    pre_max[0] = pre_min[0] = 0
-    suf_max, suf_min = [n - 1] * n, [n - 1] * n
-    for j in range(n - 2, -1, -1):
-        suf_max[j] = j + 1 if vals[j + 1] > vals[suf_max[j + 1]] else suf_max[j + 1]
-        suf_min[j] = j + 1 if vals[j + 1] < vals[suf_min[j + 1]] else suf_min[j + 1]
-
-    best = None
-    best_margin = -math.inf
-    for j in range(1, n - 1):
-        i, k = pre_max[j], suf_max[j]
-        valley = min(vals[i] - vals[j], vals[k] - vals[j])
-        if valley > best_margin:
-            best_margin, best = valley, (i, j, k)
-        i, k = pre_min[j], suf_min[j]
-        peak = min(vals[j] - vals[i], vals[j] - vals[k])
-        if peak > best_margin:
-            best_margin, best = peak, (i, j, k)
-    i, j, k = best
+    inner = vals[1:-1]
+    pre_max, pre_min = _running_extrema(vals[:-2])
+    suf_max, suf_min = (e[::-1] for e in _running_extrema(vals[:1:-1]))
+    valleys = [b if b < a else a for a, b in zip(map(sub, pre_max, inner), map(sub, suf_max, inner))]
+    peaks = [b if b < a else a for a, b in zip(map(sub, inner, pre_min), map(sub, inner, suf_min))]
+    valley, peak = max(valleys), max(peaks)
+    jv, jp = valleys.index(valley), peaks.index(peak)
+    if valley > peak or (valley == peak and jv <= jp):
+        j, before, after, margin = jv, pre_max[jv], suf_max[jv], valley
+    else:
+        j, before, after, margin = jp, pre_min[jp], suf_min[jp], peak
+    # the first index holding the prefix extreme lies before j + 1, and the
+    # last one holding the suffix extreme after it
+    i = vals.index(before)
+    k = len(vals) - 1 - vals[::-1].index(after)
+    j += 1
     witness = ((ts[i], vals[i]), (ts[j], vals[j]), (ts[k], vals[k]))
-    return witness, best_margin
+    return witness, margin
+
+
+def _running_extrema(seq):
+    """Running maximum and minimum of ``seq``, each the first value to
+    reach it.  (One loop: ``accumulate(seq, max)`` is slower, because the
+    two-argument builtin call costs more than this loop's body.)"""
+    hi = lo = seq[0]
+    his, los = [], []
+    for v in seq:
+        if v > hi:
+            hi = v
+        elif v < lo:
+            lo = v
+        his.append(hi)
+        los.append(lo)
+    return his, los
 
 
 def _verdict_points(grid) -> tuple:

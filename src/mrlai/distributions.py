@@ -1018,9 +1018,9 @@ class Dist:
     inherits from its parts).  Quadrature over the survival function
     splits there first.  It is derived, never part of the spec.
 
-    It keeps no per-call state: apart from the mean, worked out once on
-    first use, every call evaluates afresh, whatever earlier calls and
-    their ``QuadConfig`` were.
+    It keeps no per-call state: apart from the mean and the quadrature
+    view, each worked out once on first use, every call evaluates afresh,
+    whatever earlier calls and their ``QuadConfig`` were.
     """
 
     def __init__(
@@ -1170,6 +1170,24 @@ class Dist:
         if last is None:
             return integrate_tail(f, t, cfg)
         return integrate_finite(f, t, last, cfg, points=kinks) + integrate_tail(f, last, cfg)
+
+    @cached_property
+    def _quadrature_view(self) -> Dist:
+        """This distribution without its closed tail, MRL and MRL integral,
+        its formal continuation's MRL integral included, keeping everything
+        else: what ``ageing`` evaluates under ``method="quadrature"``.  Built
+        once, so a mean the view has to work out is worked out once."""
+        formal = None if self.formal is None else replace(self.formal, mrl_integral=None)
+        return Dist(
+            self.spec,
+            self._survival,
+            self.support,
+            density=self._density,
+            mean=self._mean,
+            formal=formal,
+            lineage=self.lineage,
+            breakpoints=self.breakpoints,
+        )
 
     @cached_property
     def mean(self) -> float:

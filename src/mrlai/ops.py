@@ -5,8 +5,9 @@ statistics of iid components (series and parallel systems as the k = 1
 and k = n cases), and positive rescaling.  Closed forms are used where
 an operation lands back inside a known family (sums of same-rate
 exponential/Erlang variables, minima of iid exponentials, rescalings of
-every built-in family); everything else synthesises the survival
-function and lets quadrature do the rest.
+every built-in family) and for sums of exponential/Erlang variables of
+distinct rates (partial fractions); everything else synthesises the
+survival function and lets quadrature do the rest.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ def mixture(weights, components) -> Dist:
 def convolution(x: Dist, y: Dist, closed_forms: bool = True) -> Dist:
     """Distribution of the sum of two independent lifetimes.
 
-    Same-rate exponential/Erlang summands merge into a closed-form
-    Erlang.  Otherwise the survival is synthesised as
+    A sum whose summands, those of nested sums included, are all
+    Exponential or Erlang is built in closed form (``_exponential_sum``):
+    one rate lands in the Erlang family, distinct rates in partial
+    fractions.  Otherwise the survival is synthesised as
 
         S_c(t) = S_x(t) + int_0^t f_x(u) S_y(t - u) du
 
@@ -74,16 +77,12 @@ def convolution(x: Dist, y: Dist, closed_forms: bool = True) -> Dist:
     can only kink at the breakpoints of x and at t minus those of y, so
     the quadrature splits there first; the sum's own breakpoints are
     the pairwise sums of its summands'.  The inner integrals meet the
-    default ``QuadConfig``.  ``closed_forms=False`` skips the merge.
+    default ``QuadConfig``.  ``closed_forms=False`` always synthesises.
     """
     if closed_forms:
-        merged = _erlang_merge(x.spec, y.spec)
-        if merged is not None:
-            d = merged._build()
-            return d.relabel(
-                Convolution((x.spec, y.spec)),
-                f"convolution[{d.lineage}]({x.lineage}, {y.lineage})",
-            )
+        closed = _exponential_sum(x, y)
+        if closed is not None:
+            return closed
     if not x.has_density and not y.has_density:
         raise UnsupportedCapability(
             "convolution needs a density on at least one summand "
@@ -130,18 +129,214 @@ def convolution(x: Dist, y: Dist, closed_forms: bool = True) -> Dist:
     )
 
 
-def _erlang_merge(a, b):
-    def as_erlang(s):
-        if isinstance(s, Exponential):
-            return 1, s.rate
-        if isinstance(s, Erlang):
-            return s.k, s.rate
-        return None
+# Partial fractions of rates a and b, of multiplicities i and j, round
+# with an error that grows like (max(a, b) / |a - b|)^(i + j - 1); where
+# that factor, multiplied over the other rates, passes this bound for
+# some rate, a sum of exponential lifetimes is convolved numerically.
+_MAX_AMPLIFICATION = 1e3
 
-    ea, eb = as_erlang(a), as_erlang(b)
-    if ea and eb and math.isclose(ea[1], eb[1], rel_tol=1e-12):
-        return Erlang(ea[0] + eb[0], ea[1])
+# Near 0 the partial fractions cancel down to the density's zero of
+# order K - 1 (K exponentials in all).  While lam_max * t is below this
+# reach the density is also summed from its power series at 0, where
+# _SERIES_TERMS terms leave a truncation error under 1e-17 of the first,
+# and the sum with the smaller rounding bound is taken.
+_SERIES_REACH = 8.0
+_SERIES_TERMS = 48
+
+
+def _erlang_summands(spec):
+    """(rate, shape) of each summand of an Exponential, an Erlang or a
+    convolution of them, nested ones included; None for any other spec."""
+    if isinstance(spec, Exponential):
+        return [(spec.rate, 1)]
+    if isinstance(spec, Erlang):
+        return [(spec.rate, spec.k)]
+    if isinstance(spec, Convolution):
+        parts = [_erlang_summands(c) for c in spec.components]
+        if None not in parts:
+            return [s for part in parts for s in part]
     return None
+
+
+def _exponential_sum(x: Dist, y: Dist):
+    """x + y in closed form when every summand is Exponential or Erlang.
+
+    Rates within 1e-12 of each other are one rate.  A single rate lands
+    in the Erlang family at the first summand's rate.  Distinct rates
+    give the density as sum_lam p_lam(t) e^(-lam t), built by folding in
+    one Exp(mu) at a time (``_fold_exponential``); survival and tail are
+    sums of the same form, and the MRL is their ratio scaled by
+    e^(lam_min t), so it does not underflow.  Returns None where a
+    summand is of another family or where the partial fractions would
+    cancel (``_MAX_AMPLIFICATION``) or leave the float range.
+    """
+    sx, sy = _erlang_summands(x.spec), _erlang_summands(y.spec)
+    if sx is None or sy is None:
+        return None
+    groups = []  # [rate, shape]
+    for rate, k in sx + sy:
+        for g in groups:
+            if math.isclose(g[0], rate, rel_tol=1e-12):
+                g[1] += k
+                break
+        else:
+            groups.append([rate, k])
+    spec = Convolution((x.spec, y.spec))
+    if len(groups) == 1:
+        d = Erlang(groups[0][1], groups[0][0])._build()
+        return d.relabel(spec, f"convolution[{d.lineage}]({x.lineage}, {y.lineage})")
+    groups.sort()
+    (lam_min, k0), lam_max = groups[0], groups[-1][0]
+    try:
+        for a, i in groups:
+            amplification = 1.0
+            for b, j in groups:
+                if b != a:
+                    amplification *= (max(a, b) / abs(a - b)) ** (i + j - 1)
+            if amplification > _MAX_AMPLIFICATION:
+                return None
+        density = {lam_min: [0.0] * (k0 - 1) + [lam_min**k0 / math.factorial(k0 - 1)]}
+        for mu, k in groups[1:]:
+            for _ in range(k):
+                density = _fold_exponential(density, mu)
+        survival = _upper_integral(density)
+        tail = _upper_integral(survival)
+        f_series, cdf_series = _series_at_zero(groups)
+    except ArithmeticError:
+        return None  # a power of a rate, or of a rate gap, leaves the float range
+    f_sum = _exp_poly(density)
+    # the same sum over |c|, which bounds its rounding
+    f_abs = _exp_poly({lam: [abs(c) for c in cs] for lam, cs in density.items()})
+    s_sum = _exp_poly(survival)
+    scaled_tail, scaled_survival = _exp_poly(tail, lam_min), _exp_poly(survival, lam_min)
+
+    def density_at(t):
+        # rounding bounds relative to the values: w_abs/|w| against f_abs/|v|
+        v = f_sum(t)
+        if lam_max * t < _SERIES_REACH:
+            w, w_abs = f_series(t)
+            if w_abs * abs(v) <= f_abs(t) * abs(w):
+                return w
+        return v
+
+    def survival_at(t):
+        # 1 - F keeps S <= 1; up to lam_max t = 1 the alternating series
+        # loses at most a factor e^2 of F to rounding
+        return 1.0 - cdf_series(t)[0] if lam_max * t <= 1.0 else s_sum(t)
+
+    return Dist(
+        spec,
+        survival_at,
+        (0.0, math.inf),
+        density=density_at,
+        tail=_exp_poly(tail),
+        mean=math.fsum(k / rate for rate, k in groups),
+        mrl=lambda t: scaled_tail(t) / scaled_survival(t),
+        lineage=f"convolution({x.lineage}, {y.lineage})",
+    )
+
+
+def _fold_exponential(density, mu):
+    """Density terms {rate: [c_0, c_1, ...]} of X + Exp(mu) from those of X.
+
+    t^m e^(-a t) convolved with mu e^(-mu t) is mu t^(m+1)/(m+1) e^(-mu t)
+    for a = mu, and otherwise, with d = a - mu,
+    mu m!/d^(m+1) [e^(-mu t) - e^(-a t) sum_(r<=m) (d t)^r/r!].
+    """
+    own = density.get(mu, [])
+    at_mu = [0.0] * (len(own) + 1)
+    for m, c in enumerate(own):
+        at_mu[m + 1] = c * mu / (m + 1)
+    out = {mu: at_mu}
+    for a, cs in density.items():
+        if a == mu:
+            continue
+        d = a - mu
+        poly = [0.0] * len(cs)
+        for m, c in enumerate(cs):
+            coef = c * mu * math.factorial(m) / d ** (m + 1)
+            at_mu[0] += coef
+            for r in range(m + 1):
+                poly[r] -= coef
+                coef *= d / (r + 1)
+        out[a] = poly
+    return out
+
+
+def _upper_integral(terms):
+    """Terms of int_t^inf of the exp-polynomial ``terms``:
+    int_t^inf u^m e^(-lam u) du = m!/lam^(m+1) e^(-lam t) sum_(r<=m) (lam t)^r/r!."""
+    out = {}
+    for lam, cs in terms.items():
+        poly = [0.0] * len(cs)
+        for m, c in enumerate(cs):
+            coef = c * math.factorial(m) / lam ** (m + 1)
+            for r in range(m + 1):
+                poly[r] += coef
+                coef *= lam / (r + 1)
+        out[lam] = poly
+    return out
+
+
+def _exp_poly(terms, shift=0.0):
+    """t -> sum_lam p_lam(t) e^(-(lam - shift) t) for the terms
+    {lam: [c_0, c_1, ...]}, t >= 0; a term whose exponential underflows
+    is 0."""
+    rows = [(lam - shift, tuple(reversed(cs))) for lam, cs in terms.items()]
+
+    def value(t):
+        total = 0.0
+        for rate, cs in rows:
+            e = math.exp(-rate * t)
+            if e:
+                p = 0.0
+                for c in cs:
+                    p = p * t + c
+                total += p * e
+        return total
+
+    return value
+
+
+def _series_at_zero(groups):
+    """The power series at 0 of the density and of the distribution
+    function of the sum of K exponentials with the rates and shapes
+    ``groups`` (largest rate last): two functions t -> (value, sum of
+    the terms' magnitudes).
+
+    The Laplace transform prod (lam/(lam + s))^k gives the density
+    prod(lam^k) sum_n (-1)^n h_n t^(K-1+n)/(K-1+n)!, where h_n, the
+    complete homogeneous symmetric polynomial of degree n in the K rates,
+    is a sum of positive terms: nothing cancels in the coefficients.  The
+    rates are scaled by the largest, x = lam_max t.
+    """
+    lam_max = groups[-1][0]
+    K = sum(k for _, k in groups)
+    scale = math.prod(lam**k for lam, k in groups)
+    h = [1.0] + [0.0] * (_SERIES_TERMS - 1)
+    for lam, k in groups:
+        for _ in range(k):
+            for n in range(1, _SERIES_TERMS):
+                h[n] += lam / lam_max * h[n - 1]
+
+    def series(j):
+        # Horner rows, highest power first
+        powers = range(_SERIES_TERMS - 1, -1, -1)
+        mags = [h[n] / math.factorial(K - 1 + j + n) for n in powers]
+        signed = [-m if n % 2 else m for n, m in zip(powers, mags)]
+
+        def value(t):
+            x = lam_max * t
+            v = a = 0.0
+            for c, m in zip(signed, mags):
+                v = v * x + c
+                a = a * x + m
+            lead = scale * t ** (K - 1 + j)
+            return lead * v, lead * a
+
+        return value
+
+    return series(0), series(1)
 
 
 def order_statistic(base: Dist, k: int, n: int) -> Dist:

@@ -255,6 +255,23 @@ class TestMethod:
             with pytest.raises(ValueError, match="'auto' or 'quadrature'"):
                 call()
 
+    def test_quadrature_view_works_its_mean_out_once(self, monkeypatch):
+        # os(2:3) states no mean, so the view integrates S from 0 for it
+        from mrlai import distributions
+
+        origins = []
+        real = distributions.integrate_tail
+        monkeypatch.setattr(
+            distributions, "integrate_tail", lambda f, a, *r: origins.append(a) or real(f, a, *r)
+        )
+        d = build(OrderStatistic(Weibull(1.5, 1.0), 2, 3))
+        mrl(d, 0.5, method="quadrature")
+        profile(d, [0.5, 2.0], method="quadrature")
+        assert 0.0 not in origins  # neither reads the mean
+        first = mrlai(d, 0.5, method="quadrature")
+        assert mrlai(d, 0.5, method="quadrature") == first
+        assert origins.count(0.0) == 1
+
     def test_checked_once_per_call_not_per_point(self, monkeypatch):
         from mrlai import ageing
 
@@ -572,10 +589,10 @@ def _counted(d):
     return calls
 
 
-def _hypoexponential_numeric():
+def _hypoexponential_numeric(closed_forms=False):
     from mrlai.ops import convolution
 
-    return convolution(build(Exponential(1.0)), build(Exponential(2.0)), closed_forms=False)
+    return convolution(build(Exponential(1.0)), build(Exponential(2.0)), closed_forms=closed_forms)
 
 
 def _os23_weibull():
@@ -612,6 +629,11 @@ class TestSweep:
 
     def test_numeric_convolution_against_hypoexponential(self):
         prof = profile(_hypoexponential_numeric(), _linspace(0.1, 8.0, 16))
+        self._agrees(prof, _hypo_mu, _hypo_g)
+
+    def test_closed_convolution_against_hypoexponential(self):
+        # partial fractions give a closed mu, which the sweep integrates
+        prof = profile(_hypoexponential_numeric(closed_forms=True), _linspace(0.1, 8.0, 16))
         self._agrees(prof, _hypo_mu, _hypo_g)
 
     @pytest.mark.parametrize("conv", [ZERO, SUPPORT, FORMAL])

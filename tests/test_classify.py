@@ -15,6 +15,7 @@ from mrlai.classify import (
     classify_mrl,
     classify_mrla,
     classify_mrlai,
+    _best_witness,
     scan_monotonicity,
 )
 from mrlai.distributions import (
@@ -129,12 +130,46 @@ class TestScan:
             (t1, f1), (t2, f2), (t3, f3) = v.witness
             assert (f1 > f2 < f3) or (f1 < f2 > f3)
 
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 0.5]), min_size=3, max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_witness_matches_the_three_pass_search(self, vals):
+        # ties everywhere, signed zeros included: the same triple and margin
+        ts = [0.1 * i for i in range(len(vals))]
+        assert repr(_best_witness(ts, vals)) == repr(_three_pass_witness(ts, vals))
+
     @given(st.integers(1, 1000))
     @settings(max_examples=30, deadline=None)
     def test_monotone_stays_monotone_under_scaling(self, k):
         ts = [0.1 * i for i in range(24)]
         vals = [k * (1 + 0.05 * i) for i in range(24)]
         assert scan_monotonicity(ts, vals).kind is Kind.INCREASING
+
+
+def _three_pass_witness(ts, vals):
+    """Reference witness search: index-tracking prefix and suffix extrema,
+    then one scan over j, valley before peak."""
+    n = len(vals)
+    pre_max, pre_min = [0] * n, [0] * n
+    for j in range(1, n):
+        pre_max[j] = j - 1 if vals[j - 1] > vals[pre_max[j - 1]] else pre_max[j - 1]
+        pre_min[j] = j - 1 if vals[j - 1] < vals[pre_min[j - 1]] else pre_min[j - 1]
+    pre_max[0] = pre_min[0] = 0
+    suf_max, suf_min = [n - 1] * n, [n - 1] * n
+    for j in range(n - 2, -1, -1):
+        suf_max[j] = j + 1 if vals[j + 1] > vals[suf_max[j + 1]] else suf_max[j + 1]
+        suf_min[j] = j + 1 if vals[j + 1] < vals[suf_min[j + 1]] else suf_min[j + 1]
+    best, best_margin = None, -math.inf
+    for j in range(1, n - 1):
+        i, k = pre_max[j], suf_max[j]
+        valley = min(vals[i] - vals[j], vals[k] - vals[j])
+        if valley > best_margin:
+            best_margin, best = valley, (i, j, k)
+        i, k = pre_min[j], suf_min[j]
+        peak = min(vals[j] - vals[i], vals[j] - vals[k])
+        if peak > best_margin:
+            best_margin, best = peak, (i, j, k)
+    i, j, k = best
+    return ((ts[i], vals[i]), (ts[j], vals[j]), (ts[k], vals[k])), best_margin
 
 
 class TestVerdicts:

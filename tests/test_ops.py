@@ -562,3 +562,206 @@ class TestHeavyTailedConvolution:
     def test_weibull_plus_exponential_near_the_origin(self):
         c = convolution(build(Weibull(0.4, 1.0)), build(Exponential(1.0)), closed_forms=False)
         assert c.survival(0.5) == pytest.approx(_exp_weibull_survival(0.4, 0.5), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# closed sums of exponential lifetimes: partial fractions, no nested quadrature
+# ---------------------------------------------------------------------------
+
+
+def _mp_distinct(rates):
+    """S, f and T of a sum of exponentials of distinct rates, by mpmath:
+    S = sum_i C_i e^(-l_i t) with C_i = prod_(j != i) l_j / (l_j - l_i)."""
+    import mpmath
+
+    ls = [mpmath.mpf(r) for r in rates]
+    cs = [mpmath.fprod(lj / (lj - li) for lj in ls if lj != li) for li in ls]
+
+    def parts(t):
+        es = [c * mpmath.exp(-li * t) for c, li in zip(cs, ls)]
+        return (mpmath.fsum(es), mpmath.fsum(e * li for e, li in zip(es, ls)),
+                mpmath.fsum(e / li for e, li in zip(es, ls)))
+
+    return parts
+
+
+def _mp_erlang2_exp(lam, mu):
+    """S, f and T of Erlang(2, lam) + Exp(mu), lam != mu, by mpmath, from
+    S = S_X(t) + int_0^t lam^2 u e^(-lam u) e^(-mu (t - u)) du."""
+    import mpmath
+
+    lam, mu = mpmath.mpf(lam), mpmath.mpf(mu)
+    d = lam - mu
+
+    def parts(t):
+        inner = (1 - mpmath.exp(-d * t) * (1 + d * t)) / d**2  # int_0^t u e^(-d u) du
+        S = mpmath.exp(-lam * t) * (1 + lam * t) + lam**2 * mpmath.exp(-mu * t) * inner
+        f = lam**2 * mu * mpmath.exp(-mu * t) * inner
+        T = (mpmath.exp(-lam * t) * (2 + lam * t) / lam
+             + lam**2 / d**2 * (mpmath.exp(-mu * t) / mu
+                                - mpmath.exp(-lam * t) * (1 / lam + d * t / lam + d / lam**2)))
+        return S, f, T
+
+    return parts
+
+
+_SUMS = {
+    "exp1+exp2": ((Exponential(1.0), Exponential(2.0)), _mp_distinct([1, 2])),
+    "exp2+exp1": ((Exponential(2.0), Exponential(1.0)), _mp_distinct([2, 1])),
+    "exp1+exp2+exp3": ((Exponential(1.0), Exponential(2.0), Exponential(3.0)),
+                       _mp_distinct([1, 2, 3])),
+    "erlang2+exp3": ((Erlang(2, 1.0), Exponential(3.0)), _mp_erlang2_exp(1, 3)),
+}
+
+
+def _summed(specs, closed_forms=True):
+    out = build(specs[0])
+    for s in specs[1:]:
+        out = convolution(out, build(s), closed_forms=closed_forms)
+    return out
+
+
+def _mp_values(parts, t, dps=30):
+    """(S, f, T) at t as floats, at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return tuple(float(v) for v in parts(mpmath.mpf(t)))
+
+
+def _mp_L(parts, ts):
+    import mpmath
+
+    with mpmath.workdps(30):
+        mu = lambda u: parts(u)[2] / parts(u)[0]
+        return [float(mu(t) * t / mpmath.quad(mu, [0, t])) for t in ts]
+
+
+class TestExponentialSums:
+    TS = [0.01, 0.05, 0.3, 1.0, 2.5, 6.0, 15.0]
+
+    @pytest.mark.parametrize("name", sorted(_SUMS))
+    def test_against_mpmath(self, name):
+        specs, parts = _SUMS[name]
+        d = _summed(specs)
+        assert d._tail is not None and d.has_closed_mrl
+        for t in self.TS:
+            S, f, T = _mp_values(parts, t)
+            assert d.survival(t) == pytest.approx(S, rel=1e-12, abs=0.0), f"S at t={t}"
+            assert d.density(t) == pytest.approx(f, rel=1e-12, abs=0.0), f"f at t={t}"
+            assert d.tail(t) == pytest.approx(T, rel=1e-12, abs=0.0), f"T at t={t}"
+            assert mrl(d, t) == pytest.approx(T / S, rel=1e-12, abs=0.0), f"mu at t={t}"
+        assert profile(d, self.TS).L == pytest.approx(_mp_L(parts, self.TS), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(_SUMS))
+    def test_against_the_numeric_path(self, name):
+        # to the inner quadrature's own relative tolerance
+        specs, _ = _SUMS[name]
+        d, numeric = _summed(specs), _summed(specs, closed_forms=False)
+        ts = [0.3, 2.5] if len(specs) > 2 else self.TS
+        for t in ts:
+            assert d.survival(t) == pytest.approx(numeric.survival(t), rel=1e-9, abs=0.0)
+            assert d.density(t) == pytest.approx(numeric.density(t), rel=1e-9, abs=0.0)
+            assert d.tail(t) == pytest.approx(numeric.tail(t), rel=1e-9, abs=0.0)
+        if len(specs) == 2:  # a profile of a doubly nested sum takes seconds
+            closed, swept = profile(d, ts), profile(numeric, ts)
+            assert closed.mu == pytest.approx(swept.mu, rel=1e-9, abs=0.0)
+            assert closed.L == pytest.approx(swept.L, rel=1e-9, abs=0.0)
+
+    def test_mean_is_exact(self):
+        assert _summed(_SUMS["exp1+exp2+exp3"][0]).mean == math.fsum([1.0, 0.5, 1.0 / 3.0])
+        assert _summed(_SUMS["erlang2+exp3"][0]).mean == math.fsum([2.0, 1.0 / 3.0])
+
+    @pytest.mark.parametrize("name", sorted(_SUMS))
+    def test_near_the_origin(self, name):
+        specs, parts = _SUMS[name]
+        d = _summed(specs)
+        assert d.density(0.0) == 0.0 and d.survival(0.0) == 1.0
+        for t in (1e-12, 1e-6):
+            assert d.density(t) >= 0.0 and d.survival(t) <= 1.0
+            # the partial fractions cancel here, so the oracle needs more digits
+            S, f, T = _mp_values(parts, t, dps=60)
+            assert d.survival(t) == pytest.approx(S, rel=1e-12, abs=0.0)
+            assert d.density(t) == pytest.approx(f, rel=1e-12, abs=0.0)
+
+    def test_high_multiplicity_density(self):
+        # Erlang(4, 1) + Erlang(3, 2) + Erlang(2, 5): the partial fractions
+        # lose up to 1e-7 of the density for lam_max t up to about 4, where
+        # the power series at 0 still holds every digit
+        import mpmath
+
+        d = _summed((Erlang(4, 1.0), Erlang(3, 2.0), Erlang(2, 5.0)))
+        assert d._tail is not None
+        rates = [1] * 4 + [2] * 3 + [5] * 2
+        with mpmath.workdps(60):
+            n = len(rates)
+            Q = mpmath.zeros(n, n)  # the phase-type generator: one phase per exponential
+            for i, r in enumerate(rates):
+                Q[i, i] = -r
+                if i + 1 < n:
+                    Q[i, i + 1] = r
+            exit_rates = -Q * mpmath.matrix([1] * n)
+            for x in (0.5, 1.5, 3.0, 4.5, 6.0, 9.0, 14.0):
+                t = x / 5.0
+                want = float((mpmath.expm(Q * mpmath.mpf(t)) * exit_rates)[0])
+                assert d.density(t) == pytest.approx(want, rel=1e-12, abs=0.0), f"f at t={t}"
+
+    def test_far_tail_mrl_is_the_smallest_rate(self):
+        for specs, lam_min in (((Exponential(1.0), Exponential(2.0)), 1.0),
+                               ((Exponential(3.0), Exponential(2.0)), 2.0)):
+            d = _summed(specs)
+            assert d.survival(800.0) == 0.0
+            assert mrl(d, 800.0) == pytest.approx(1.0 / lam_min, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("closed, numeric", [
+        ((Exponential(1.0), Exponential(1.002)), (Exponential(1.0), Exponential(1.0005))),
+        ((Erlang(2, 1.0), Exponential(1.05)), (Erlang(2, 1.0), Exponential(1.03))),
+    ])
+    def test_cancellation_switch(self, closed, numeric):
+        # amplification (max rate / rate gap)^(k_i + k_j - 1): 501 and 441
+        # stay closed, 2001 and 1179 pass the 1e3 bound
+        d = _summed(closed)
+        assert d._tail is not None
+        oracle = (_mp_distinct([s.rate for s in closed]) if isinstance(closed[0], Exponential)
+                  else _mp_erlang2_exp(closed[0].rate, closed[1].rate))
+        for t in (0.05, 1.0, 4.0, 20.0):
+            S, f, T = _mp_values(oracle, t)
+            assert d.survival(t) == pytest.approx(S, rel=1e-12, abs=0.0)
+            assert d.density(t) == pytest.approx(f, rel=1e-12, abs=0.0)
+            assert mrl(d, t) == pytest.approx(T / S, rel=1e-12, abs=0.0)
+        d, numeric_path = _summed(numeric), _summed(numeric, closed_forms=False)
+        assert d._tail is None
+        for t in (0.5, 3.0):
+            assert d.survival(t) == numeric_path.survival(t)
+
+    def test_rates_out_of_float_range_stay_numeric(self):
+        # lam^2 of Erlang(2, 1e200) overflows, so the sum is synthesised
+        d = _summed((Erlang(2, 1e200), Exponential(1.0)))
+        assert d._tail is None and d.lineage == "convolution(erlang, exponential)"
+
+    def test_one_rate_lands_in_the_erlang_family(self):
+        d = build(Convolution((Exponential(1.0), Exponential(1.0), Exponential(1.0))))
+        want = build(Erlang(3, 1.0))
+        assert d.lineage == (
+            "convolution[erlang](convolution[erlang](exponential, exponential), exponential)"
+        )
+        assert d._mrl_integral is not None
+        for t in (0.2, 1.5, 7.0):
+            assert d.survival(t) == want.survival(t)
+            assert mrl(d, t) == mrl(want, t)
+            assert mrlai(d, t) == mrlai(want, t)
+
+    def test_profile_makes_no_inner_integral(self, monkeypatch):
+        import mrlai.distributions as dist_mod
+        import mrlai.ops as ops_mod
+
+        calls = []
+        for mod, name in ((ops_mod, "integrate_finite"), (dist_mod, "integrate_finite"),
+                          (dist_mod, "integrate_tail")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k))
+        d = convolution(build(Exponential(1.0)), build(Exponential(2.0)))
+        prof = profile(d, Grid(0.05, 10.0, 512))
+        assert calls == []
+        assert prof.mu[-1] == pytest.approx(1.0 + 0.5 * math.exp(-10.0) / (2.0 - math.exp(-10.0)),
+                                            rel=1e-12, abs=0.0)
