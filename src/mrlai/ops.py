@@ -13,6 +13,7 @@ survival function and lets quadrature do the rest.
 from __future__ import annotations
 
 import math
+import sys
 
 from .distributions import (
     Convolution,
@@ -133,15 +134,21 @@ def convolution(x: Dist, y: Dist, closed_forms: bool = True) -> Dist:
 # with an error that grows like (max(a, b) / |a - b|)^(i + j - 1); where
 # that factor, multiplied over the other rates, passes this bound for
 # some rate, a sum of exponential lifetimes is convolved numerically.
+# Near 0 the density's partial fractions are used only where their
+# terms sum to at most this factor times their value.
 _MAX_AMPLIFICATION = 1e3
 
 # Near 0 the partial fractions cancel down to the density's zero of
-# order K - 1 (K exponentials in all).  While lam_max * t is below this
-# reach the density is also summed from its power series at 0, where
-# _SERIES_TERMS terms leave a truncation error under 1e-17 of the first,
-# and the sum with the smaller rounding bound is taken.
-_SERIES_REACH = 8.0
-_SERIES_TERMS = 48
+# order K - 1 (K exponentials in all).  There the density is summed from
+# its power series at 0 instead (``_series_at_zero``); a sum whose series
+# would need more terms is convolved numerically.
+_MAX_SERIES_TERMS = 512
+
+# The polynomial of every term p(t) e^(-lam t) of a closed sum stays
+# below _TERM_CEILING up to lam t = _EXP_REACH, so no evaluation
+# overflows; past it the term is below e^(690 - 1490), which underflows.
+_TERM_CEILING = 1e300
+_EXP_REACH = 1490.0
 
 
 def _erlang_summands(spec):
@@ -163,12 +170,18 @@ def _exponential_sum(x: Dist, y: Dist):
 
     Rates within 1e-12 of each other are one rate.  A single rate lands
     in the Erlang family at the first summand's rate.  Distinct rates
-    give the density as sum_lam p_lam(t) e^(-lam t), built by folding in
-    one Exp(mu) at a time (``_fold_exponential``); survival and tail are
-    sums of the same form, and the MRL is their ratio scaled by
-    e^(lam_min t), so it does not underflow.  Returns None where a
-    summand is of another family or where the partial fractions would
-    cancel (``_MAX_AMPLIFICATION``) or leave the float range.
+    give the density as sum_r p_r(x) e^(-r x) in x = lam_min t and the
+    rates r = lam / lam_min, built by folding in one Exp(r) at a time
+    (``_fold_exponential``), so no coefficient depends on the rates'
+    scale; survival and tail are sums of the same form, and the MRL is
+    their ratio scaled by e^x, so it does not underflow.  Near 0, where
+    these terms cancel, the density and S = 1 - F come from their power
+    series (``_series_at_zero``).  Returns None where a summand is of
+    another family, where the partial fractions would cancel
+    (``_MAX_AMPLIFICATION``), where a coefficient overflows or a product
+    underflows it (``_normal``), where a term could overflow
+    (``_in_range``), or where the series cannot reach the partial
+    fractions.
     """
     sx, sy = _erlang_summands(x.spec), _erlang_summands(y.spec)
     if sx is None or sy is None:
@@ -187,51 +200,55 @@ def _exponential_sum(x: Dist, y: Dist):
         return d.relabel(spec, f"convolution[{d.lineage}]({x.lineage}, {y.lineage})")
     groups.sort()
     (lam_min, k0), lam_max = groups[0], groups[-1][0]
+    for a, i in groups:
+        amplification = 1.0
+        for b, j in groups:
+            if b != a:
+                amplification *= (max(a, b) / abs(a - b)) ** (i + j - 1)
+        if amplification > _MAX_AMPLIFICATION:
+            return None
     try:
-        for a, i in groups:
-            amplification = 1.0
-            for b, j in groups:
-                if b != a:
-                    amplification *= (max(a, b) / abs(a - b)) ** (i + j - 1)
-            if amplification > _MAX_AMPLIFICATION:
-                return None
-        density = {lam_min: [0.0] * (k0 - 1) + [lam_min**k0 / math.factorial(k0 - 1)]}
-        for mu, k in groups[1:]:
+        density = {1.0: [0.0] * (k0 - 1) + [1.0 / math.factorial(k0 - 1)]}
+        for lam, k in groups[1:]:
             for _ in range(k):
-                density = _fold_exponential(density, mu)
+                density = _fold_exponential(density, lam / lam_min)
         survival = _upper_integral(density)
         tail = _upper_integral(survival)
-        f_series, cdf_series = _series_at_zero(groups)
+        if not all(_in_range(*terms) for terms in
+                   ((density,), (survival,), (tail,), (survival, 1.0), (tail, 1.0))):
+            return None
+        f_sum, s_sum, t_sum = _exp_poly(density), _exp_poly(survival), _exp_poly(tail)
+        # the same sum over |c|, which bounds its rounding
+        f_abs = _exp_poly({r: [abs(c) for c in cs] for r, cs in density.items()})
+        to_x = lam_min / lam_max
+        series = _series_at_zero(groups, lambda xs: (
+            f_abs(xs * to_x) <= _MAX_AMPLIFICATION * abs(f_sum(xs * to_x))))
     except ArithmeticError:
-        return None  # a power of a rate, or of a rate gap, leaves the float range
-    f_sum = _exp_poly(density)
-    # the same sum over |c|, which bounds its rounding
-    f_abs = _exp_poly({lam: [abs(c) for c in cs] for lam, cs in density.items()})
-    s_sum = _exp_poly(survival)
-    scaled_tail, scaled_survival = _exp_poly(tail, lam_min), _exp_poly(survival, lam_min)
+        return None  # a coefficient overflows, or a product underflows it
+    if series is None:
+        return None
+    f_series, cdf_series, reach = series  # in x' = lam_max t
+    scaled_mrl = _scaled_ratio(tail, survival)
 
     def density_at(t):
-        # rounding bounds relative to the values: w_abs/|w| against f_abs/|v|
-        v = f_sum(t)
-        if lam_max * t < _SERIES_REACH:
-            w, w_abs = f_series(t)
-            if w_abs * abs(v) <= f_abs(t) * abs(w):
-                return w
-        return v
+        if lam_max * t < reach:
+            return lam_max * f_series(lam_max * t)
+        return lam_min * f_sum(lam_min * t)
 
     def survival_at(t):
-        # 1 - F keeps S <= 1; up to lam_max t = 1 the alternating series
-        # loses at most a factor e^2 of F to rounding
-        return 1.0 - cdf_series(t)[0] if lam_max * t <= 1.0 else s_sum(t)
+        # 1 - F keeps S <= 1
+        if lam_max * t <= 1.0:
+            return 1.0 - cdf_series(lam_max * t)
+        return s_sum(lam_min * t)
 
     return Dist(
         spec,
         survival_at,
         (0.0, math.inf),
         density=density_at,
-        tail=_exp_poly(tail),
+        tail=lambda t: t_sum(lam_min * t) / lam_min,
         mean=math.fsum(k / rate for rate, k in groups),
-        mrl=lambda t: scaled_tail(t) / scaled_survival(t),
+        mrl=lambda t: scaled_mrl(lam_min * t) / lam_min,
         lineage=f"convolution({x.lineage}, {y.lineage})",
     )
 
@@ -246,7 +263,7 @@ def _fold_exponential(density, mu):
     own = density.get(mu, [])
     at_mu = [0.0] * (len(own) + 1)
     for m, c in enumerate(own):
-        at_mu[m + 1] = c * mu / (m + 1)
+        at_mu[m + 1] = _normal(c * mu / (m + 1)) if c else 0.0
     out = {mu: at_mu}
     for a, cs in density.items():
         if a == mu:
@@ -254,10 +271,12 @@ def _fold_exponential(density, mu):
         d = a - mu
         poly = [0.0] * len(cs)
         for m, c in enumerate(cs):
+            if not c:
+                continue
             coef = c * mu * math.factorial(m) / d ** (m + 1)
             at_mu[0] += coef
             for r in range(m + 1):
-                poly[r] -= coef
+                poly[r] -= _normal(coef)
                 coef *= d / (r + 1)
         out[a] = poly
     return out
@@ -270,73 +289,169 @@ def _upper_integral(terms):
     for lam, cs in terms.items():
         poly = [0.0] * len(cs)
         for m, c in enumerate(cs):
+            if not c:
+                continue
             coef = c * math.factorial(m) / lam ** (m + 1)
             for r in range(m + 1):
-                poly[r] += coef
+                poly[r] += _normal(coef)
                 coef *= lam / (r + 1)
         out[lam] = poly
     return out
 
 
-def _exp_poly(terms, shift=0.0):
-    """t -> sum_lam p_lam(t) e^(-(lam - shift) t) for the terms
-    {lam: [c_0, c_1, ...]}, t >= 0; a term whose exponential underflows
-    is 0."""
-    rows = [(lam - shift, tuple(reversed(cs))) for lam, cs in terms.items()]
+def _normal(coef):
+    """``coef``, unless a product has underflowed it to 0 or a subnormal."""
+    if abs(coef) < sys.float_info.min:
+        raise FloatingPointError("a partial-fraction coefficient underflows")
+    return coef
+
+
+def _in_range(terms, shift=0.0):
+    """Whether the polynomial of every term of the exp-polynomial
+    ``terms``, scaled by e^(shift t), stays below _TERM_CEILING for
+    (lam - shift) t < _EXP_REACH.  A term that does not decay
+    (lam = shift) is bounded over t <= 1 only: ``_scaled_ratio`` divides
+    it by its leading power past that.  False for an infinite or NaN
+    coefficient."""
+    total = 0.0
+    for lam, cs in terms.items():
+        reach = max(1.0, _EXP_REACH / (lam - shift)) if lam > shift else 1.0
+        p = 0.0
+        for c in reversed(cs):
+            p = p * reach + abs(c)
+        total += p
+    return total < _TERM_CEILING
+
+
+def _exp_poly(terms):
+    """t -> sum_lam p_lam(t) e^(-lam t) for the terms {lam: [c_0, c_1, ...]},
+    t >= 0.  Where e^(-lam t) nears underflow the term is exp(log|p| -
+    lam t); past lam t = _EXP_REACH it is 0 (``_in_range``)."""
+    rows = [(lam, tuple(reversed(cs))) for lam, cs in terms.items()]
 
     def value(t):
         total = 0.0
+        for rate, cs in rows:
+            z = rate * t
+            if z < _EXP_REACH:
+                p = 0.0
+                for c in cs:
+                    p = p * t + c
+                if z < 700.0:
+                    total += p * math.exp(-z)
+                elif p:
+                    total += math.copysign(math.exp(math.log(abs(p)) - z), p)
+        return total
+
+    return value
+
+
+def _scaled_ratio(num, den):
+    """t -> the ratio of the exp-polynomials ``num`` and ``den`` (rates in
+    units of the smallest, which is 1), each scaled by e^t so the ratio
+    does not underflow.  Past t = 1 both are also divided by t^D, D the
+    degree of their common rate-1 term, which then no longer grows and
+    so cannot overflow."""
+    lead_num, lead_den = tuple(num[1.0]), tuple(den[1.0])
+    degree = len(lead_num) - 1
+    rows_num = [(lam - 1.0, tuple(reversed(cs))) for lam, cs in num.items() if lam != 1.0]
+    rows_den = [(lam - 1.0, tuple(reversed(cs))) for lam, cs in den.items() if lam != 1.0]
+
+    def scaled(lead, rows, t):
+        if t > 1.0:
+            u = 1.0 / t
+            total = 0.0
+            for c in lead:  # lead(t) / t^D
+                total = total * u + c
+            scale = u**degree
+        else:
+            total = 0.0
+            for c in reversed(lead):
+                total = total * t + c
+            scale = 1.0
         for rate, cs in rows:
             e = math.exp(-rate * t)
             if e:
                 p = 0.0
                 for c in cs:
                     p = p * t + c
-                total += p * e
+                total += p * e * scale
         return total
 
-    return value
+    return lambda t: scaled(lead_num, rows_num, t) / scaled(lead_den, rows_den, t)
 
 
-def _series_at_zero(groups):
-    """The power series at 0 of the density and of the distribution
-    function of the sum of K exponentials with the rates and shapes
-    ``groups`` (largest rate last): two functions t -> (value, sum of
-    the terms' magnitudes).
+def _series_at_zero(groups, conditioned):
+    """The density and the distribution function of the sum of K
+    exponentials with the rates and shapes ``groups`` (largest rate
+    last) from their power series at 0, in x = lam_max t, and the reach X
+    of those series: the smallest x of 1, 1.25, 1.25^2, ... at which
+    ``conditioned(x)`` holds, at most 256.  Returns the two functions
+    x -> value on [0, X), the density's in units of lam_max, and X; or
+    None where no such X is found or the series would need more than
+    _MAX_SERIES_TERMS terms.
 
-    The Laplace transform prod (lam/(lam + s))^k gives the density
-    prod(lam^k) sum_n (-1)^n h_n t^(K-1+n)/(K-1+n)!, where h_n, the
-    complete homogeneous symmetric polynomial of degree n in the K rates,
-    is a sum of positive terms: nothing cancels in the coefficients.  The
-    rates are scaled by the largest, x = lam_max t.
+    With the scaled rates q = lam / lam_max and p = 1 - q, the Laplace
+    transform prod (lam/(lam + s))^k shifted by lam_max gives
+    f = lam_max prod(q^k) e^(-x) sum_n h_n x^(K-1+n)/(K-1+n)!, where h_n,
+    the complete homogeneous symmetric polynomial of degree n in the K
+    values p, is positive: every term is positive, so nothing cancels.
+    The distribution function takes the same sum with one p = 1 more and
+    K for K - 1.  Terms are added until, at X, the last is under 1e-17 of
+    the sum and the ones after it fall at least by half each (h_n is
+    log-concave in n, so h_(n+1)/h_n never grows), so at every x < X the
+    truncation is under 1e-17.
     """
     lam_max = groups[-1][0]
-    K = sum(k for _, k in groups)
-    scale = math.prod(lam**k for lam, k in groups)
-    h = [1.0] + [0.0] * (_SERIES_TERMS - 1)
-    for lam, k in groups:
-        for _ in range(k):
-            for n in range(1, _SERIES_TERMS):
-                h[n] += lam / lam_max * h[n - 1]
+    qs = [lam / lam_max for lam, k in groups for _ in range(k)]
+    ps = [(lam_max - lam) / lam_max for lam, k in groups for _ in range(k)]
+    K = len(qs)
+    scale = _normal(math.prod(qs))
+    reach = 1.0
+    while not conditioned(reach):
+        reach *= 1.25
+        if reach > 256.0:
+            return None
+    # h_n, and its partial sums for the distribution function's extra p = 1
+    h, column, cumulative = [1.0], [1.0] * (K + 1), [1.0]  # column[i]: h_n of the first i p
+    f_terms, F_terms = [1.0], [1.0]  # at x = reach; the first at x^(K-1)/(K-1)! (x^K/K!)
+    while True:
+        n = len(h)
+        column = [0.0] + column[1:]
+        for i, p in enumerate(ps, 1):
+            column[i] = column[i - 1] + p * column[i]
+        h.append(column[-1])
+        cumulative.append(cumulative[-1] + h[n])
+        f_next = f_terms[-1] * reach * h[n] / max(h[n - 1], sys.float_info.min) / (K - 1 + n)
+        F_next = F_terms[-1] * reach * cumulative[n] / cumulative[n - 1] / (K + n)
+        if n >= 2 and all(after <= 0.5 * terms[-1] and terms[-1] <= 1e-17 * sum(terms)
+                          for after, terms in ((f_next, f_terms), (F_next, F_terms))):
+            break
+        if n > _MAX_SERIES_TERMS:
+            return None
+        f_terms.append(f_next)
+        F_terms.append(F_next)
 
-    def series(j):
-        # Horner rows, highest power first
-        powers = range(_SERIES_TERMS - 1, -1, -1)
-        mags = [h[n] / math.factorial(K - 1 + j + n) for n in powers]
-        signed = [-m if n % 2 else m for n, m in zip(powers, mags)]
+    def series(terms, m):
+        coefficients = terms[::-1]  # Horner in x / reach, highest power first
+        fact = float(math.factorial(m))
+        log_fact = math.lgamma(m + 1)
+        direct = 1e300 ** (1.0 / m)  # below it x^m does not overflow
 
-        def value(t):
-            x = lam_max * t
-            v = a = 0.0
-            for c, m in zip(signed, mags):
-                v = v * x + c
-                a = a * x + m
-            lead = scale * t ** (K - 1 + j)
-            return lead * v, lead * a
+        def value(x):
+            v = 0.0
+            y = x / reach
+            for c in coefficients:
+                v = v * y + c
+            if x < direct:
+                lead = x**m / fact * math.exp(-x)
+            else:
+                lead = math.exp(m * math.log(x) - log_fact - x)
+            return lead * v * scale  # scale <= 1 <= v: no early underflow
 
         return value
 
-    return series(0), series(1)
+    return series(f_terms, K - 1), series(F_terms, K), reach
 
 
 def order_statistic(base: Dist, k: int, n: int) -> Dist:

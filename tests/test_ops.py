@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -605,6 +606,23 @@ def _mp_erlang2_exp(lam, mu):
     return parts
 
 
+def _mp_erlang_exp(k, lam, mu, t):
+    """(S, f, T, T/S) of Erlang(k, lam) + Exp(mu) at t as floats, by mpmath
+    at 60 digits: f = mu e^(-mu t) lam^k/(k-1)! int_0^t u^(k-1) e^((mu-lam) u) du
+    with the integral t^k/k 1F1(k; k+1; (mu - lam) t), S = S_E + f/mu and
+    T = T_E + S/mu for the Erlang's own S_E and T_E."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        lam, mu, t = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(t)
+        f = (mu * mpmath.exp(-mu * t) * lam**k / mpmath.factorial(k - 1)
+             * t**k / k * mpmath.hyp1f1(k, k + 1, (mu - lam) * t))
+        Q = lambda a: mpmath.gammainc(a, lam * t, mpmath.inf, regularized=True)
+        S = Q(k) + f / mu
+        T = k / lam * Q(k + 1) - t * Q(k) + S / mu
+        return float(S), float(f), float(T), float(T / S)
+
+
 _SUMS = {
     "exp1+exp2": ((Exponential(1.0), Exponential(2.0)), _mp_distinct([1, 2])),
     "exp2+exp1": ((Exponential(2.0), Exponential(1.0)), _mp_distinct([2, 1])),
@@ -713,6 +731,43 @@ class TestExponentialSums:
             assert d.survival(800.0) == 0.0
             assert mrl(d, 800.0) == pytest.approx(1.0 / lam_min, rel=1e-12, abs=0.0)
 
+    def test_far_tail_mrl_of_an_erlang_summand(self):
+        # S = e^(-t) (t^2 + 2) - e^(-2t) and T = e^(-t) (t^2 + 2t + 4) - e^(-2t)/2,
+        # whose t^2 overflows at t = 1e200
+        d = _summed((Erlang(3, 1.0), Exponential(2.0)))
+        for t in (40.0, 1e5, 1e200):
+            u = 1.0 / t
+            want = (1.0 + 2.0 * u + 4.0 * u * u) / (1.0 + 2.0 * u * u)
+            assert mrl(d, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k, lam, mu", [(100, 0.01, 1.0), (100, 1.0, 0.01), (60, 1.0, 1e3)])
+    def test_high_shape_against_the_exact_oracle(self, k, lam, mu):
+        # Erlang(k, lam) + Exp(mu): the partial fractions' coefficients in t
+        # under- or overflow for these rates; in lam_min t they do not
+        d, mean = _summed((Erlang(k, lam), Exponential(mu))), k / lam + 1.0 / mu
+        assert d._tail is not None and d.mean == mean
+        for i in range(40):
+            t = mean * 2e-4 * 1.3**i
+            want = _mp_erlang_exp(k, lam, mu, t)
+            got = (d.survival(t), d.density(t), d.tail(t), mrl(d, t))
+            for name, value, exact in zip("SfTm", got, want):
+                if abs(exact) >= sys.float_info.min:  # a normal float
+                    assert value == pytest.approx(exact, rel=1e-12, abs=0.0), f"{name} at t={t}"
+
+    @pytest.mark.parametrize("c", [1e-60, 1e-200, 1e-300, 1e200, 1e300])
+    def test_rates_scale_out(self, c):
+        # X / c for X = Erlang(5, 1) + Exp(2): S(t) = S_1(c t), f = c f_1(c t),
+        # T = T_1(c t) / c; at c = 1e-60 the product of the rates underflows
+        d, unit = _summed((Erlang(5, c), Exponential(2 * c))), _summed((Erlang(5, 1.0), Exponential(2.0)))
+        assert d._tail is not None
+        for u in (1e-6, 0.01, 0.5, 3.0, 20.0, 80.0):
+            t = u / c
+            assert d.survival(t) == pytest.approx(unit.survival(u), rel=1e-12, abs=0.0)
+            if c * unit.density(u) >= sys.float_info.min:
+                assert d.density(t) == pytest.approx(c * unit.density(u), rel=1e-12, abs=0.0)
+            assert d.tail(t) == pytest.approx(unit.tail(u) / c, rel=1e-12, abs=0.0)
+            assert mrl(d, t) == pytest.approx(mrl(unit, u) / c, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("closed, numeric", [
         ((Exponential(1.0), Exponential(1.002)), (Exponential(1.0), Exponential(1.0005))),
         ((Erlang(2, 1.0), Exponential(1.05)), (Erlang(2, 1.0), Exponential(1.03))),
@@ -735,9 +790,19 @@ class TestExponentialSums:
             assert d.survival(t) == numeric_path.survival(t)
 
     def test_rates_out_of_float_range_stay_numeric(self):
-        # lam^2 of Erlang(2, 1e200) overflows, so the sum is synthesised
+        # the rate ratio 1e200 squared overflows, so the sum is synthesised
         d = _summed((Erlang(2, 1e200), Exponential(1.0)))
         assert d._tail is None and d.lineage == "convolution(erlang, exponential)"
+
+    @pytest.mark.parametrize("specs", [
+        # the tail's coefficient 1/(1e200)^2 underflows
+        (Exponential(1.0), Exponential(1e200)),
+        # the partial fractions cancel up to 1e5 t of about 5e3, past the series' reach
+        (Exponential(1.0), Erlang(2, 10.0), Erlang(2, 1e5)),
+    ])
+    def test_out_of_reach_sums_stay_numeric(self, specs):
+        d = _summed(specs)
+        assert d._tail is None and not d.has_closed_mrl
 
     def test_one_rate_lands_in_the_erlang_family(self):
         d = build(Convolution((Exponential(1.0), Exponential(1.0), Exponential(1.0))))
