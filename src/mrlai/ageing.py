@@ -114,7 +114,7 @@ def _mrl(d, t, cfg):
     if t >= s1:
         raise BeyondSupport(f"{d.lineage}: mrl undefined at t={t!r} (past support end)")
     if t < s0:
-        return d.mean - t
+        return d.tail(t, cfg)  # S = 1 there, so mu = T
     if d.has_closed_mrl:
         return d.mrl_closed(t)
     sv = d.survival(t)
@@ -448,9 +448,12 @@ def _source_dist(source) -> Dist:
 def _evaluate(d, ts, conv, cfg, need_mu=True):
     """(mu, G) at the grid points, G(t) = int mu from the convention origin.
 
-    ``mu`` is None when ``need_mu`` is false.
+    ``mu`` is None when ``need_mu`` is false.  G is defined up to the
+    support end, mu below it; a point past the end raises BeyondSupport.
     """
     g_closed = _closed_integral(d, conv)
+    if ts[-1] > d.support[1]:
+        raise BeyondSupport(f"{d.lineage}: mrl undefined at t={ts[-1]!r} (past support end)")
     if g_closed is None:
         return _sweep(d, ts, conv, cfg, need_mu)
     mu = _closed_mu(d, ts, conv, cfg) if need_mu else None
@@ -464,18 +467,30 @@ def _closed_mu(d, ts, conv, cfg):
 
 
 def _closed_integral(d, conv):
-    """t -> G(t) in closed form, or None where the family has none."""
+    """t -> G(t) in closed form, or None where the family has none.
+
+    The family's MRL integral runs from the support start s0 (see
+    ``Dist``), which is G itself under SUPPORT_START.  Under ZERO, G below
+    s0 is the true continuation (``_true_integral``), and above it that
+    continuation's value at s0 plus the family's integral.  FORMAL reads
+    the formal continuation's integral, which runs from 0.
+    """
     if conv is Convention.FORMAL:
         _, fint = _formal_parts(d)
         if fint is not None:
             return fint
-    if d._mrl_integral is None:
-        return None
-    s0 = d.support[0]
-    if conv is Convention.SUPPORT_START and s0 > 0.0:
-        base = d._mrl_integral(s0)
-        return lambda t: d._mrl_integral(t) - base
-    return d._mrl_integral
+    closed, s0 = d._mrl_integral, d.support[0]
+    if closed is None or s0 == 0.0 or conv is Convention.SUPPORT_START:
+        return closed
+    below = _true_integral(d, s0)
+    return lambda t: below + closed(t) if t >= s0 else _true_integral(d, t)
+
+
+def _true_integral(d, x):
+    """int_0^x of the true MRL below the support start (0 <= x <= s0),
+    where mu = mean - u: the ZERO convention's G there.  0 at x = 0, where
+    the mean is not read."""
+    return d.mean * x - 0.5 * x * x if x > 0 else 0.0
 
 
 def _sweep(d, ts, conv, cfg, need_mu):
@@ -484,8 +499,6 @@ def _sweep(d, ts, conv, cfg, need_mu):
     fm = _formal_parts(d)[0] if conv is Convention.FORMAL else None
     lo = max(s0, _origin(d, conv))
     pts = [t for t in ts if t > lo]
-    if pts and pts[-1] > s1:
-        raise BeyondSupport(f"{d.lineage}: mrl undefined at t={pts[-1]!r} (past support end)")
 
     # on the support: mu and G from lo.  At a finite support end mu takes
     # its limit 0 (0 <= mu(x) <= s1 - x), so G(s1) is defined although
@@ -513,7 +526,7 @@ def _sweep(d, ts, conv, cfg, need_mu):
     elif conv is Convention.SUPPORT_START:
         g_below = lambda x: 0.0
     else:
-        g_below = lambda x: d.mean * x - 0.5 * x * x if x > 0 else 0.0
+        g_below = lambda x: _true_integral(d, x)
 
     g = [g_below(min(t, s0)) + g_at.get(t, 0.0) for t in ts]
     mu = None
@@ -608,8 +621,8 @@ def _tails_on_grid(d, ts, conv, cfg, double=True):
 
 def _closed_tails(d, ts, formal):
     """The closed T at each of the increasing points ``ts``: the formal
-    continuation's tail, or ``Dist.tail`` (whose closed form covers the
-    points below the support start too)."""
+    continuation's tail, or ``Dist.tail``, whose closed form is read on
+    the support and which gives mean - t below it and 0 past it."""
     if formal:
         return list(map(d.formal.tail, ts))
     return d._on_grid(ts, d.tail, d._tail, None, 0.0)

@@ -204,20 +204,6 @@ class Pareto(_Family):
 
     def _build(self):
         a, b = self.shape, self.scale
-        mean = a * b / (a - 1.0)
-
-        def tail(t):
-            if t < b:
-                return mean - t
-            return t * (b / t) ** a / (a - 1.0)
-
-        def mrl_integral(t):
-            # int_0^t of the true MRL: (mean - u) below the support start
-            if t <= b:
-                return mean * t - 0.5 * t * t
-            on_support = (t * t - b * b) / (2.0 * (a - 1.0))
-            return mean * b - 0.5 * b * b + on_support
-
         formal = FormalExtension(
             tail=lambda t: b**a * t ** (1.0 - a) / (a - 1.0),
             mrl=lambda t: t / (a - 1.0),
@@ -228,10 +214,10 @@ class Pareto(_Family):
             lambda t: (b / t) ** a,
             (b, math.inf),
             density=lambda t: a * b**a / t ** (a + 1.0),
-            tail=tail,
-            mean=mean,
+            tail=lambda t: t * (b / t) ** a / (a - 1.0),
+            mean=a * b / (a - 1.0),
             mrl=lambda t: t / (a - 1.0),
-            mrl_integral=mrl_integral,
+            mrl_integral=lambda t: (t * t - b * b) / (2.0 * (a - 1.0)),
             formal=formal,
         )
 
@@ -358,31 +344,15 @@ class Uniform(_Family):
     def _build(self):
         lo, hi = self.lo, self.hi
         width = hi - lo
-        mean = 0.5 * (lo + hi)
-
-        def tail(t):
-            if t < lo:
-                return mean - t
-            if t >= hi:
-                return 0.0
-            return (hi - t) ** 2 / (2.0 * width)
-
-        def mrl_integral(t):
-            if t <= lo:
-                return mean * t - 0.5 * t * t
-            below = mean * lo - 0.5 * lo * lo
-            u = min(t, hi)
-            return below + 0.5 * (hi * (u - lo) - 0.5 * (u * u - lo * lo))
-
         return Dist(
             self,
             lambda t: (hi - t) / width,
             (lo, hi),
             density=lambda t: 1.0 / width,
-            tail=tail,
-            mean=mean,
+            tail=lambda t: (hi - t) ** 2 / (2.0 * width),
+            mean=0.5 * (lo + hi),
             mrl=lambda t: 0.5 * (hi - t),
-            mrl_integral=mrl_integral,
+            mrl_integral=lambda t: 0.5 * (hi * (t - lo) - 0.5 * (t * t - lo * lo)),
         )
 
     def rescaled(self, a):
@@ -996,6 +966,7 @@ class FormalExtension:
     Used by the 'formal' integration convention, which evaluates the
     MRLAI denominator with the on-support MRL formula continued down to
     zero (the treatment the Pareto characterisation implicitly applies).
+    Unlike the family's own, its ``mrl_integral`` runs from 0.
     """
 
     tail: object
@@ -1007,10 +978,17 @@ class Dist:
     """Evaluatable lifetime distribution.  Immutable after construction.
 
     Scalar callables cover the survival function and, where available, the
-    density, the closed tail integral S(t) = int_t^inf survival, the closed
-    mean residual life, and the closed running integral int_0^t mu(u) du
-    (with the true conditional MRL, mean - u, below the support start).
-    Anything missing falls back to quadrature in the callers.
+    density, the closed tail integral T(t) = int_t^inf survival, the closed
+    mean residual life, and the closed running integral of the MRL from the
+    support start, int_s0^t mu(u) du.  Anything missing falls back to
+    quadrature in the callers.
+
+    These family closures hold the on-support formulas only and never test
+    t against the support [s0, s1).  The edges are decided by the methods
+    here: below s0, S = 1, f = 0 and T = mu = mean - t (``tail``); at and
+    past s1, S = f = T = 0 and mu is undefined.  The MRL integral is read
+    on [s0, s1] by ``ageing``, which adds the integral below s0 that its
+    integration convention asks for.
 
     ``breakpoints`` holds the finite points where the survival function
     may lose smoothness: the finite support edges plus whatever the
@@ -1051,6 +1029,26 @@ class Dist:
         self.formal = formal
         self.lineage = lineage or (spec.family if spec is not None else "")
 
+    def _with(self, **changes) -> Dist:
+        """A new ``Dist`` from this one's constructor arguments, ``changes``
+        replacing some of them.  The mean goes over as stated, so nothing
+        worked out on this object (the mean, the quadrature view) is copied.
+        """
+        args = dict(
+            spec=self.spec,
+            survival=self._survival,
+            support=self.support,
+            density=self._density,
+            tail=self._tail,
+            mean=self._mean,
+            mrl=self._mrl,
+            mrl_integral=self._mrl_integral,
+            formal=self.formal,
+            lineage=self.lineage,
+            breakpoints=self.breakpoints,
+        )
+        return Dist(**{**args, **changes})
+
     def relabel(self, spec, lineage: str = "", *, mean=None) -> Dist:
         """This distribution under another spec and lineage.
 
@@ -1058,19 +1056,7 @@ class Dist:
         forms carry over.  ``mean`` replaces the mean when the new spec
         states it exactly.
         """
-        return Dist(
-            spec,
-            self._survival,
-            self.support,
-            density=self._density,
-            tail=self._tail,
-            mean=self.mean if mean is None else mean,
-            mrl=self._mrl,
-            mrl_integral=self._mrl_integral,
-            formal=self.formal,
-            lineage=lineage,
-            breakpoints=self.breakpoints,
-        )
+        return self._with(spec=spec, lineage=lineage, mean=self.mean if mean is None else mean)
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -1110,9 +1096,11 @@ class Dist:
     def tail(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """T(t) = integral of the survival function S over [t, infinity).
 
-        The closed tail where the family has one, otherwise quadrature
-        (``ageing``'s ``method="quadrature"`` evaluates a view of the
-        distribution without the closed tail).  The quadrature meets
+        0 from the support end on, and mean - t below the support start,
+        where S = 1: the only place that rule is applied to T.  On the
+        support, the closed tail where the family has one, otherwise
+        quadrature (``ageing``'s ``method="quadrature"`` evaluates a view of
+        the distribution without the closed tail).  The quadrature meets
         max(abs_tol * min(1, S(t)), rel_tol * T(t)) in one pass: callers
         divide T by S(t), and since T = S * mu the scaled floor bounds the
         error of mu.
@@ -1120,13 +1108,13 @@ class Dist:
         s0, s1 = self.support
         if t >= s1:
             return 0.0
+        if t < s0:
+            return self.mean - t
         if self._tail is not None:
             try:
                 return self._tail(t)
             except OverflowError:
                 return 0.0
-        if t < s0:
-            return self.mean - t
         return self._integral_above(self.survival, t, self._tail_config(t, cfg))
 
     def _on_grid(self, ts, point, closure, below=None, above=None) -> list:
@@ -1178,16 +1166,7 @@ class Dist:
         else: what ``ageing`` evaluates under ``method="quadrature"``.  Built
         once, so a mean the view has to work out is worked out once."""
         formal = None if self.formal is None else replace(self.formal, mrl_integral=None)
-        return Dist(
-            self.spec,
-            self._survival,
-            self.support,
-            density=self._density,
-            mean=self._mean,
-            formal=formal,
-            lineage=self.lineage,
-            breakpoints=self.breakpoints,
-        )
+        return self._with(tail=None, mrl=None, mrl_integral=None, formal=formal)
 
     @cached_property
     def mean(self) -> float:

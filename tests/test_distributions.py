@@ -238,6 +238,32 @@ class TestClosedTails:
             assert d.tail(t) == pytest.approx(want, rel=1e-8, abs=1e-13)
 
 
+class TestBelowTheSupport:
+    """S = 1 below the support start, so T(t) = mean - t there, whether or
+    not the family has a closed tail."""
+
+    SPECS = VALID_SPECS + [
+        Convolution((Exponential(1.0), Exponential(2.0))),  # partial fractions
+        Convolution((Exponential(1.0), Exponential(1.0))),  # lands in Erlang
+        Mixture((0.3, 0.7), (Exponential(1.0), Uniform(0.5, 2.0))),
+        OrderStatistic(Weibull(1.5, 1.0), 2, 3),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family + repr(s)[:24])
+    def test_tail_is_mean_minus_t(self, spec):
+        d = build(spec)
+        for t in (d.support[0] - 1.0, 0.5 * d.support[0]):
+            if t < d.support[0]:
+                assert d.tail(t) == d.mean - t, f"T at t={t}"
+
+    def test_generic_scaling(self):
+        from mrlai.ops import scale
+
+        d = scale(build(Exponential(1.0)), 2.0, rewrite=False)
+        assert d._tail is not None
+        assert d.tail(-1.0) == d.mean + 1.0 == 3.0
+
+
 class TestNoCallState:
     def test_tail_ignores_an_earlier_config(self):
         from mrlai.distributions import Dist
@@ -444,8 +470,8 @@ class TestOnGrid:
             self._check(d, d.survival, d._survival, 1.0, 0.0, ts)
             if d.has_density:
                 self._check(d, d.density, d._density, 0.0, 0.0, ts)
-            if d._tail is not None:  # the MRL families' tails take no t < 0
-                self._check(d, d.tail, d._tail, None, 0.0, [t for t in ts if t >= 0.0])
+            if d._tail is not None:
+                self._check(d, d.tail, d._tail, None, 0.0, ts)
 
     @pytest.mark.parametrize(
         "spec, method",

@@ -549,8 +549,9 @@ def _exp_weibull_survival(shape, t):
 
 
 class TestHeavyTailedConvolution:
-    """Known defects of the numeric convolution with a Weibull summand of
-    shape below 1, pinned so that a fix shows up as an unexpected pass."""
+    """Known defects of the numeric convolution, with a Weibull summand of
+    shape below 1 or an inner integrand concentrated near u = t, pinned so
+    that a fix shows up as an unexpected pass."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the far tail of Exp(1) + Weibull(0.2) is lost: 7.09e-107")
@@ -563,6 +564,15 @@ class TestHeavyTailedConvolution:
     def test_weibull_plus_exponential_near_the_origin(self):
         c = convolution(build(Weibull(0.4, 1.0)), build(Exponential(1.0)), closed_forms=False)
         assert c.survival(0.5) == pytest.approx(_exp_weibull_survival(0.4, 0.5), rel=1e-6)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the inner integrand's peak near u = t is missed: S off by -8.2e-4")
+    def test_concentrated_inner_integrand(self):
+        # the closed sum is checked against mpmath in TestExponentialSums
+        x, y = build(Erlang(100, 0.01)), build(Exponential(1.0))
+        numeric, closed = convolution(x, y, closed_forms=False), convolution(x, y)
+        assert numeric.survival(1e4) == pytest.approx(closed.survival(1e4), rel=1e-5)
+        assert numeric.density(5000.0) == pytest.approx(closed.density(5000.0), rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

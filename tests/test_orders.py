@@ -205,6 +205,11 @@ class TestComparisonOrders:
         assert icx_order(X, X, ts(0.1, 10.0)).relation is Relation.HOLDS
         assert icx_order(X, Y, ts(0.1, 10.0)).relation is Relation.HOLDS
 
+    def test_icx_below_the_support_start(self):
+        # S = 1 below 0, so the tails there are mean - t: 2 and 2.2 at t = -1
+        X, Y = build(Exponential(1.0)), build(Weibull(1.0, 1.2))
+        assert icx_order(X, Y, [-1.0, 0.5, 1.0]).relation is Relation.HOLDS
+
     def test_vrl_printed_counterexample(self):
         X, Y = build(Exponential(2.0)), build(Pareto(3.0, 1.0))
         v = vrl_order(X, Y, ts(0.05, 5.0), FORMAL)
