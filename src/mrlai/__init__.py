@@ -62,7 +62,6 @@ from .errors import (
     GridError,
     NonConvergence,
     NonPositiveMrl,
-    OriginSingularity,
     SpecError,
     ToolkitError,
     UnknownCase,

@@ -28,6 +28,12 @@ the survival function instead, the library's own check of its closed
 forms.  The method is resolved once per call into the ``Dist`` that is
 evaluated (``_resolve``), so the code below it follows the ``Dist`` alone.
 
+Scalar ``mrlai`` and ``mrl_average`` are one-point profiles, bit for bit,
+at every t above the convention origin.  Next to it G(t) meets
+max(abs_tol, rel_tol * G), so the average's error is of order abs_tol / t.
+Their t is read as a grid point (``_grid_points``): NaN, infinite and
+nonzero subnormal points raise GridError.
+
 The increasing-convex and variance-residual-life orders read the tail
 T(t) = int_t^inf S and the double tail D(t) = int_t^inf T on a grid
 (``_tails_on_grid``).  Without closed forms they run on the chain of the
@@ -41,10 +47,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
-from operator import le, truediv
+from operator import lt, truediv
 
 from .distributions import Dist
 from .errors import (
@@ -52,7 +60,6 @@ from .errors import (
     Divergence,
     GridError,
     NonPositiveMrl,
-    OriginSingularity,
     UnsupportedCapability,
 )
 from .quadrature import DEFAULT_CONFIG, QuadConfig, cheb_sweep, integrate_finite
@@ -70,11 +77,6 @@ __all__ = [
     "mrlai_closed_form",
     "profile",
 ]
-
-# below this fraction of the mean, the running average switches to a
-# first-order expansion to dodge 0/0 noise at the origin
-_SMALL_T_FRACTION = 1e-4
-
 
 class Convention(enum.Enum):
     ZERO = "zero"
@@ -154,36 +156,15 @@ def mrl_average(
     cfg: QuadConfig = DEFAULT_CONFIG,
     method: str = "auto",
 ) -> float:
-    """Running average (1/t) * int mu over [origin, t] for the convention."""
+    """Running average (1/t) * int mu over [origin, t] for the convention:
+    a one-point ``profile`` (see the module docstring).  A t at or below
+    the origin raises GridError."""
     d = _resolve(d, method)
+    ts = _grid_points((t,))
     origin = _origin(d, conv)
-    if t <= origin:
+    if ts[0] <= origin:
         raise GridError(f"mrl_average needs t above the convention origin {origin!r}")
-    if _small_t(d, t, conv):
-        return _small_t_average(d, t, cfg)
-    return _evaluate(d, (t,), conv, cfg, need_mu=False)[1][0] / t
-
-
-def _small_t(d, t, conv):
-    return (
-        conv is not Convention.SUPPORT_START
-        and d.support[0] == 0.0
-        and t < _SMALL_T_FRACTION * d.mean
-        and d._mrl_integral is None
-    )
-
-
-def _small_t_average(d, t, cfg):
-    # (mu(0) + mu(t))/2 = mu(0) + mu'(0) t/2 + O(t^2)
-    mu0 = _mrl(d, 0.0, cfg)
-    if not (math.isfinite(mu0) and mu0 > 0.0):
-        raise OriginSingularity(f"{d.lineage}: MRL at the origin is {mu0!r}")
-    mut = _mrl(d, t, cfg)
-    if abs(mut - mu0) > 0.5 * mu0:
-        raise OriginSingularity(
-            f"{d.lineage}: MRL jumps from {mu0!r} to {mut!r} across [0, {t!r}]"
-        )
-    return 0.5 * (mu0 + mut)
+    return _evaluate(d, ts, conv, cfg, need_mu=False)[1][0] / ts[0]
 
 
 def mrlai(
@@ -195,13 +176,15 @@ def mrlai(
 ) -> float:
     """Ageing intensity L(t) = mu(t) / mrl_average(t) under the convention.
 
-    Evaluated as a one-point ``profile``.
+    A one-point ``profile`` (see the module docstring).  At or below the
+    origin the numerator raises where it is undefined, else the average.
     """
     d = _resolve(d, method)
-    if t > _origin(d, conv) and not _small_t(d, t, conv):
-        mu, g = _evaluate(d, (t,), conv, cfg)
-        return mu[0] / (g[0] / t)
-    return _mrl_point(d, t, conv, cfg) / mrl_average(d, t, conv, cfg)
+    ts = _grid_points((t,))
+    if ts[0] <= _origin(d, conv):
+        return _mrl_point(d, ts[0], conv, cfg) / mrl_average(d, ts[0], conv, cfg)
+    mu, g = _evaluate(d, ts, conv, cfg)
+    return mu[0] / (g[0] / ts[0])
 
 
 def survival_from_mrl(mu, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -243,7 +226,7 @@ def hazard_ai(d: Dist, t: float) -> float:
     when the density is available.  Evaluated as a one-point grid
     (``_hazard_ai_on_grid``); raises BeyondSupport where it is undefined.
     """
-    (ai,), why = _hazard_ai_on_grid(d, (t,))
+    (ai,), why = _hazard_ai_on_grid(d, _grid_points((t,)))
     if why is not None:
         raise BeyondSupport(why)
     return ai
@@ -328,15 +311,22 @@ class _Points(tuple):
 def _grid_points(grid) -> tuple:
     """A grid argument, a ``Grid`` or a sequence of numbers, read into
     strictly increasing floats (``_Points``, returned as they are when read
-    again); an empty or not strictly increasing grid raises GridError."""
+    again).  An empty or not strictly increasing grid raises GridError, as
+    does a NaN, an infinite or a nonzero subnormal point (too few bits for
+    G(t)/t)."""
     ts = grid._points if isinstance(grid, Grid) else grid
     if type(ts) is _Points:
         return ts
     ts = tuple(map(float, ts))
     if not ts:
         raise GridError("empty grid")
-    if any(map(le, ts[1:], ts)):
-        raise GridError("grid must be strictly increasing")
+    if not all(map(lt, ts, ts[1:])):  # a NaN point fails every comparison
+        raise GridError("grid must be strictly increasing, with no NaN point")
+    # so only an end can be infinite or NaN, and the subnormals lie around 0
+    tiny = sys.float_info.min
+    for t in (ts[0], ts[-1], *ts[bisect_right(ts, -tiny) : bisect_left(ts, tiny)]):
+        if not (t == 0.0 or tiny <= abs(t) < math.inf):
+            raise GridError(f"unusable grid point {t!r}: NaN, infinite or subnormal")
     return _Points(ts)
 
 
@@ -380,7 +370,7 @@ def profile(
     about one panel of survival samples per grid point for smooth
     families.  Where the MRL or the tail is closed, the sweep integrates
     the closed mu instead.  Scalar ``mrlai`` and ``mrl_average`` are
-    one-point profiles.
+    one-point profiles, bit for bit, at every t above the origin.
     """
     d = _resolve(d, method)
     ts = _grid_points(grid)

@@ -583,8 +583,8 @@ class PieceExpAffine(_Piece):
         return PieceExpAffine(a * self.p, a * self.q, self.r / a)
 
     def positive_at_infinity(self):
-        # constant when q*r == 0; else the limit is p (r < 0) or sign(q) * inf
-        return self.q * self.r == 0 or (self.p if self.r < 0 else self.q) > 0
+        # constant when q*r == 0; else the limit is p (r < 0, never reached) or sign(q) * inf
+        return self.q * self.r == 0 or (self.p >= 0 if self.r < 0 else self.q > 0)
 
 
 @dataclass(frozen=True)

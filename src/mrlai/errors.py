@@ -28,7 +28,7 @@ class Divergence(ToolkitError):
 
 class GridError(ToolkitError, ValueError):
     """An evaluation grid or point is unusable: too few points, log spacing
-    from zero, or not above the convention origin.  Also a ValueError."""
+    from zero, NaN, infinite, subnormal or not above the origin.  Also a ValueError."""
 
 
 class BeyondSupport(ToolkitError):
@@ -41,10 +41,6 @@ class UnsupportedCapability(ToolkitError):
 
 class NonPositiveMrl(ToolkitError):
     """A mean residual life function must stay strictly positive."""
-
-
-class OriginSingularity(ToolkitError):
-    """The mean residual life is discontinuous or degenerate at the origin."""
 
 
 class UnknownCase(ToolkitError):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from mrlai.distributions import (
     Convolution,
     Erlang,
     Exponential,
+    Mixture,
     MrlExponential,
     MrlLinear,
     MrlPiecewise,
@@ -32,7 +34,13 @@ from mrlai.distributions import (
     Weibull,
     build,
 )
-from mrlai.errors import BeyondSupport, NonPositiveMrl, UnsupportedCapability
+from mrlai.errors import (
+    BeyondSupport,
+    GridError,
+    NonPositiveMrl,
+    ToolkitError,
+    UnsupportedCapability,
+)
 from mrlai.ops import scale
 from mrlai.quadrature import QuadConfig
 
@@ -118,20 +126,21 @@ class TestMrlAverage:
             want, rel=1e-9
         )
 
-    def test_origin_discontinuity_detected(self):
+    def test_an_atom_at_zero_is_a_one_point_profile(self):
         from mrlai.distributions import Dist
-        from mrlai.errors import OriginSingularity
 
         # an atom at zero: survival drops from 1 to 0.5 immediately, so the
-        # conditional MRL jumps from 0.5 to 1 across the origin
+        # MRL is 0.5 at the origin and 1 after it, and G(t) = t
         atom = Dist(
             None,
             lambda t: 1.0 if t == 0.0 else 0.5 * math.exp(-t),
             (0.0, math.inf),
             lineage="atom",
         )
-        with pytest.raises(OriginSingularity):
-            mrl_average(atom, 1e-7)
+        t = 1e-7
+        avg = mrl_average(atom, t)
+        assert avg == profile(atom, [t]).mu_avg[0]
+        assert abs(avg * t - t) <= QuadConfig().abs_tol
 
 
 class TestMrlai:
@@ -175,8 +184,8 @@ class TestMethod:
     d = build(Erlang(2, 1.0))
     # (Dist, convention, t, grid, small t): closed and numeric families,
     # points below a support start, relabelled closed forms (a rescaled
-    # and a merged Erlang), and an order statistic with no stated mean
-    # whose small t takes the small-t expansion under both methods
+    # and a merged Erlang), and an order statistic with no stated mean;
+    # the small t is a one-point profile next to the origin, as every t is
     INPUTS = {
         "erlang": (d, ZERO, 0.5, [0.5, 2.0], 1e-5),
         "pareto-formal": (build(Pareto(2.5, 1.0)), FORMAL, 0.5, [0.5, 2.0], 1e-5),
@@ -190,6 +199,9 @@ class TestMethod:
     }
     # the values each method gave before it was resolved once per call:
     # (mrl, mrl_average, mrlai, profile L, mrl_average at the small t).
+    # The small-t averages are one-point profiles: quadrature erlang and
+    # scaled-erlang lie within 1e-15 of the exact 1 + ln(1 + t)/t and
+    # 2 + 4 ln(1 + t/2)/t.
     # auto's pareto-support reads G from the family's closed integral from
     # the support start, so it lies within 1 ulp of the exact 0.5, 8/3, 3.6
     # and 2.25.
@@ -204,7 +216,7 @@ class TestMethod:
             "uniform": (0.5, 0.8125, 0.6153846153846154,
                         (0.8888888888888888, 0.6153846153846154, 0.08962264150943403), 1.249995),
             "os-weibull": (0.4693664356094636, 0.6278939472900165, 0.7475250201650201,
-                           (0.7475250201650201, 0.5861972529251803), 0.8380873553532493),
+                           (0.7475250201650201, 0.5861972529251803), 0.8380873553532484),
             "scaled-erlang": (3.5999999999999996, 3.785148410513678, 0.9510855611369404,
                               (0.9510855611369404, 0.8859241637244618), 3.9999950000166664),
             "merged-erlang": (2.5384615384615383, 2.7605978709629246, 0.9195332522574529,
@@ -212,7 +224,7 @@ class TestMethod:
         },
         "quadrature": {
             "erlang": (1.6666666666666672, 1.8109302162163292, 0.9203373226324096,
-                       (0.9203373226324096, 0.8606003004696309), 1.9999950000499995),
+                       (0.9203373226324096, 0.8606003004696309), 1.9999950000333335),
             "pareto-formal": (1.1666666666666667, 0.16666666666666666, 2.0,
                               (2.0, 2.0000000001344733), 3.3333333333333337e-06),
             "pareto-support": (1.3333333335204618, 0.5000000000487397, 2.6666666667809786,
@@ -220,9 +232,9 @@ class TestMethod:
             "uniform": (0.5000000000000002, 0.8125, 0.6153846153846156,
                         (0.8888888888888888, 0.6153846153846156, 0.08962264150943404), 1.249995),
             "os-weibull": (0.4693664356094636, 0.6278939472900165, 0.7475250201650201,
-                           (0.7475250201650201, 0.5861972529251803), 0.8380873553532493),
+                           (0.7475250201650201, 0.5861972529251803), 0.8380873553532484),
             "scaled-erlang": (3.6000000000000005, 3.7851484105136786, 0.9510855611369405,
-                              (0.9510855611369405, 0.8859241637244617), 3.999995000025001),
+                              (0.9510855611369405, 0.8859241637244617), 3.9999950000166673),
             "merged-erlang": (2.538461538461539, 2.7605978709629255, 0.9195332522574529,
                               (0.9195332522574527, 0.7935225406688735), 2.9999950000000006),
         },
@@ -260,7 +272,7 @@ class TestMethod:
 
     def test_quadrature_view_works_its_mean_out_once(self, monkeypatch):
         # os(2:3) states no mean, so the view integrates S from 0 for it
-        from mrlai import distributions
+        from mrlai import ageing, distributions
 
         origins = []
         real = distributions.integrate_tail
@@ -270,9 +282,12 @@ class TestMethod:
         d = build(OrderStatistic(Weibull(1.5, 1.0), 2, 3))
         mrl(d, 0.5, method="quadrature")
         profile(d, [0.5, 2.0], method="quadrature")
-        assert 0.0 not in origins  # neither reads the mean
         first = mrlai(d, 0.5, method="quadrature")
         assert mrlai(d, 0.5, method="quadrature") == first
+        mrlai(d, 1e-9, method="quadrature")
+        assert 0.0 not in origins  # no scalar call or profile reads the mean
+        for _ in range(2):
+            assert ageing._resolve(d, "quadrature").mean == pytest.approx(0.8380923553532482)
         assert origins.count(0.0) == 1
 
     def test_checked_once_per_call_not_per_point(self, monkeypatch):
@@ -288,6 +303,105 @@ class TestMethod:
             checked.clear()
             mrlai(build(Weibull(1.5, 1.0)), 2.0, method=method)
             assert checked == [method]
+
+
+class TestOnePoint:
+    """Scalar ``mrlai`` and ``mrl_average`` are one-point profiles at every
+    t above the convention origin, bit for bit, next to it included."""
+
+    NUMERIC = {
+        "weibull": Weibull(1.5, 1.0),
+        "os": OrderStatistic(Weibull(1.5, 1.0), 2, 3),
+        "mixture": Mixture((0.2, 0.8), (MrlLinear(1.0, 8.0), MrlLinear(1.0, 0.1))),
+        "erlang5": Erlang(5, 1.0),
+        "u+exp": Convolution((Uniform(0.0, 1.0), Exponential(1.0))),
+    }
+    CLOSED = {
+        "pareto": Pareto(2.5, 1.0),
+        "uniform": Uniform(0.5, 2.0),
+        "mrl-linear": MrlLinear(2.0, 3.0),
+        "exp+exp": Convolution((Exponential(1.0), Exponential(2.0))),
+    }
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except ToolkitError as exc:  # the same error type on both paths
+            return type(exc)
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("conv", [ZERO, SUPPORT, FORMAL], ids=lambda c: c.value)
+    @pytest.mark.parametrize("name", sorted({**NUMERIC, **CLOSED}))
+    def test_scalar_calls_equal_the_one_point_profile(self, name, conv, method):
+        d = build({**self.NUMERIC, **self.CLOSED}[name])
+        offset = d.support[0] if conv is SUPPORT else 0.0
+        for frac in (1e-9, 1e-7, 1e-5, 9e-5, 1e-3, 0.3, 1.0):
+            t = offset + frac * d.mean
+            prof = self._outcome(lambda: profile(d, [t], conv, method=method))
+            L = self._outcome(lambda: mrlai(d, t, conv, method=method))
+            avg = self._outcome(lambda: mrl_average(d, t, conv, method=method))
+            if isinstance(prof, type):
+                assert L is prof and avg is prof, (name, t)
+                continue
+            assert (L, avg) == (prof.L[0], prof.mu_avg[0]), (name, t)
+
+    @pytest.mark.parametrize("shape, scale_", [(0.6, 1.0), (0.7, 2.0)])
+    def test_weibull_next_to_the_origin_matches_mpmath(self, shape, scale_):
+        import mpmath
+
+        # G(t) meets max(abs_tol, rel_tol * G), so next to the origin the
+        # default config bounds G's error by abs_tol; with a smaller
+        # abs_tol, L and the average are within 1e-9 relative
+        default, tight = QuadConfig(), QuadConfig(abs_tol=1e-14)
+        d = build(Weibull(shape, scale_))
+        with mpmath.workdps(30):
+            k, lam = mpmath.mpf(shape), mpmath.mpf(scale_)
+
+            def mu(u):
+                z = (u / lam) ** k
+                return lam / k * mpmath.gammainc(1 / k, z) / mpmath.exp(-z)
+
+            for frac in (0.9, 0.2, 0.01):
+                t = frac * 1e-4 * d.mean
+                avg = mpmath.quad(mu, [0, t]) / t
+                assert abs(mrl_average(d, t) - float(avg)) * t <= default.abs_tol, t
+                assert mrl_average(d, t, cfg=tight) == pytest.approx(float(avg), rel=1e-9), t
+                L = float(mu(t) / avg)
+                assert mrlai(d, t, cfg=tight) == pytest.approx(L, rel=1e-9), t
+
+
+class TestUnusablePoints:
+    """A NaN, an infinite and a nonzero subnormal point raise GridError in
+    the one grid reader, which the scalar calls read their t through."""
+
+    def test_nan_point_in_a_profile(self):
+        with pytest.raises(GridError, match="unusable grid point"):
+            profile(build(Exponential(1.0)), [math.nan])
+        with pytest.raises(GridError, match="no NaN point"):
+            profile(build(Exponential(1.0)), [0.5, math.nan, 2.0])
+
+    def test_infinite_point_in_the_average(self):
+        with pytest.raises(GridError, match="unusable grid point"):
+            mrl_average(build(Exponential(1.0)), math.inf)
+
+    def test_subnormal_point_on_a_closed_profile(self):
+        # the closed G at 5e-324 gave L = 0.8333; the exact value is 1
+        with pytest.raises(GridError, match="unusable grid point"):
+            profile(build(Pareto(2.5, 1.0)), [5e-324, 1.0])
+
+    def test_subnormal_point_on_a_numeric_profile(self):
+        d = build(Weibull(1.5, 1.0))
+        for call in (lambda: profile(d, [5e-324, 1.0]), lambda: mrlai(d, 5e-324)):
+            with pytest.raises(GridError, match="unusable grid point"):
+                call()
+        # the smallest normal point is usable
+        tiny = sys.float_info.min
+        assert mrlai(d, tiny) == profile(d, [tiny]).L[0]
+
+    def test_nan_point_in_hazard_ai(self):
+        with pytest.raises(GridError, match="unusable grid point"):
+            hazard_ai(build(Exponential(1.0)), math.nan)
 
 
 class TestCoxInversion:

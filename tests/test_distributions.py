@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gammaincc
 from scipy.special import gamma as gamma_fn
 
+from mrlai.ageing import mrl, mrl_average, mrlai
 from mrlai.distributions import (
     Convolution,
     Erlang,
@@ -21,6 +22,7 @@ from mrlai.distributions import (
     Pareto,
     PieceExpAffine,
     PieceLinear,
+    PieceRecipLinear,
     PieceSqrtAffine,
     Scaled,
     Uniform,
@@ -107,6 +109,12 @@ class TestMeans:
     def test_weibull(self):
         d = build(Weibull(0.5, 1.0))
         assert d.mean == pytest.approx(gamma_fn(3.0), rel=1e-12)
+
+    def test_unstated_mean_on_a_support_above_zero(self):
+        # the median of three Uniform(1, 2) lifetimes: S = 1 below 1
+        d = build(OrderStatistic(Uniform(1.0, 2.0), 2, 3))
+        assert d._mean is None
+        assert d.mean == 1.5
 
     def test_constant_mrl_keeps_its_exact_mean(self):
         # 1/(1/a) != a in the last bit for this a, so the mean must not come
@@ -321,6 +329,13 @@ class TestValidation:
         with pytest.raises(SpecError, match="positive"):
             validate(MrlPiecewise((1.0,), (PieceLinear(0.5, 0.0), PieceLinear(0.5, -1.0))))
 
+    def test_exp_affine_piece_may_decay_to_zero(self):
+        # mu = e^(0.4 - 0.3 t) tends to 0 and never reaches it
+        validate(MrlPiecewise((), (PieceExpAffine(0.0, math.exp(0.4), -0.3),)))
+        # mu = -0.1 + 1.5 e^(-0.3 t) starts at 1.4 and crosses 0
+        with pytest.raises(SpecError, match="must stay positive"):
+            validate(MrlPiecewise((), (PieceExpAffine(-0.1, 1.5, -0.3),)))
+
     @pytest.mark.parametrize(
         "pieces, breakpoints",
         [
@@ -357,6 +372,33 @@ class TestValidation:
         a = Mixture((0.2, 0.8), (MrlLinear(1, 8), MrlLinear(1, 0.1)))
         b = Mixture((0.8, 0.2), (MrlLinear(1, 0.1), MrlLinear(1, 8)))
         assert validate(a) == validate(b)
+
+
+class TestOnePieceTwins:
+    """A one-piece MrlPiecewise against the closed family with its MRL."""
+
+    @pytest.mark.parametrize(
+        "piece, family, rel",
+        [
+            (PieceRecipLinear(1.0, 0.5), MrlReciprocalLinear(1.0, 0.5), 1e-15),
+            (PieceSqrtAffine(2.0, 0.0), Exponential(0.5), 0.0),
+            (PieceLinear(2.0, 3.0), MrlLinear(2.0, 3.0), 1e-15),
+            (PieceExpAffine(0.0, math.exp(0.4), -0.3), MrlExponential(0.4, -0.3), 1e-15),
+        ],
+        ids=["recip_linear", "sqrt_affine", "linear", "exp_affine"],
+    )
+    def test_matches_the_family(self, piece, family, rel):
+        d, want = build(MrlPiecewise((), (piece,))), build(family)
+        for t in (0.1, 0.7, 2.0, 5.0):
+            for quantity in (
+                lambda x: x.survival(t),
+                lambda x: x.density(t),
+                lambda x: x.tail(t),
+                lambda x: mrl(x, t),
+                lambda x: mrl_average(x, t),
+                lambda x: mrlai(x, t),
+            ):
+                assert quantity(d) == pytest.approx(quantity(want), rel=rel, abs=0.0), t
 
 
 _EXP1 = '{"family":"exponential","rate":1}'

@@ -14,6 +14,7 @@ from mrlai.distributions import (
     Dist,
     Erlang,
     Exponential,
+    Mixture,
     MrlExponential,
     MrlLinear,
     MrlPiecewise,
@@ -30,6 +31,7 @@ from mrlai.distributions import (
     build,
     spec_from_dict,
     spec_to_dict,
+    validate,
 )
 from mrlai.errors import NonConvergence, SpecError
 from mrlai.ops import convolution, mixture, order_statistic, parallel, scale
@@ -122,6 +124,17 @@ class TestConvolution:
         for t in (0.5, 2.0):
             assert c.density(t) == pytest.approx(t * math.exp(-t), rel=1e-7)
 
+    def test_only_the_right_summand_has_a_density(self):
+        # the summands swap, so the integral runs over Exp(1)'s density
+        u, e = build(Uniform(0.0, 1.0)), build(Exponential(1.0))
+        bare = Dist(u.spec, u._survival, u.support, lineage="bare")
+        swapped = convolution(bare, e)
+        assert swapped.lineage == "convolution(exponential, bare)"
+        assert not swapped.has_density
+        want = convolution(u, e, closed_forms=False)
+        for t in (0.3, 1.0, 2.5):
+            assert swapped.survival(t) == pytest.approx(want.survival(t), rel=1e-15)
+
 
 class TestOrderStatistic:
     def test_printed_closed_forms(self):
@@ -184,6 +197,25 @@ class TestScale:
     def test_rejects_nonpositive(self):
         with pytest.raises(SpecError):
             scale(build(Exponential(1.0)), 0.0)
+
+    @pytest.mark.parametrize(
+        "spec, rescaled",
+        [
+            (
+                Mixture((0.3, 0.7), (Exponential(1.0), Weibull(1.5, 1.0))),
+                Mixture((0.3, 0.7), (Exponential(0.5), Weibull(1.5, 2.0))),
+            ),
+            (OrderStatistic(Weibull(1.5, 1.0), 2, 3), OrderStatistic(Weibull(1.5, 2.0), 2, 3)),
+        ],
+        ids=["mixture", "os23"],
+    )
+    def test_composites_rewrite_into_their_family(self, spec, rescaled):
+        d = build(spec)
+        assert d.spec.rescaled(2.0) == validate(rescaled)
+        s, want = scale(d, 2.0), build(rescaled)
+        for t in (0.3, 1.0, 2.5):
+            assert s.survival(t) == want.survival(t)
+            assert s.survival(t) == pytest.approx(d.survival(t / 2.0), rel=1e-15)
 
     @pytest.mark.parametrize("rewrite", [True, False])
     def test_change_of_variables(self, rewrite):
