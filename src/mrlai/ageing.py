@@ -31,8 +31,9 @@ evaluated (``_resolve``), so the code below it follows the ``Dist`` alone.
 Scalar ``mrlai`` and ``mrl_average`` are one-point profiles, bit for bit,
 at every t above the convention origin.  Next to it G(t) meets
 max(abs_tol, rel_tol * G), so the average's error is of order abs_tol / t.
-Their t is read as a grid point (``_grid_points``): NaN, infinite and
-nonzero subnormal points raise GridError.
+Their t, and that of ``mrl``, ``hazard`` and ``hazard_ai``, is read as a
+grid point (``_grid_points``): NaN, infinite and nonzero subnormal points
+raise GridError.
 
 The increasing-convex and variance-residual-life orders read the tail
 T(t) = int_t^inf S and the double tail D(t) = int_t^inf T on a grid
@@ -106,9 +107,12 @@ def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto
     Below the support start this is the true conditional mean, mean - t.
     Raises BeyondSupport where the survival function has reached zero.
     ``method="quadrature"`` integrates the survival function in place of
-    the closed MRL and tail (``_resolve``).
+    the closed MRL and tail (``_resolve``).  t is read as a grid point
+    (``_grid_points``): NaN, infinite and nonzero subnormal t raise
+    GridError.
     """
-    return _mrl(_resolve(d, method), t, cfg)
+    d = _resolve(d, method)
+    return _mrl(d, _grid_points((t,))[0], cfg)
 
 
 def _mrl(d, t, cfg):
@@ -212,7 +216,10 @@ def survival_from_mrl(mu, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
 
 
 def hazard(d: Dist, t: float) -> float:
-    """Failure rate f(t)/survival(t)."""
+    """Failure rate f(t)/survival(t).  t is read as a grid point
+    (``_grid_points``): NaN, infinite and nonzero subnormal t raise
+    GridError."""
+    (t,) = _grid_points((t,))
     sv = d.survival(t)
     if sv <= 0.0:
         raise BeyondSupport(f"{d.lineage}: hazard undefined at t={t!r}")

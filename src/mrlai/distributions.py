@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 
@@ -244,6 +245,28 @@ def _erlang_terms(k, lam, t):
     return terms
 
 
+def _erlang_far_mrl(k, s):
+    """lam times the Erlang(k, lam) MRL at lam t = s, Q(s) / P(s) with
+    P = sum_(i<k) s^i/i! and Q = sum_(i<k) (k - i) s^i/i!, for where
+    e^(-s) is subnormal.  Each term is taken relative to the largest, at
+    i = min(k - 1, floor(s)), so none overflows."""
+    top = k - 1 if s >= k - 1 else int(s)
+    p = q = 0.0
+    r = 1.0
+    for i in range(top, -1, -1):  # s^(i-1)/(i-1)! = s^i/i! * i/s
+        p += r
+        q += (k - i) * r
+        r *= i / s
+        if not r:
+            break
+    r = 1.0
+    for i in range(top + 1, k):
+        r *= s / i
+        p += r
+        q += (k - i) * r
+    return q / p
+
+
 @dataclass(frozen=True)
 class Erlang(_Family):
     k: int
@@ -281,6 +304,8 @@ class Erlang(_Family):
         def mrl(t):
             # tail / survival from one term list
             terms = _erlang_terms(k, lam, t)
+            if terms[0] < sys.float_info.min:  # e^(-lam t) has underflowed
+                return _erlang_far_mrl(k, lam * t) / lam
             return tail_of(terms) / math.fsum(terms)
 
         mrl_integral = None
@@ -292,8 +317,13 @@ class Erlang(_Family):
             # antiderivative of ((lam t)^2 + 4 lam t + 6) / (lam ((lam t)^2 + 2 lam t + 2))
             def mrl_integral(t):
                 s = lam * t
+                quadratic = s * s + 2.0 * s + 2.0
+                if quadratic == math.inf:  # s > 1.3e154: its log by log s
+                    log_quadratic = 2.0 * math.log(s) + math.log1p(2.0 / s + 2.0 / s / s)
+                else:
+                    log_quadratic = math.log(quadratic)
                 val = (
-                    math.log(s * s + 2.0 * s + 2.0)
+                    log_quadratic
                     + 2.0 * math.atan(s + 1.0)
                     + s
                     - math.log(2.0)
@@ -988,7 +1018,12 @@ class Dist:
     here: below s0, S = 1, f = 0 and T = mu = mean - t (``tail``); at and
     past s1, S = f = T = 0 and mu is undefined.  The MRL integral is read
     on [s0, s1] by ``ageing``, which adds the integral below s0 that its
-    integration convention asks for.
+    integration convention asks for.  A composite reads a part's closures
+    directly only where the part's support is its own (``ops.mixture``,
+    ``ops.order_statistic``): its own method has then decided the edges
+    at the same t, and an OverflowError still reads as 0.  A convolution
+    and the generic rescaling call the methods, since t - u and t / a can
+    round across a part's edge.
 
     ``breakpoints`` holds the finite points where the survival function
     may lose smoothness: the finite support edges plus whatever the

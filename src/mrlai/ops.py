@@ -8,6 +8,14 @@ exponential/Erlang variables, minima of iid exponentials, rescalings of
 every built-in family) and for sums of exponential/Erlang variables of
 distinct rates (partial fractions); everything else synthesises the
 survival function and lets quadrature do the rest.
+
+A mixture reads each component whose support is its own, and an order
+statistic its base, through the family closures, not the ``Dist``
+methods, so a sweep node costs one edge test, the composite's own; an
+OverflowError still reads as 0, as in the methods.  A mixture whose
+components all have closed tails has a closed MRL, sum w T / sum w S, read
+in one pass.  Convolution and the generic ``scale`` wrapper keep the
+``Dist`` methods: t - u and t / a can round across a part's edge.
 """
 
 from __future__ import annotations
@@ -24,14 +32,15 @@ from .distributions import (
     OrderStatistic,
     Scaled,
 )
-from .errors import SpecError, UnsupportedCapability
+from .errors import BeyondSupport, SpecError, UnsupportedCapability
 from .quadrature import integrate_finite
 
 __all__ = ["mixture", "convolution", "order_statistic", "parallel", "scale"]
 
 
 def mixture(weights, components) -> Dist:
-    """Finite mixture: survival is the weighted sum of component survivals."""
+    """Finite mixture: survival is the weighted sum of component survivals;
+    tail and MRL are closed where every component tail is."""
     ws = [float(w) for w in weights]
     if len(ws) < 2:
         raise SpecError("mixture.weights", "a mixture needs at least two components")
@@ -44,22 +53,47 @@ def mixture(weights, components) -> Dist:
 
     comps = list(components)
     spec = Mixture(tuple(ws), tuple(c.spec for c in comps))
-    s0 = min(c.support[0] for c in comps)
-    s1 = max(c.support[1] for c in comps)
-    density = tail = None
+    support = (min(c.support[0] for c in comps), max(c.support[1] for c in comps))
+    lineage = "mixture(" + ", ".join(c.lineage for c in comps) + ")"
+
+    def weighted(name):
+        """t -> sum w * (each component's method ``name``)(t).  A component
+        on the mixture's support is read through its family closure: the
+        mixture's own method has decided the edges at the same t."""
+        slow = [(w, getattr(c, name)) for w, c in zip(ws, comps)]
+        fast = [(w, getattr(c, "_" + name) if c.support == support else method)
+                for (w, method), c in zip(slow, comps)]
+
+        def value(t):
+            try:
+                return sum([w * f(t) for w, f in fast])
+            except OverflowError:  # which the methods read as 0
+                return sum([w * f(t) for w, f in slow])
+
+        return value
+
+    survival = weighted("survival")
+    density = tail = mrl = None
     if all(c.has_density for c in comps):
-        density = lambda t: sum(w * c.density(t) for w, c in zip(ws, comps))
+        density = weighted("density")
     if all(c._tail is not None for c in comps):
-        # closed only when every component tail is
-        tail = lambda t: sum(w * c.tail(t) for w, c in zip(ws, comps))
+        tail = weighted("tail")
+
+        def mrl(t):
+            sv = survival(t)
+            if sv <= 0.0:
+                raise BeyondSupport(f"{lineage}: survival underflowed to zero at t={t!r}")
+            return tail(t) / sv
+
     return Dist(
         spec,
-        lambda t: sum(w * c.survival(t) for w, c in zip(ws, comps)),
-        (s0, s1),
+        survival,
+        support,
         density=density,
         tail=tail,
         mean=sum(w * c.mean for w, c in zip(ws, comps)),
-        lineage="mixture(" + ", ".join(c.lineage for c in comps) + ")",
+        mrl=mrl,
+        lineage=lineage,
         breakpoints=[b for c in comps for b in c.breakpoints],
     )
 
@@ -468,22 +502,28 @@ def order_statistic(base: Dist, k: int, n: int) -> Dist:
         )
 
     spec = OrderStatistic(base.spec, k, n)
+    # on the base's own support: its family closures are read
+    binomials = [(float(math.comb(n, j)), j, n - j) for j in range(n - k + 1, n + 1)]
 
     def survival(t):
         # at least n-k+1 of the n components still alive
-        sv = base.survival(t)
+        try:
+            sv = base._survival(t)
+        except OverflowError:
+            sv = 0.0
         q = 1.0 - sv
-        return sum(
-            math.comb(n, j) * sv**j * q ** (n - j) for j in range(n - k + 1, n + 1)
-        )
+        return sum([c * sv**j * q**m for c, j, m in binomials])
 
     density = None
     if base.has_density:
         coeff = math.factorial(n) / (math.factorial(k - 1) * math.factorial(n - k))
 
         def density(t):
-            sv = base.survival(t)
-            return coeff * (1.0 - sv) ** (k - 1) * sv ** (n - k) * base.density(t)
+            try:
+                sv, f = base._survival(t), base._density(t)
+            except OverflowError:
+                sv, f = base.survival(t), base.density(t)
+            return coeff * (1.0 - sv) ** (k - 1) * sv ** (n - k) * f
 
     return Dist(
         spec,

@@ -403,6 +403,24 @@ class TestUnusablePoints:
         with pytest.raises(GridError, match="unusable grid point"):
             hazard_ai(build(Exponential(1.0)), math.nan)
 
+    def test_unusable_t_in_mrl(self):
+        # NaN gave mu = 1.0, inf raised BeyondSupport
+        for t in (math.nan, math.inf, -math.inf, 5e-324):
+            with pytest.raises(GridError, match="unusable grid point"):
+                mrl(build(Exponential(1.0)), t)
+
+    def test_mrl_at_and_below_zero_stays_valid(self):
+        assert mrl(build(Exponential(1.0)), 0.0) == 1.0
+        assert mrl(build(Exponential(1.0)), -1.0) == 2.0  # mean - t
+        assert mrl(build(Uniform(1.0, 3.0)), -sys.float_info.min) == 2.0
+
+    def test_unusable_t_in_hazard(self):
+        # 5e-324 gave nan: alpha / t overflows to inf and meets z = 0
+        for t in (5e-324, math.nan, math.inf):
+            with pytest.raises(GridError, match="unusable grid point"):
+                hazard(build(Weibull(1.5, 1.0)), t)
+        assert hazard(build(Exponential(0.7)), 0.0) == 0.7
+
 
 class TestCoxInversion:
     def test_linear_closed_form(self):

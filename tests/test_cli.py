@@ -416,6 +416,19 @@ CLOSED = {
 }
 BELOW_SUPPORT = {"uniform": "0.1:3.9/512", "pareto": "0.05:24/512"}
 PARTNER = '{"family":"exponential","rate":1}'
+# the corpus's ex3.1 mixture on its non-monotone verdict's grid, and its
+# ex3.5 order statistic across its support
+COMPOSITES = {
+    "ex3.1-mixture": (
+        '{"family":"mixture","weights":[0.2,0.8],"components":['
+        '{"family":"mrl_linear","a":1,"b":8},{"family":"mrl_linear","a":1,"b":0.1}]}',
+        "0.5:40/140",
+    ),
+    "ex3.5-os": (
+        '{"family":"order_statistic","base":{"family":"uniform","lo":0,"hi":1},"k":2,"n":3}',
+        "0.01:0.99/100",
+    ),
+}
 FORMATS = ("table", "csv", "json")
 QUANTITIES = ("survival", "mu", "mu_avg", "L", "hazard_ai")
 
@@ -439,6 +452,8 @@ def _digest_argvs():
                 ]
         for q in QUANTITIES:
             out[f"plotdata-{name}-{q}"] = ["plotdata", spec, "--quantity", q, *common]
+    for name, (spec, grid) in COMPOSITES.items():
+        out[f"eval-{name}-csv"] = ["eval", spec, "--grid", grid, "--format", "csv"]
     return out
 
 
@@ -446,7 +461,9 @@ def _digest_argvs():
 # evaluated in one pass; every printed byte must stay the same.  The nine
 # classify outputs with a non-monotone witness were re-recorded when the
 # witness lost its commas ("t=0.05: 1.00497512; ..." for "(0.05,
-# 1.00497512), ..."); undoing that maps them back to the old bytes.
+# 1.00497512), ..."); undoing that maps them back to the old bytes.  The
+# two composite outputs were recorded before mixtures and order
+# statistics read their parts through the family closures.
 DIGESTS = {
     "classify-erlang2-csv": "42b1e171d5259e9bdb4c28b372c4431ad5fbb56d198a225699bdae2748edb662",
     "classify-erlang2-json": "45831de00ee97881f0963b57f383d3c35994a5c55783cbd25a13ed2258cb07bc",
@@ -499,6 +516,8 @@ DIGESTS = {
     "eval-erlang2-csv": "bd2dc29a5de6ad72dff44560665add0c6009b89a2c7982242bbcd342f8bda4ce",
     "eval-erlang2-json": "463c7f3da7817d6f8b250ad9c725c398cd41b2a21c555030c518f20aca642ded",
     "eval-erlang2-table": "8c1cea23f6bc55b7b3f9810fbbec29673db0673cfa86cd7cb9a65a50c5d8a20b",
+    "eval-ex3.1-mixture-csv": "0f2234e4ca3c1b7e25e589b2858b46fca673a107eb87c65abc8110aa1c97fac9",
+    "eval-ex3.5-os-csv": "5294c965678d0b680e3764ba0334f5a422a2bf704648114c998205c3453d734c",
     "eval-exponential-csv": "2276eb65b7150b61834615d1dcdfa29b5b87bd2d8f7557178d5bcc8d205dd750",
     "eval-exponential-json": "f532e18fa24579def0fd91c0d140989c6f1dbaabfb54f49e75d03478a1249c95",
     "eval-exponential-table": "456d1b257e5513f0d57cc4d29e9ac7f31b30e42e4c9615d7ac9c15f3cdd284ea",

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import gammaincc
 from scipy.special import gamma as gamma_fn
 
-from mrlai.ageing import mrl, mrl_average, mrlai
+from mrlai.ageing import mrl, mrl_average, mrlai, profile
 from mrlai.distributions import (
     Convolution,
     Erlang,
@@ -226,6 +226,76 @@ class TestWeibullTailOracle:
         want = (b / a) * gamma_fn(1 / a) * gammaincc(1 / a, (t / b) ** a)
         assert 1e-7 < want < 0.1
         assert build(Weibull(a, b)).tail(t) == pytest.approx(want, rel=1e-9, abs=0)
+
+
+def _mp_erlang_excess(k, x):
+    """Q(x)/P(x) - 1 by mpmath, P = sum_(i<k) x^i/i!, Q = sum_(i<k) (k-i) x^i/i!:
+    lam times the Erlang(k, lam) MRL at lam t = x, less 1."""
+    import mpmath
+
+    P = mpmath.fsum(x**i / mpmath.factorial(i) for i in range(k))
+    return mpmath.fsum((k - 1 - i) * x**i / mpmath.factorial(i) for i in range(k)) / P
+
+
+def _mp_erlang_g(k, s):
+    """lam^2 int_0^t mu at lam t = s by mpmath quadrature: s plus the
+    integral of the excess, over log x past 100."""
+    import mpmath
+
+    s = mpmath.mpf(s)
+    split = min(s, 100)
+    rest = mpmath.quad(lambda x: _mp_erlang_excess(k, x), [0, 1, 10, split])
+    if s > split:
+        rest += mpmath.quad(
+            lambda y: _mp_erlang_excess(k, mpmath.exp(y)) * mpmath.exp(y),
+            mpmath.linspace(mpmath.log(split), mpmath.log(s), 8),
+        )
+    return s + rest
+
+
+class TestErlangFarTail:
+    """Where e^(-lam t) is subnormal or 0 the closed MRL is Q/(lam P) with
+    every term taken relative to the largest, and the k = 3 MRL integral
+    takes log(s^2 + 2s + 2) by log s past s^2's overflow.  Both used to fail there: a bare
+    ZeroDivisionError and inf."""
+
+    S_VALUES = (700.0, 720.0, 800.0, 1e5, 1e160, 1e200)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("lam", [1.0, 0.25])
+    def test_mrl_matches_mpmath(self, k, lam):
+        import mpmath
+
+        d = build(Erlang(k, lam))
+        for s in self.S_VALUES:
+            with mpmath.workdps(30):
+                want = (1 + _mp_erlang_excess(k, mpmath.mpf(s))) / lam
+            assert mrl(d, s / lam) == pytest.approx(float(want), rel=1e-12, abs=0), s
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("lam", [1.0, 0.25])
+    def test_closed_average_matches_mpmath(self, k, lam):
+        import mpmath
+
+        d = build(Erlang(k, lam))
+        for s in self.S_VALUES:
+            with mpmath.workdps(30):
+                want = _mp_erlang_g(k, s) / (lam * s)
+            assert mrl_average(d, s / lam) == pytest.approx(float(want), rel=1e-12, abs=0), s
+
+    def test_profile_past_the_underflow(self):
+        p = profile(build(Erlang(3, 1.0)), [1.0, 800.0])
+        assert p.mu[1] == mrl(build(Erlang(3, 1.0)), 800.0) == pytest.approx(1.0025, rel=1e-5)
+        assert all(math.isfinite(v) for v in p.L)
+
+    def test_normal_range_keeps_the_term_ratio(self):
+        # e^(-700) is a normal float: the one term list is read as before
+        d = build(Erlang(3, 1.0))
+        terms = [math.exp(-700.0)]
+        for i in (1, 2):
+            terms.append(terms[-1] * (700.0 / i))
+        want = math.fsum((3 - i) * p for i, p in enumerate(terms)) / math.fsum(terms)
+        assert mrl(d, 700.0) == want
 
 
 class TestClosedTails:

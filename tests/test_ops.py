@@ -33,7 +33,7 @@ from mrlai.distributions import (
     spec_to_dict,
     validate,
 )
-from mrlai.errors import NonConvergence, SpecError
+from mrlai.errors import BeyondSupport, NonConvergence, SpecError
 from mrlai.ops import convolution, mixture, order_statistic, parallel, scale
 from mrlai.quadrature import QuadConfig
 
@@ -181,6 +181,131 @@ class TestOrderStatistic:
         y = parallel(build(Exponential(2.0)), 2)
         assert mrlai(x, 0.01) == pytest.approx(0.9981785, rel=1e-5)
         assert mrlai(y, 0.01) == pytest.approx(0.9935494, rel=1e-5)
+
+
+def _by_methods_mixture(ws, comps):
+    """The mixture with every component read through its public ``Dist``
+    methods and its MRL worked out as T / S by ``ageing``."""
+    density = tail = None
+    if all(c.has_density for c in comps):
+        density = lambda t: sum(w * c.density(t) for w, c in zip(ws, comps))
+    if all(c._tail is not None for c in comps):
+        tail = lambda t: sum(w * c.tail(t) for w, c in zip(ws, comps))
+    return Dist(
+        None,
+        lambda t: sum(w * c.survival(t) for w, c in zip(ws, comps)),
+        (min(c.support[0] for c in comps), max(c.support[1] for c in comps)),
+        density=density,
+        tail=tail,
+        mean=sum(w * c.mean for w, c in zip(ws, comps)),
+        breakpoints=[b for c in comps for b in c.breakpoints],
+    )
+
+
+def _by_methods_order_statistic(base, k, n):
+    """os(k:n) with the base read through its public ``Dist`` methods."""
+    coeff = math.factorial(n) / (math.factorial(k - 1) * math.factorial(n - k))
+
+    def survival(t):
+        sv = base.survival(t)
+        q = 1.0 - sv
+        return sum(math.comb(n, j) * sv**j * q ** (n - j) for j in range(n - k + 1, n + 1))
+
+    def density(t):
+        sv = base.survival(t)
+        return coeff * (1.0 - sv) ** (k - 1) * sv ** (n - k) * base.density(t)
+
+    return Dist(None, survival, base.support, density=density, breakpoints=base.breakpoints)
+
+
+_ULP_BELOW_1 = math.nextafter(1.0, 0.0)
+_ULP_ABOVE_1 = math.nextafter(1.0, 2.0)
+
+# composite -> (the same composite read through the parts' methods, points
+# that include the support edges and the edges of the parts)
+_READ_ONCE = {
+    "mixture-equal-supports": (
+        lambda: mixture([0.2, 0.8], [build(MrlLinear(1.0, 8.0)), build(MrlLinear(1.0, 0.1))]),
+        lambda: _by_methods_mixture(
+            [0.2, 0.8], [build(MrlLinear(1.0, 8.0)), build(MrlLinear(1.0, 0.1))]),
+        (0.0, 1e-300, 0.5, 6.0, 20.0, 1e3, 1e30),
+    ),
+    "mixture-numeric-tail": (
+        lambda: mixture([0.3, 0.7], [build(Weibull(1.5, 1.0)), build(Erlang(3, 2.0))]),
+        lambda: _by_methods_mixture([0.3, 0.7], [build(Weibull(1.5, 1.0)), build(Erlang(3, 2.0))]),
+        (0.0, 0.3, 1.0, 4.0),
+    ),
+    "mixture-mixed-supports": (
+        lambda: mixture([0.4, 0.6], [build(Uniform(0.0, 1.0)), build(Exponential(1.0))]),
+        lambda: _by_methods_mixture([0.4, 0.6], [build(Uniform(0.0, 1.0)), build(Exponential(1.0))]),
+        (0.0, 0.25, _ULP_BELOW_1, 1.0, _ULP_ABOVE_1, 1.5, 7.0, 700.0),
+    ),
+    "os23-uniform": (
+        lambda: order_statistic(build(Uniform(0.0, 1.0)), 2, 3),
+        lambda: _by_methods_order_statistic(build(Uniform(0.0, 1.0)), 2, 3),
+        (0.0, 1e-300, 0.25, 0.5, 0.9, _ULP_BELOW_1),
+    ),
+    "os23-mrl-linear": (
+        lambda: order_statistic(build(MrlLinear(1.0, 1.0)), 2, 3),
+        lambda: _by_methods_order_statistic(build(MrlLinear(1.0, 1.0)), 2, 3),
+        (0.0, 0.11, 0.5, 3.0, 40.0),
+    ),
+}
+
+
+class TestPartsReadOnce:
+    """Mixtures and order statistics read a part through its family
+    closures where its support is the composite's: every value is the one
+    read through the parts' public methods, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_READ_ONCE))
+    def test_values_equal_the_sums_of_the_methods(self, case):
+        build_fast, build_ref, points = _READ_ONCE[case]
+        d, ref = build_fast(), build_ref()
+        s1 = d.support[1]
+        for t in (-0.5, *points, s1, 2.0 * s1):
+            assert d.survival(t) == ref.survival(t), t
+            assert d.density(t) == ref.density(t), t
+            assert d.tail(t) == ref.tail(t), t
+            if t < s1:
+                assert mrl(d, t) == mrl(ref, t), t
+        ts = [t for t in points if 0.0 < t < min(s1, 50.0)]
+        got, want = profile(d, ts), profile(ref, ts)
+        assert (got.mu, got.mu_avg, got.L) == (want.mu, want.mu_avg, want.L)
+
+    def test_closed_tails_give_a_closed_mrl(self):
+        closed = mixture([0.4, 0.6], [build(Uniform(0.0, 1.0)), build(Exponential(1.0))])
+        numeric = mixture([0.3, 0.7], [build(Weibull(1.5, 1.0)), build(Erlang(3, 2.0))])
+        assert closed.has_closed_mrl and not numeric.has_closed_mrl
+        assert not closed._quadrature_view.has_closed_mrl
+
+    def test_overflow_reads_as_zero(self):
+        # (t / 1)^2 overflows in the Weibull closures: the Pareto share is left
+        t = 1e155
+        weibull, pareto = build(Weibull(2.0, 1.0)), build(Pareto(1.5, 1.0))
+        m = mixture([0.5, 0.5], [weibull, pareto])
+        with pytest.raises(OverflowError):
+            weibull._survival(t)
+        assert m.survival(t) == 0.5 * pareto.survival(t) > 0.0
+        assert m.density(t) == 0.5 * pareto.density(t)
+        ref = _by_methods_mixture([0.5, 0.5], [weibull, pareto])
+        assert (m.survival(t), m.density(t)) == (ref.survival(t), ref.density(t))
+        os23 = order_statistic(weibull, 2, 3)
+        assert os23.survival(t) == os23.density(t) == 0.0
+
+    @pytest.mark.parametrize(
+        "comps",
+        [(Exponential(1.0), Exponential(2.0)), (Erlang(3, 1.0), Uniform(0.0, 2.0))],
+        ids=["exp-exp", "erlang-uniform"],
+    )
+    def test_mrl_past_the_survival_underflow(self, comps):
+        m = mixture([0.5, 0.5], [build(c) for c in comps])
+        assert m.has_closed_mrl
+        assert mrl(m, 10.0) > 0.0
+        for call in (lambda: mrl(m, 800.0), lambda: profile(m, [1.0, 800.0]),
+                     lambda: mrlai(m, 800.0)):
+            with pytest.raises(BeyondSupport, match="survival underflowed to zero"):
+                call()
 
 
 class TestScale:
