@@ -58,7 +58,6 @@ from operator import lt, truediv
 from .distributions import Dist
 from .errors import (
     BeyondSupport,
-    Divergence,
     GridError,
     NonPositiveMrl,
     UnsupportedCapability,
@@ -102,7 +101,8 @@ def _resolve(d: Dist, method) -> Dist:
 
 
 def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto") -> float:
-    """Mean residual life mu(t) = int_t^inf survival / survival(t).
+    """Mean residual life mu(t) = int_t^inf survival / survival(t)
+    (``Dist.mrl``).
 
     Below the support start this is the true conditional mean, mean - t.
     Raises BeyondSupport where the survival function has reached zero.
@@ -111,22 +111,7 @@ def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto
     (``_grid_points``): NaN, infinite and nonzero subnormal t raise
     GridError.
     """
-    d = _resolve(d, method)
-    return _mrl(d, _grid_points((t,))[0], cfg)
-
-
-def _mrl(d, t, cfg):
-    s0, s1 = d.support
-    if t >= s1:
-        raise BeyondSupport(f"{d.lineage}: mrl undefined at t={t!r} (past support end)")
-    if t < s0:
-        return d.tail(t, cfg)  # S = 1 there, so mu = T
-    if d.has_closed_mrl:
-        return d.mrl_closed(t)
-    sv = d.survival(t)
-    if sv <= 0.0:
-        raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={t!r}")
-    return d.tail(t, cfg) / sv
+    return _resolve(d, method).mrl(_grid_points((t,))[0], cfg)
 
 
 def _formal_parts(d: Dist):
@@ -150,7 +135,7 @@ def _mrl_point(d, t, conv, cfg):
             f"{d.lineage}: t={t!r} lies below the support start under the "
             "support-start convention"
         )
-    return _mrl(d, t, cfg)
+    return d.mrl(t, cfg)
 
 
 def mrl_average(
@@ -505,7 +490,7 @@ def _sweep(d, ts, conv, cfg, need_mu):
         knots = _knots(d, lo, pts)
         top = knots[-1]
         if d.has_closed_mrl or d._tail is not None:
-            mu_closed = lambda u: _mrl(d, u, cfg) if u < s1 else 0.0
+            mu_closed = lambda u: d.mrl(u, cfg) if u < s1 else 0.0
             mu_on, seg = _integrate_knots(mu_closed, knots, cfg)
         else:
             if top < s1 and d.survival(top) <= 0.0:
@@ -578,32 +563,35 @@ def _tails_on_grid(d, ts, conv, cfg, double=True):
     """T(t) = int_t^inf S at each of the increasing points ``ts`` and, with
     ``double``, the double tail D(t) = int_t^inf T; D is None without it.
 
-    Under the formal convention T is the formal continuation's tail.  A
-    closed T, and a closed double tail (``_closed_double_tail``), are
-    sampled at the points.  Otherwise one sweep runs over the ``_knots``
-    of the points below a finite support end: a closed T is swept
-    directly, a numeric one is chained from T(top) (``_chained_tail``),
-    and D adds each knot interval's integral of T to D(top)
-    (``_top_double_tail``) from the top down.  Without ``double`` a
-    numeric T adds the survival's interval integrals to T(top) and needs
-    no hook.  Points at or past a finite support end get T = D = 0.
+    Under the formal convention T and D are the formal continuation's.  A
+    closed T, and a closed D, are read as columns (``_closed_tails``):
+    ``Dist.tail`` and ``Dist.double_tail`` decide the support edges.
+    Otherwise one sweep runs over the ``_knots`` of the points below a
+    finite support end: a closed T is swept directly, a numeric one is
+    chained from T(top) (``_chained_tail``), and D adds each knot
+    interval's integral of T to D(top) = ``Dist.double_tail(top)`` from the
+    top down.  Without ``double`` a numeric T adds the survival's interval
+    integrals to T(top) and needs no hook.  Points at or past a finite
+    support end get T = D = 0.
     """
-    formal = conv is Convention.FORMAL and d.formal is not None
-    tail = d.formal.tail if formal else (lambda u: d.tail(u, cfg))
-    closed = formal or d._tail is not None
+    formal = d.formal if conv is Convention.FORMAL else None
+    tail = formal.tail if formal is not None else (lambda u: d.tail(u, cfg))
+    closed_double = formal.double_tail if formal is not None else d._double_tail
+    closed = formal is not None or d._tail is not None
     if closed and not double:
-        return _closed_tails(d, ts, formal), None
-    s1 = d.support[1]
-    if closed and _closed_double_tail(d, ts[0], formal) is not None:
-        dd = [_closed_double_tail(d, t, formal) if t < s1 else 0.0 for t in ts]
-        return _closed_tails(d, ts, formal), dd
+        return _closed_tails(d, ts, formal, "tail"), None
+    if closed and closed_double is not None:
+        return _closed_tails(d, ts, formal, "tail"), _closed_tails(d, ts, formal, "double_tail")
+    s0, s1 = d.support
     pts = [t for t in ts if t < s1]
+    if formal is not None and pts and pts[-1] < s0:
+        pts.append(s0)  # the continuation's D is Dist.double_tail's from s0 on
     t_at, d_at = {}, {}
     if pts:
         knots = _knots(d, pts[0], pts)
         top = knots[-1]
         t_top = tail(top)
-        d_top = _top_double_tail(d, tail, top, closed, cfg) if double else None
+        d_top = d.double_tail(top, cfg) if double else None
         hook = _chained_tail(d, t_top) if double and not closed else None
         t_on, seg = _integrate_knots(tail if closed else d.survival, knots, cfg, hook)
         if double:
@@ -616,37 +604,11 @@ def _tails_on_grid(d, ts, conv, cfg, double=True):
     return values, ([d_at.get(t, 0.0) for t in ts] if double else None)
 
 
-def _closed_tails(d, ts, formal):
-    """The closed T at each of the increasing points ``ts``: the formal
-    continuation's tail, or ``Dist.tail``, whose closed form is read on
-    the support and which gives mean - t below it and 0 past it."""
-    if formal:
-        return list(map(d.formal.tail, ts))
-    return d._on_grid(ts, d.tail, d._tail, None, 0.0)
-
-
-def _closed_double_tail(d, t, formal):
-    """D(t) from the spec's closed double tail, or None where it has none.
-
-    On the support the true double tail is the formal one; below it,
-    unless ``formal``, T = mean - u.
-    """
-    if d.spec is None:
-        return None
-    s0 = d.support[0]
-    at = d.spec.closed_double_tail(t if formal else max(t, s0))
-    if at is None or formal or t >= s0:
-        return at
-    return at + (s0 - t) * (d.mean - 0.5 * (s0 + t))
-
-
-def _top_double_tail(d, tail, top, closed, cfg):
-    """D(top) for ``_tails_on_grid``, to the tolerance ``Dist.tail`` meets."""
-    f = tail if closed else (lambda u: (u - top) * d.survival(u))
-    try:
-        return d._integral_above(f, top, d._tail_config(top, cfg))
-    except Divergence as exc:
-        raise Divergence(
-            f"{d.lineage}: the double tail integral from t={top!r} diverges "
-            "(the tail integral decays too slowly)"
-        ) from exc
+def _closed_tails(d, ts, formal, name):
+    """The closed T (``name`` "tail") or D ("double_tail") at each of the
+    increasing points ``ts``: the formal continuation's closure, or the
+    ``Dist`` method, whose closure is read on the support and which decides
+    the values off it."""
+    if formal is not None:
+        return list(map(getattr(formal, name), ts))
+    return d._on_grid(ts, getattr(d, name), getattr(d, "_" + name), None, 0.0)

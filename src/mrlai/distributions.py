@@ -14,9 +14,9 @@ in the other modules stay generic.
 
 ``build`` validates a spec and turns it into a ``Dist``: an immutable object
 exposing the survival function, an optional density, the support, the
-mean, and whatever closed forms the family admits (tail integral, mean
-residual life and its running integral).  Everything a family cannot
-supply in closed form falls back to adaptive quadrature.
+mean, and whatever closed forms the family admits (tail integral, double
+tail integral, mean residual life and its running integral).  Everything
+a family cannot supply in closed form falls back to adaptive quadrature.
 
 MRL-specified families realise their survival via the classical
 inversion  F(t) = (mu(0)/mu(t)) * exp(-int_0^t du/mu(u));  parameter
@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 
-from .errors import SpecError, UnsupportedCapability
+from .errors import BeyondSupport, Divergence, SpecError, UnsupportedCapability
 from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_finite, integrate_tail
 
 __all__ = [
@@ -89,9 +89,10 @@ class _Family:
 
     Each subclass is the only record of its family and provides
     ``_validated(path)`` (check the parameters, return a normalised copy)
-    and ``_build()`` (realise the validated spec as a ``Dist``).  It
-    overrides the two methods below where the family has the property.
-    Subclassing registers the family in the JSON grammar.
+    and ``_build()`` (realise the validated spec as a ``Dist``, its closed
+    forms passed as closures).  It overrides the two methods below where
+    the family has the property.  Subclassing registers the family in the
+    JSON grammar.
     """
 
     def rescaled(self, a):
@@ -100,13 +101,6 @@ class _Family:
 
     def closed_L(self, t):
         """Published closed-form ageing intensity at t, or None."""
-        return None
-
-    def closed_double_tail(self, t):
-        """Closed int_t^inf int_u^inf S of the on-support formula at t, or None.
-
-        Below the support start this is the formal continuation.
-        """
         return None
 
 
@@ -133,6 +127,7 @@ class Exponential(_Family):
             (0.0, math.inf),
             density=lambda t: lam * math.exp(-lam * t),
             tail=lambda t: math.exp(-lam * t) / lam,
+            double_tail=lambda t: math.exp(-lam * t) / (lam * lam),
             mean=1.0 / lam,
             mrl=lambda t: 1.0 / lam,
             mrl_integral=lambda t: t / lam,
@@ -143,10 +138,6 @@ class Exponential(_Family):
 
     def closed_L(self, t):
         return 1.0
-
-    def closed_double_tail(self, t):
-        lam = self.rate
-        return math.exp(-lam * t) / (lam * lam)
 
 
 @dataclass(frozen=True)
@@ -205,10 +196,14 @@ class Pareto(_Family):
 
     def _build(self):
         a, b = self.shape, self.scale
+        double_tail = None
+        if a > 2.0:  # below it the tail integral decays too slowly to integrate again
+            double_tail = lambda t: b**a * t ** (2.0 - a) / ((a - 1.0) * (a - 2.0))
         formal = FormalExtension(
             tail=lambda t: b**a * t ** (1.0 - a) / (a - 1.0),
             mrl=lambda t: t / (a - 1.0),
             mrl_integral=lambda t: t * t / (2.0 * (a - 1.0)),
+            double_tail=double_tail,
         )
         return Dist(
             self,
@@ -216,6 +211,7 @@ class Pareto(_Family):
             (b, math.inf),
             density=lambda t: a * b**a / t ** (a + 1.0),
             tail=lambda t: t * (b / t) ** a / (a - 1.0),
+            double_tail=double_tail,
             mean=a * b / (a - 1.0),
             mrl=lambda t: t / (a - 1.0),
             mrl_integral=lambda t: (t * t - b * b) / (2.0 * (a - 1.0)),
@@ -227,12 +223,6 @@ class Pareto(_Family):
 
     def closed_L(self, t):
         return 2.0  # under the formal integration convention
-
-    def closed_double_tail(self, t):
-        a, b = self.shape, self.scale
-        if a <= 2.0:
-            return None  # the tail integral decays too slowly to integrate again
-        return b**a * t ** (2.0 - a) / ((a - 1.0) * (a - 2.0))
 
 
 def _erlang_terms(k, lam, t):
@@ -301,6 +291,10 @@ class Erlang(_Family):
         def tail(t):
             return tail_of(_erlang_terms(k, lam, t))
 
+        def double_tail(t):
+            terms = enumerate(_erlang_terms(k, lam, t))
+            return math.fsum(0.5 * (k - i) * (k - i + 1) * p for i, p in terms) / (lam * lam)
+
         def mrl(t):
             # tail / survival from one term list
             terms = _erlang_terms(k, lam, t)
@@ -337,6 +331,7 @@ class Erlang(_Family):
             (0.0, math.inf),
             density=density,
             tail=tail,
+            double_tail=double_tail,
             mean=k / lam,
             mrl=mrl,
             mrl_integral=mrl_integral,
@@ -344,12 +339,6 @@ class Erlang(_Family):
 
     def rescaled(self, a):
         return Erlang(self.k, self.rate / a)
-
-    def closed_double_tail(self, t):
-        k, lam = self.k, self.rate
-        terms = _erlang_terms(k, lam, t)
-        weighted = (0.5 * (k - i) * (k - i + 1) * p for i, p in enumerate(terms))
-        return math.fsum(weighted) / (lam * lam)
 
     def closed_L(self, t):
         if self.k != 2:
@@ -380,6 +369,7 @@ class Uniform(_Family):
             (lo, hi),
             density=lambda t: 1.0 / width,
             tail=lambda t: (hi - t) ** 2 / (2.0 * width),
+            double_tail=lambda t: (hi - t) ** 3 / (6.0 * width),
             mean=0.5 * (lo + hi),
             mrl=lambda t: 0.5 * (hi - t),
             mrl_integral=lambda t: 0.5 * (hi * (t - lo) - 0.5 * (t * t - lo * lo)),
@@ -387,9 +377,6 @@ class Uniform(_Family):
 
     def rescaled(self, a):
         return Uniform(a * self.lo, a * self.hi)
-
-    def closed_double_tail(self, t):
-        return max(self.hi - t, 0.0) ** 3 / (6.0 * (self.hi - self.lo))
 
 
 @dataclass(frozen=True)
@@ -414,12 +401,18 @@ class MrlLinear(_Family):
             return Exponential(1.0 / a)._build().relabel(self, mean=a)
         c = 1.0 + 1.0 / b
 
+        def double_tail(t):
+            # S(t) (a + b t)^2 / (1 - b); from b = 1 on the tail decays too slowly
+            m = a + b * t
+            return (a / m) ** c * m * m / (1.0 - b)
+
         return Dist(
             self,
             lambda t: (a / (a + b * t)) ** c,
             (0.0, math.inf),
             density=lambda t: (b + 1.0) * a**c / (a + b * t) ** (c + 1.0),
             tail=lambda t: a * (a / (a + b * t)) ** (1.0 / b),
+            double_tail=double_tail if b < 1.0 else None,
             mean=a,
             mrl=lambda t: a + b * t,
             mrl_integral=lambda t: a * t + 0.5 * b * t * t,
@@ -427,16 +420,6 @@ class MrlLinear(_Family):
 
     def rescaled(self, a):
         return MrlLinear(a * self.a, self.b)
-
-    def closed_double_tail(self, t):
-        # S(t) (a + b t)^2 / (1 - b); the tail decays too slowly from b = 1 on
-        a, b = self.a, self.b
-        if b >= 1.0:
-            return None
-        if b == 0.0:
-            return a * a * math.exp(-t / a)
-        m = a + b * t
-        return (a / m) ** (1.0 + 1.0 / b) * m * m / (1.0 - b)
 
     def closed_L(self, t):
         return (self.a + self.b * t) / (self.a + 0.5 * self.b * t)
@@ -995,13 +978,17 @@ class FormalExtension:
 
     Used by the 'formal' integration convention, which evaluates the
     MRLAI denominator with the on-support MRL formula continued down to
-    zero (the treatment the Pareto characterisation implicitly applies).
-    Unlike the family's own, its ``mrl_integral`` runs from 0.
+    zero (the treatment the Pareto characterisation implicitly applies),
+    and reads mu below the support start and the T and D of the icx and
+    vrl orders from it.  Unlike the family's own, its ``mrl_integral``
+    runs from 0.  ``double_tail`` is None where the continued double tail
+    diverges.
     """
 
     tail: object
     mrl: object
     mrl_integral: object
+    double_tail: object = None
 
 
 class Dist:
@@ -1009,16 +996,18 @@ class Dist:
 
     Scalar callables cover the survival function and, where available, the
     density, the closed tail integral T(t) = int_t^inf survival, the closed
-    mean residual life, and the closed running integral of the MRL from the
-    support start, int_s0^t mu(u) du.  Anything missing falls back to
-    quadrature in the callers.
+    double tail D(t) = int_t^inf T, the closed mean residual life, and the
+    closed running integral of the MRL from the support start,
+    int_s0^t mu(u) du.  The methods ``tail``, ``double_tail`` and ``mrl``
+    fall back to quadrature where a closure is missing.
 
     These family closures hold the on-support formulas only and never test
     t against the support [s0, s1).  The edges are decided by the methods
-    here: below s0, S = 1, f = 0 and T = mu = mean - t (``tail``); at and
-    past s1, S = f = T = 0 and mu is undefined.  The MRL integral is read
-    on [s0, s1] by ``ageing``, which adds the integral below s0 that its
-    integration convention asks for.  A composite reads a part's closures
+    here, each in one place: below s0, S = 1, f = 0, T = mu = mean - t and
+    D = D(s0) + int_t^s0 (mean - u) du; at and past s1, S = f = T = D = 0
+    and mu is undefined.  The MRL integral is read on [s0, s1] by
+    ``ageing``, which adds the integral below s0 that its integration
+    convention asks for.  A composite reads a part's closures
     directly only where the part's support is its own (``ops.mixture``,
     ``ops.order_statistic``): its own method has then decided the edges
     at the same t, and an OverflowError still reads as 0.  A convolution
@@ -1044,6 +1033,7 @@ class Dist:
         *,
         density=None,
         tail=None,
+        double_tail=None,
         mean=None,
         mrl=None,
         mrl_integral=None,
@@ -1058,6 +1048,7 @@ class Dist:
         self.breakpoints = tuple(sorted({*edges, *map(float, breakpoints)}))
         self._density = density
         self._tail = tail
+        self._double_tail = double_tail
         self._mean = mean
         self._mrl = mrl
         self._mrl_integral = mrl_integral
@@ -1075,6 +1066,7 @@ class Dist:
             support=self.support,
             density=self._density,
             tail=self._tail,
+            double_tail=self._double_tail,
             mean=self._mean,
             mrl=self._mrl,
             mrl_integral=self._mrl_integral,
@@ -1152,16 +1144,61 @@ class Dist:
                 return 0.0
         return self._integral_above(self.survival, t, self._tail_config(t, cfg))
 
+    def double_tail(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+        """D(t) = integral of the tail T over [t, infinity).
+
+        0 from the support end on; below the support start D(s0) plus the
+        integral of T = mean - u over [t, s0], the only place that rule is
+        applied to D.  On the support, the closed double tail where the
+        family has one, else the integral of the closed T above t, or of
+        (u - t) S(u), to the tolerance ``tail`` meets.  Raises Divergence
+        where T decays too slowly to integrate again.
+        """
+        s0, s1 = self.support
+        if t >= s1:
+            return 0.0
+        if t < s0:
+            return self.double_tail(s0, cfg) + (s0 - t) * (self.mean - 0.5 * (s0 + t))
+        if self._double_tail is not None:
+            try:
+                return self._double_tail(t)
+            except OverflowError:
+                return 0.0
+        f = self.tail if self._tail is not None else (lambda u: (u - t) * self.survival(u))
+        try:
+            return self._integral_above(f, t, self._tail_config(t, cfg))
+        except Divergence as exc:
+            raise Divergence(
+                f"{self.lineage}: the double tail integral from t={t!r} diverges "
+                "(the tail integral decays too slowly)"
+            ) from exc
+
+    def mrl(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+        """Mean residual life mu(t) = T(t) / S(t): mean - t below the support
+        start, and on the support the closed MRL where the family has one.
+        Raises BeyondSupport from the support end on and where S underflows."""
+        s0, s1 = self.support
+        if t >= s1:
+            raise BeyondSupport(f"{self.lineage}: mrl undefined at t={t!r} (past support end)")
+        if t < s0:
+            return self.mean - t
+        if self._mrl is not None:
+            return self._mrl(t)
+        sv = self.survival(t)
+        if sv <= 0.0:
+            raise BeyondSupport(f"{self.lineage}: survival underflowed to zero at t={t!r}")
+        return self.tail(t, cfg) / sv
+
     def _on_grid(self, ts, point, closure, below=None, above=None) -> list:
         """The per-point method ``point`` at each of the increasing points
         ``ts``, bit for bit, without a method call per point.
 
         The grid is split once at the support edges.  ``closure``, the
-        family formula ``point`` wraps (``_survival``, ``_density``,
-        ``_tail``), is mapped over the points in [start, end); the points
-        below and above take the constants ``below`` and ``above``, or
-        ``point``'s values where those are None.  Where the closure is None
-        or raises OverflowError, ``point`` gives the inside values too.
+        family formula ``point`` wraps (``_survival``, ``_tail``, ...), is
+        mapped over the points in [start, end); the points below and above
+        take the constants ``below`` and ``above``, or ``point``'s values
+        where those are None.  Where the closure is None or raises
+        OverflowError, ``point`` gives the inside values too.
         """
         s0, s1 = self.support
         i, j = bisect.bisect_left(ts, s0), bisect.bisect_left(ts, s1)
@@ -1196,12 +1233,12 @@ class Dist:
 
     @cached_property
     def _quadrature_view(self) -> Dist:
-        """This distribution without its closed tail, MRL and MRL integral,
+        """This distribution without its closed T, D, MRL and MRL integral,
         its formal continuation's MRL integral included, keeping everything
         else: what ``ageing`` evaluates under ``method="quadrature"``.  Built
         once, so a mean the view has to work out is worked out once."""
         formal = None if self.formal is None else replace(self.formal, mrl_integral=None)
-        return self._with(tail=None, mrl=None, mrl_integral=None, formal=formal)
+        return self._with(tail=None, double_tail=None, mrl=None, mrl_integral=None, formal=formal)
 
     @cached_property
     def mean(self) -> float:
@@ -1213,17 +1250,9 @@ class Dist:
             return s0 + self.tail(s0)
         return self.tail(0.0)
 
-    # -- closed forms (None when the family has none) ------------------------
-
     @property
     def has_closed_mrl(self) -> bool:
         return self._mrl is not None
-
-    def mrl_closed(self, t: float):
-        """Closed-form MRL on the support, or None."""
-        if self._mrl is None:
-            return None
-        return self._mrl(t)
 
     def __repr__(self):
         return f"Dist({self.lineage})"

@@ -34,7 +34,7 @@ from operator import mul, sub, truediv
 from .ageing import Convention, _grid_points, _profile_for, _source_dist, _tails_on_grid, profile
 from .classify import Grid, Kind, classify_mrl, classify_mrla, scan_monotonicity
 from .distributions import Dist
-from .errors import UnsupportedCapability
+from .errors import BeyondSupport, UnsupportedCapability
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
@@ -208,14 +208,20 @@ def vrl_order(
     """Variance-residual-life order via the ratio of double tail integrals.
 
     The ratio of int_t^inf int_u^inf surv_X over the same for Y must be
-    non-increasing.  A closed double tail is evaluated at each grid
-    point; any other costs one integral at the top grid point and one
-    Chebyshev sweep down the grid (see ``_tails_on_grid``), not an
-    improper integral per point.
+    non-increasing.  A closed double tail (``Dist.double_tail``) is read
+    at each grid point; any other costs one integral at the top grid
+    point and one Chebyshev sweep down the grid (see ``_tails_on_grid``),
+    not an improper integral per point.  Where Y's double tail is 0, from
+    its support end on or where it underflows, the ratio is undefined:
+    BeyondSupport names Y and the first such point.
     """
     ts = _grid_points(grid)
+    Y = _source_dist(Y)
     dx = _tails_on_grid(_source_dist(X), ts, conv, cfg)[1]
-    dy = _tails_on_grid(_source_dist(Y), ts, conv, cfg)[1]
+    dy = _tails_on_grid(Y, ts, conv, cfg)[1]
+    for t, v in zip(ts, dy):
+        if v <= 0.0:
+            raise BeyondSupport(f"{Y.lineage}: double tail is 0 at t={t!r}, vrl ratio undefined")
     return _ratio_nonincreasing(ts, list(map(truediv, dx, dy)), tol, "grid")
 
 

@@ -92,7 +92,7 @@ def test_criterion_4_inversion_round_trip():
         d = build(spec)
         for i in range(100):
             t = 0.03 + i * 0.06
-            want = d.mrl_closed(t)
+            want = d.mrl(t)
             got = mrl(d, t, cfg, method="quadrature")
             assert _rel(got, want) < 1e-6, (spec.family, t)
     print("ACCEPTANCE 4 PASS: MRL -> survival -> MRL round trip on 100 points per family")

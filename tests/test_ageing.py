@@ -73,6 +73,15 @@ class TestMrl:
         with pytest.raises(BeyondSupport):
             mrl(d, 2.0)
 
+    @pytest.mark.xfail(strict=True, raises=BeyondSupport,
+                       reason="mu = T/S after S underflows: Weibull(5, 1) raises from t = 3.76")
+    def test_weibull_far_tail(self):
+        # Gamma(1/5, t^5) / (5 e^(-t^5)) by mpmath (gammainc) at 30 digits
+        d = build(Weibull(5.0, 1.0))
+        for t, want in ((5.0, 3.1991812714369275e-4), (6.0, 1.5430511468332714e-4)):
+            assert d.mrl(t) == pytest.approx(want, rel=1e-9)
+            assert mrl(d, t) == pytest.approx(want, rel=1e-9)
+
     def test_quadrature_matches_closed(self):
         for spec in (Erlang(3, 1.0), MrlLinear(1.0, 1.0), MrlReciprocalLinear(1.0, 1.0)):
             d = build(spec)
@@ -445,6 +454,15 @@ class TestCoxInversion:
         with pytest.raises(NonPositiveMrl):
             survival_from_mrl(lambda t: 1.0 - t, 2.0)
 
+    def test_at_zero_and_nonpositive_mu_at_zero_or_inside(self):
+        assert survival_from_mrl(lambda u: 1.0 + u, 0.0) == 1.0
+        for mu in (lambda u: u, lambda u: u - 1.0):
+            with pytest.raises(NonPositiveMrl, match=r"^mu\(0\) = "):
+                survival_from_mrl(mu, 1.0)
+        # 0.9 at 0 and at 2, -0.1 at 1
+        with pytest.raises(NonPositiveMrl, match="must be strictly positive"):
+            survival_from_mrl(lambda u: (u - 1.0) ** 2 - 0.1, 2.0)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -469,7 +487,7 @@ class TestCoxInversion:
         cfg = QuadConfig(abs_tol=1e-13, rel_tol=1e-11)
         for i in range(100):
             t = 0.03 + i * 0.06
-            want = d.mrl_closed(t)
+            want = d.mrl(t)
             got = mrl(d, t, cfg, method="quadrature")
             assert got == pytest.approx(want, rel=1e-6), f"t={t}"
 
@@ -481,7 +499,7 @@ class TestCoxInversion:
     def test_family_survival_equals_generic_inversion(self, spec):
         d = build(spec)
         for t in (0.3, 1.1, 2.7):
-            want = survival_from_mrl(d.mrl_closed, t)
+            want = survival_from_mrl(d.mrl, t)
             assert d.survival(t) == pytest.approx(want, rel=1e-9)
 
 
@@ -498,7 +516,7 @@ class TestCharacterisations:
         prof = profile(d, ts, FORMAL, method="quadrature")
         assert max(abs(v - 2.0) for v in prof.L) < 1e-6
 
-    def test_linear_mrl_closed_intensity_random_params(self):
+    def test_closed_intensity_of_linear_mrl_random_params(self):
         rng = random.Random(20240809)
         for _ in range(10):
             a = rng.uniform(0.2, 3.0)
@@ -583,6 +601,12 @@ class TestHazard:
         d = type(c)(c.spec, c._survival, c.support)  # strip the density
         with pytest.raises(UnsupportedCapability):
             hazard(d, 1.0)
+
+    def test_undefined_at_the_support_end(self):
+        d = build(Uniform(0.0, 1.0))
+        for f in (hazard, hazard_ai):
+            with pytest.raises(BeyondSupport, match=r"^uniform: hazard undefined at t=1\.0$"):
+                f(d, 1.0)
 
 
 class TestHazardAi:

@@ -112,6 +112,13 @@ class TestScan:
         if v.kind is Kind.NON_MONOTONE:
             assert v.margin > 1e-7
 
+    def test_drift_inside_the_noise_band(self):
+        # each step of 4e-8 is inside tol 1e-7, the total of 1.2e-7 is not
+        ts = [0.0, 1.0, 2.0, 3.0]
+        vals = [1.0, 1.0 + 4e-8, 1.0 + 8e-8, 1.0 + 1.2e-7]
+        assert scan_monotonicity(ts, vals, tol=1e-7).kind is Kind.INCREASING
+        assert scan_monotonicity(ts, vals[::-1], tol=1e-7).kind is Kind.DECREASING
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             scan_monotonicity([0.0], [1.0])

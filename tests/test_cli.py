@@ -124,6 +124,22 @@ class TestEval:
         assert code == 0 and out == ""
         assert path.read_text().startswith("t,")
 
+    def test_unwritable_output_file(self, capsys, tmp_path):
+        path = tmp_path / "nonexistent" / "x.csv"
+        code, out, err = run(["eval", ERLANG, "--grid", "0.5:2/4", "-o", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] ")
+
+    def test_spec_file_gives_the_inline_bytes(self, capsys, tmp_path):
+        mix = ('{"family":"mixture","weights":[0.5,0.5],"components":'
+               '[{"family":"exponential","rate":1},{"family":"exponential","rate":2}]}')
+        path = tmp_path / "mix.json"
+        path.write_text(mix)
+        argv = ["--grid", "0.1:5/32", "--format", "csv"]
+        inline = run(["eval", mix, *argv], capsys)
+        assert inline[0] == 0
+        assert run(["eval", str(path), *argv], capsys) == inline
+
 
 class TestClassify:
     def test_erlang_verdicts(self, capsys):
@@ -212,6 +228,15 @@ class TestCompare:
         shortcut = next(l for l in out.splitlines() if l.startswith("shortcut"))
         assert "holds" in shortcut and "thm_4_3" in shortcut
 
+
+    def test_vrl_past_the_second_support_end_is_an_error(self, capsys):
+        code, out, err = run(
+            ["compare", '{"family":"uniform","lo":0,"hi":2}', '{"family":"uniform","lo":0,"hi":1}',
+             "--orders", "vrl", "--grid", "0.5:1.5/3"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: uniform: double tail is 0 at t=1.0, vrl ratio undefined\n"
 
     def test_divergent_double_tail_names_distribution_and_t(self, capsys):
         code, out, err = run(

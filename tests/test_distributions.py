@@ -33,7 +33,7 @@ from mrlai.distributions import (
     spec_from_dict,
     validate,
 )
-from mrlai.errors import SpecError, UnsupportedCapability
+from mrlai.errors import BeyondSupport, SpecError, UnsupportedCapability
 from mrlai.quadrature import QuadConfig, integrate_finite, integrate_tail
 
 E = math.e
@@ -334,12 +334,56 @@ class TestBelowTheSupport:
             if t < d.support[0]:
                 assert d.tail(t) == d.mean - t, f"T at t={t}"
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family + repr(s)[:24])
+    def test_mrl_and_closed_double_tail_follow(self, spec):
+        d = build(spec)
+        s0 = d.support[0]
+        t = s0 - 1.0
+        assert d.mrl(t) == d.mean - t
+        if d._double_tail is not None:
+            assert d.double_tail(t) == d.double_tail(s0) + (s0 - t) * (d.mean - 0.5 * (s0 + t))
+
     def test_generic_scaling(self):
         from mrlai.ops import scale
 
         d = scale(build(Exponential(1.0)), 2.0, rewrite=False)
         assert d._tail is not None
         assert d.tail(-1.0) == d.mean + 1.0 == 3.0
+
+
+class TestDoubleTailMethod:
+    def test_zero_and_undefined_from_the_support_end_on(self):
+        d = build(Uniform(1.0, 3.0))
+        assert d.double_tail(3.0) == d.double_tail(3.5) == 0.0
+        assert d._quadrature_view.double_tail(3.0) == 0.0
+        for t in (3.0, 3.5):
+            with pytest.raises(BeyondSupport, match=rf"^uniform: mrl undefined at t={t}"):
+                d.mrl(t)
+
+    @pytest.mark.parametrize(
+        "spec", [Uniform(1.0, 3.0), Exponential(0.7), MrlReciprocalLinear(1.0, 0.9)],
+        ids=lambda s: s.family,
+    )
+    def test_numeric_branches_agree_with_the_closure(self, spec):
+        # the quadrature view integrates (u - t) S(u); a closed T without a
+        # closed D (mrl_reciprocal_linear) integrates T
+        d = build(spec)
+        assert d._quadrature_view._double_tail is None
+        for t in (0.2, 1.5, 2.5):
+            assert d._quadrature_view.double_tail(t) == pytest.approx(d.double_tail(t), rel=1e-9)
+
+
+class TestScaledSpec:
+    def test_builds_the_rescaled_family(self):
+        from mrlai.ops import scale
+
+        want = scale(build(Weibull(1.5, 1.0)), 2.0)
+        text = '{"family":"scaled","base":{"family":"weibull","shape":1.5,"scale":1},"factor":2}'
+        for d in (build(Scaled(Weibull(1.5, 1.0), 2.0)), build(load_spec(text))):
+            assert d.spec == Scaled(Weibull(1.5, 1.0), 2.0)
+            for t in (0.3, 1.0, 2.5, 6.0):
+                assert (d.survival(t), d.tail(t), mrl(d, t)) == (
+                    want.survival(t), want.tail(t), mrl(want, t))
 
 
 class TestNoCallState:
@@ -430,7 +474,7 @@ class TestValidation:
             '"pieces":[{"kind":"recip_linear","a":1,"b":0.5}]}'
         )
         d = build(spec)
-        assert d.mrl_closed(2.0) == pytest.approx(0.5, rel=1e-15)
+        assert d.mrl(2.0) == pytest.approx(0.5, rel=1e-15)
         assert 0.0 < d.survival(2.0) < 1.0
 
     def test_nested_scaled_flattened(self):

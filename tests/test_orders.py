@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,8 +21,8 @@ from mrlai.distributions import (
     Weibull,
     build,
 )
-from mrlai.errors import GridError, UnsupportedCapability
-from mrlai.ops import parallel
+from mrlai.errors import BeyondSupport, GridError, UnsupportedCapability
+from mrlai.ops import convolution, order_statistic, parallel, scale
 from mrlai.orders import (
     Relation,
     check_scale_preservation,
@@ -190,6 +191,21 @@ class TestComparisonOrders:
         bare = type(c)(c.spec, c._survival, c.support)
         with pytest.raises(UnsupportedCapability):
             lr_order(bare, bare, ts(0.1, 2.0))
+
+    def test_lr_one_usable_point_is_inconclusive(self):
+        # f_X = 0 past 1, so only t = 0.5 has both densities positive
+        X, Y = build(Uniform(0.0, 1.0)), build(Uniform(0.0, 2.0))
+        assert lr_order(X, Y, [0.5, 1.5]).relation is Relation.INCONCLUSIVE
+
+    @pytest.mark.parametrize(
+        "x,grid,first",
+        [(Uniform(0.0, 2.0), [0.5, 1.0, 1.5], 1.0), (Exponential(1.0), [0.5, 0.9, 1.5], 1.5)],
+        ids=["uniform", "exponential"],
+    )
+    def test_vrl_where_the_second_double_tail_is_zero(self, x, grid, first):
+        # D_Y = 0 from Y's support end on: the ratio is undefined, not a ZeroDivisionError
+        with pytest.raises(BeyondSupport, match=rf"^uniform: double tail is 0 at t={first}, "):
+            vrl_order(build(x), build(Uniform(0.0, 1.0)), grid)
 
     def test_icx_printed_counterexample(self):
         X, Y = build(Exponential(0.5)), build(Pareto(2.0, 1.0))
@@ -418,12 +434,24 @@ class TestDoubleTail:
         for t, v in zip(grid, got):
             assert v == pytest.approx(_weibull_double_tail(shape, t), rel=1e-9, abs=0.0), t
 
-    def test_pareto_closed_double_tail_needs_shape_above_two(self):
-        assert Pareto(2.5, 1.0).closed_double_tail(0.5) == pytest.approx(4.0 / 3.0 * 0.5**-0.5, rel=1e-15)
-        assert Pareto(2.0, 1.0).closed_double_tail(2.0) is None
-        assert Weibull(1.5, 1.0).closed_double_tail(2.0) is None
+    def test_pareto_double_tail_closure_needs_shape_above_two(self):
+        # the continuation's closure at 0.5, below the support start
+        pareto = build(Pareto(2.5, 1.0))
+        assert pareto.formal.double_tail(0.5) == pytest.approx(4.0 / 3.0 * 0.5**-0.5, rel=1e-15)
+        slow = build(Pareto(2.0, 1.0))
+        assert slow._double_tail is None and slow.formal.double_tail is None
+        assert build(Weibull(1.5, 1.0))._double_tail is None
         # ZERO below the support start: 11/24 from the linear T plus D(1) = 4/3
-        assert _double_tails(build(Pareto(2.5, 1.0)), [0.5])[0] == pytest.approx(43.0 / 24.0, rel=1e-15)
+        assert _double_tails(pareto, [0.5])[0] == pytest.approx(43.0 / 24.0, rel=1e-15)
+
+    def test_formal_sweep_below_the_support_start(self):
+        # a continuation without a closed D: the sweep runs up to s0, where
+        # the true D it starts from equals the continuation's
+        d = build(Pareto(2.5, 1.0))
+        d = d._with(formal=replace(d.formal, double_tail=None))
+        grid = [0.2, 0.5, 0.8]
+        for t, v in zip(grid, _double_tails(d, grid, FORMAL)):
+            assert v == pytest.approx(_pareto_double_tail(2.5, 1.0, t, formal=True), rel=1e-9), t
 
     @pytest.mark.parametrize(
         "spec", [Weibull(1.5, 1.0), Uniform(1.0, 3.0), Pareto(2.5, 1.0), Exponential(0.7)],
@@ -525,7 +553,7 @@ class TestDoubleTail:
 
 def _mp_double_tail(spec, t):
     """D(t) = E[(X - t)_+^2] / 2 by mpmath at 30 digits, from the moments
-    of X rather than the specs' ``closed_double_tail`` formulas."""
+    of X rather than the families' closed double tails."""
     import mpmath
 
     with mpmath.workdps(30):
@@ -596,17 +624,37 @@ class TestClosedDoubleTails:
         for _, spec, span in NEW_CLOSED_DOUBLE_TAILS:
             _double_tails(build(spec), ts(*span, 32))
 
+    @pytest.mark.parametrize(
+        "landed,family",
+        [
+            (lambda: scale(build(Exponential(1.0)), 2.0), Exponential(0.5)),
+            (lambda: order_statistic(build(Exponential(0.25)), 1, 2), Exponential(0.5)),
+            (lambda: build(MrlLinear(2.0, 0.0)), Exponential(0.5)),
+            (lambda: convolution(build(Exponential(1.0)), build(Exponential(1.0))), Erlang(2, 1.0)),
+        ],
+        ids=["scaled", "series", "mrl_linear-b0", "exp-sum"],
+    )
+    def test_a_dist_landing_in_a_closed_family_keeps_its_column(self, landed, family, monkeypatch):
+        from mrlai import ageing
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a closed double tail needs no sweep")
+
+        monkeypatch.setattr(ageing, "cheb_sweep", no_sweep)
+        grid = ts(0.05, 10.0, 512)
+        assert _double_tails(landed(), grid) == _double_tails(build(family), grid)
+
     def test_slow_linear_mrl_tail_still_diverges(self):
         from mrlai.errors import Divergence
 
-        assert MrlLinear(1.0, 1.0).closed_double_tail(2.0) is None
+        assert build(MrlLinear(1.0, 1.0))._double_tail is None
         with pytest.raises(Divergence, match=r"mrl_linear: .*t=3\.0"):
             vrl_order(build(MrlLinear(1.0, 1.5)), build(Exponential(1.0)), ts(0.1, 3.0, 16))
 
     def test_past_the_uniform_end_is_zero(self):
         d = build(Uniform(1.0, 3.0))
         assert _double_tails(d, [0.5, 2.0, 3.0, 4.0])[2:] == [0.0, 0.0]
-        assert Uniform(1.0, 3.0).closed_double_tail(3.5) == 0.0
+        assert build(Uniform(1.0, 3.0)).double_tail(3.5) == 0.0
 
 
 class TestMrlOrderFromProfiles:
