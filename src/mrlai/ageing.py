@@ -35,13 +35,9 @@ Their t, and that of ``mrl``, ``hazard`` and ``hazard_ai``, is read as a
 grid point (``_grid_points``): NaN, infinite and nonzero subnormal points
 raise GridError.
 
-The increasing-convex and variance-residual-life orders read the tail
-T(t) = int_t^inf S and the double tail D(t) = int_t^inf T on a grid
-(``_tails_on_grid``).  Without closed forms they run on the chain of the
-mu sweep: one integral at the top point, then one Chebyshev sweep down
-the points and the breakpoints between them, where D adds the interval
-integrals of T to D(top) from the right as G adds those of mu from the
-left.
+The grid columns (S, f, mu with G from the support start, T with the
+double tail D) are the ``Dist``'s; ``_evaluate`` and ``_tails_on_grid``
+add what a convention asks for below the support start.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ from .errors import (
     NonPositiveMrl,
     UnsupportedCapability,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, cheb_sweep, integrate_finite
+from .quadrature import DEFAULT_CONFIG, QuadConfig, _integrate_knots, integrate_finite
 
 __all__ = [
     "Convention",
@@ -105,7 +101,8 @@ def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto
     (``Dist.mrl``).
 
     Below the support start this is the true conditional mean, mean - t.
-    Raises BeyondSupport where the survival function has reached zero.
+    Raises BeyondSupport where the survival function has reached zero, or
+    lies below what a quadrature tail resolves.
     ``method="quadrature"`` integrates the survival function in place of
     the closed MRL and tail (``_resolve``).  t is read as a grid point
     (``_grid_points``): NaN, infinite and nonzero subnormal t raise
@@ -230,15 +227,15 @@ def _hazard_ai_on_grid(d: Dist, ts, survival=None):
 
     Such a point holds nan: below the support start no hazard has
     accumulated, and where the survival function is 0 there is no hazard.
-    S and f are read once per point, as columns (``Dist._on_grid``); a
+    S and f are read once per point, as columns (``Dist._column``); a
     caller that has S at ``ts`` passes it as ``survival``.  A point t <= 0
     raises GridError.
     """
     if ts[0] <= 0.0:
         raise GridError("hazard_ai needs t > 0")
     if survival is None:
-        survival = d._on_grid(ts, d.survival, d._survival, 1.0, 0.0)
-    density = d._on_grid(ts, d.density, d._density, 0.0, 0.0)
+        survival = d._column("survival", ts)
+    density = d._column("density", ts)
     vals, why = [], None
     for t, sv, f in zip(ts, survival, density):
         if sv <= 0.0:
@@ -350,19 +347,10 @@ def profile(
     """Evaluate the ageing quantities along a grid (``_grid_points``).
 
     Closed forms are used where the ``Dist`` that ``method`` resolves to
-    has them (``_resolve``): "quadrature" drops them.  Otherwise one sweep
-    from the top of the grid down to the convention origin produces mu and
-    G(t) = int mu together: it starts from a single tail integral at the
-    top grid point and covers each grid panel with adaptive 33-point
-    Chebyshev-Lobatto panels (``quadrature.cheb_sweep``).  On each panel
-    the tail T(x) = T(b) + int_x^b S is chained through the survival
-    samples, mu = T/S at the same nodes, and their Clenshaw-Curtis sum
-    gives the panel's share of G.  A panel is refined until both the
-    survival and the mu integrals meet the tolerance, so a profile costs
-    about one panel of survival samples per grid point for smooth
-    families.  Where the MRL or the tail is closed, the sweep integrates
-    the closed mu instead.  Scalar ``mrlai`` and ``mrl_average`` are
-    one-point profiles, bit for bit, at every t above the origin.
+    has them (``_resolve``): "quadrature" drops them.  Otherwise mu and
+    G(t) = int mu come from one sweep (``Dist._mrl_on_grid``, below the
+    support start ``_evaluate``).  Scalar ``mrlai`` and ``mrl_average``
+    are one-point profiles, bit for bit, at every t above the origin.
     """
     d = _resolve(d, method)
     ts = _grid_points(grid)
@@ -432,183 +420,57 @@ def _evaluate(d, ts, conv, cfg, need_mu=True):
 
     ``mu`` is None when ``need_mu`` is false.  G is defined up to the
     support end, mu below it; a point past the end raises BeyondSupport.
+    From s0 on the ``Dist`` gives mu and G (``Dist._mrl_on_grid``), and
+    G adds the convention's integral up to min(t, s0): of mean - u under
+    ZERO, 0 under SUPPORT_START, and under FORMAL of the continuation's mu,
+    whose closed integral, from 0, is G at every point where it has one.
     """
-    g_closed = _closed_integral(d, conv)
-    if ts[-1] > d.support[1]:
-        raise BeyondSupport(f"{d.lineage}: mrl undefined at t={ts[-1]!r} (past support end)")
-    if g_closed is None:
-        return _sweep(d, ts, conv, cfg, need_mu)
-    mu = _closed_mu(d, ts, conv, cfg) if need_mu else None
-    return mu, list(map(g_closed, ts))
-
-
-def _closed_mu(d, ts, conv, cfg):
-    """mu at the increasing points ``ts`` of a closed-G profile: the closed
-    mu mapped over the points on the support, ``_mrl_point`` elsewhere."""
-    return d._on_grid(ts, lambda t: _mrl_point(d, t, conv, cfg), d._mrl)
-
-
-def _closed_integral(d, conv):
-    """t -> G(t) in closed form, or None where the family has none.
-
-    The family's MRL integral runs from the support start s0 (see
-    ``Dist``), which is G itself under SUPPORT_START.  Under ZERO, G below
-    s0 is the true continuation (``_true_integral``), and above it that
-    continuation's value at s0 plus the family's integral.  FORMAL reads
-    the formal continuation's integral, which runs from 0.
-    """
-    if conv is Convention.FORMAL:
-        _, fint = _formal_parts(d)
-        if fint is not None:
-            return fint
-    closed, s0 = d._mrl_integral, d.support[0]
-    if closed is None or s0 == 0.0 or conv is Convention.SUPPORT_START:
-        return closed
-    below = _true_integral(d, s0)
-    return lambda t: below + closed(t) if t >= s0 else _true_integral(d, t)
-
-
-def _true_integral(d, x):
-    """int_0^x of the true MRL below the support start (0 <= x <= s0),
-    where mu = mean - u: the ZERO convention's G there.  0 at x = 0, where
-    the mean is not read."""
-    return d.mean * x - 0.5 * x * x if x > 0 else 0.0
-
-
-def _sweep(d, ts, conv, cfg, need_mu):
-    """mu and G at the grid points without a closed G (see ``profile``)."""
+    fm, fint = _formal_parts(d) if conv is Convention.FORMAL else (None, None)
     s0, s1 = d.support
-    fm = _formal_parts(d)[0] if conv is Convention.FORMAL else None
-    lo = max(s0, _origin(d, conv))
-    pts = [t for t in ts if t > lo]
-
-    # on the support: mu and G from lo.  At a finite support end mu takes
-    # its limit 0 (0 <= mu(x) <= s1 - x), so G(s1) is defined although
-    # mu(s1) is not.
-    mu_at, g_at = {}, {lo: 0.0}
-    if pts:
-        knots = _knots(d, lo, pts)
-        top = knots[-1]
-        if d.has_closed_mrl or d._tail is not None:
-            mu_closed = lambda u: d.mrl(u, cfg) if u < s1 else 0.0
-            mu_on, seg = _integrate_knots(mu_closed, knots, cfg)
-        else:
-            if top < s1 and d.survival(top) <= 0.0:
-                raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={top!r}")
-            hook = _chained_tail(d, d.tail(top, cfg), over_survival=True)
-            mu_on, seg = _integrate_knots(d.survival, knots, cfg, hook)
-        mu_at = {k: m for k, m in zip(knots, mu_on) if k < s1}
-        g_at = dict(zip(knots, accumulate(seg, initial=0.0)))
-
-    # below the support start: the formal continuation or the true MRL
-    if fm is not None:
-        below = [0.0] + sorted({min(t, s0) for t in ts if min(t, s0) > 0.0})
-        g_fm = dict(zip(below, accumulate(_integrate_knots(fm, below, cfg)[1], initial=0.0)))
-        g_below = lambda x: g_fm[x]
-    elif conv is Convention.SUPPORT_START:
-        g_below = lambda x: 0.0
-    else:
-        g_below = lambda x: _true_integral(d, x)
-
-    g = [g_below(min(t, s0)) + g_at.get(t, 0.0) for t in ts]
-    mu = None
+    if ts[-1] > s1:
+        raise BeyondSupport(f"{d.lineage}: mrl undefined at t={ts[-1]!r} (past support end)")
+    i = bisect_left(ts, s0)
+    if fint is None:
+        mu, g = d._mrl_on_grid(ts[i:], cfg, need_mu)
+    else:  # a closed continuation integral runs from 0: G at every point
+        mu, g = d._column("mrl", ts[i:], cfg) if need_mu else None, list(map(fint, ts))
     if need_mu:
-        mu = [mu_at[t] if t in mu_at else _mrl_point(d, t, conv, cfg) for t in ts]
-    return mu, g
-
-
-def _knots(d, lo, pts):
-    """The knots of a sweep from ``lo`` to the last of the increasing
-    points ``pts``: lo, the points above it and the breakpoints of ``d``
-    between them, so no panel straddles a kink of the survival function."""
-    top = pts[-1]
-    return sorted({lo, *(t for t in pts if t > lo), *(b for b in d.breakpoints if lo < b < top)})
-
-
-def _integrate_knots(f, knots, cfg, resolve=None):
-    """Values at the knots and the integral over each knot interval of f,
-    or of the node values ``resolve`` derives from it, in one sweep."""
-    vals = [0.0] * len(knots)
-    seg = [0.0] * (len(knots) - 1)
-    last = None
-    for p in cheb_sweep(f, knots, cfg, resolve):
-        g, integral = (p.fs, p.integral) if resolve is None else (p.g, p.g_integral)
-        if p.interval != last:  # the rightmost panel of its knot interval
-            vals[p.interval + 1] = g[0]
-            last = p.interval
-        seg[p.interval] += integral
-        vals[0] = g[-1]
-    return vals, seg
-
-
-def _chained_tail(d, tail_top, over_survival=False):
-    """A ``cheb_sweep`` hook that turns survival panels into the tail
-    T(x) = T(top) + int_x^top S, chained down from T(top) = ``tail_top``,
-    or with ``over_survival`` into mu = T/S (0 at a finite support end)."""
-    s1 = d.support[1]
-
-    def nodes(p):
-        tails = [tail_top + tail for tail in p.tails]
-        if not over_survival:
-            return tails
-        for x, sv in zip(p.xs, p.fs):
-            if x < s1 and sv <= 0.0:
-                raise BeyondSupport(f"{d.lineage}: survival underflowed to zero at t={x!r}")
-        return [tail / sv if x < s1 else 0.0 for x, sv, tail in zip(p.xs, p.fs, tails)]
-
-    return nodes
+        mu = [_mrl_point(d, t, conv, cfg) for t in ts[:i]] + mu
+    if fint is not None or s0 == 0.0:  # nothing to add below the support start
+        return mu, g
+    if fm is not None:
+        knots = [0.0] + sorted({min(t, s0) for t in ts})
+        g_fm = dict(zip(knots, accumulate(_integrate_knots(fm, knots, cfg)[1], initial=0.0)))
+        below = g_fm.__getitem__
+    elif conv is Convention.SUPPORT_START:
+        below = lambda x: 0.0
+    else:
+        below = lambda x: d.mean * x - 0.5 * x * x
+    g_s0 = below(s0) if g else 0.0  # g_fm has s0 only where a point reaches it
+    return mu, [below(t) for t in ts[:i]] + [g_s0 + gt for gt in g]
 
 
 def _tails_on_grid(d, ts, conv, cfg, double=True):
     """T(t) = int_t^inf S at each of the increasing points ``ts`` and, with
     ``double``, the double tail D(t) = int_t^inf T; D is None without it.
 
-    Under the formal convention T and D are the formal continuation's.  A
-    closed T, and a closed D, are read as columns (``_closed_tails``):
-    ``Dist.tail`` and ``Dist.double_tail`` decide the support edges.
-    Otherwise one sweep runs over the ``_knots`` of the points below a
-    finite support end: a closed T is swept directly, a numeric one is
-    chained from T(top) (``_chained_tail``), and D adds each knot
-    interval's integral of T to D(top) = ``Dist.double_tail(top)`` from the
-    top down.  Without ``double`` a numeric T adds the survival's interval
-    integrals to T(top) and needs no hook.  Points at or past a finite
-    support end get T = D = 0.
+    The ``Dist``'s (``Dist._tails_on_grid``), but the formal continuation's
+    under FORMAL, which has no support end.  Without a closed D, the
+    continuation's T is integrated over the ``_knots`` of the points (and
+    s0, if they lie below it), each interval adding to D(top) from the top
+    down, ``Dist.double_tail``'s.
     """
     formal = d.formal if conv is Convention.FORMAL else None
-    tail = formal.tail if formal is not None else (lambda u: d.tail(u, cfg))
-    closed_double = formal.double_tail if formal is not None else d._double_tail
-    closed = formal is not None or d._tail is not None
-    if closed and not double:
-        return _closed_tails(d, ts, formal, "tail"), None
-    if closed and closed_double is not None:
-        return _closed_tails(d, ts, formal, "tail"), _closed_tails(d, ts, formal, "double_tail")
-    s0, s1 = d.support
-    pts = [t for t in ts if t < s1]
-    if formal is not None and pts and pts[-1] < s0:
-        pts.append(s0)  # the continuation's D is Dist.double_tail's from s0 on
-    t_at, d_at = {}, {}
-    if pts:
-        knots = _knots(d, pts[0], pts)
-        top = knots[-1]
-        t_top = tail(top)
-        d_top = d.double_tail(top, cfg) if double else None
-        hook = _chained_tail(d, t_top) if double and not closed else None
-        t_on, seg = _integrate_knots(tail if closed else d.survival, knots, cfg, hook)
-        if double:
-            t_at = dict(zip(knots, t_on))
-            d_at = dict(zip(reversed(knots), accumulate(reversed(seg), initial=d_top)))
-        else:
-            above = accumulate(reversed(seg), initial=0.0)
-            t_at = {k: t_top + c for k, c in zip(reversed(knots), above)}
-    values = [t_at.get(t, 0.0) for t in ts]
-    return values, ([d_at.get(t, 0.0) for t in ts] if double else None)
-
-
-def _closed_tails(d, ts, formal, name):
-    """The closed T (``name`` "tail") or D ("double_tail") at each of the
-    increasing points ``ts``: the formal continuation's closure, or the
-    ``Dist`` method, whose closure is read on the support and which decides
-    the values off it."""
-    if formal is not None:
-        return list(map(getattr(formal, name), ts))
-    return d._on_grid(ts, getattr(d, name), getattr(d, "_" + name), None, 0.0)
+    if formal is None:
+        return d._tails_on_grid(ts, cfg, double)
+    tails = list(map(formal.tail, ts))
+    if not double:
+        return tails, None
+    if formal.double_tail is not None:
+        return tails, list(map(formal.double_tail, ts))
+    s0 = d.support[0]
+    knots = d._knots(ts[0], [*ts, s0] if ts[-1] < s0 else ts)
+    top = d.double_tail(knots[-1], cfg)
+    seg = _integrate_knots(formal.tail, knots, cfg)[1]
+    d_at = dict(zip(reversed(knots), accumulate(reversed(seg), initial=top)))
+    return tails, [d_at[t] for t in ts]

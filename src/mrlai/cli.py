@@ -31,7 +31,7 @@ from itertools import repeat
 
 from . import corpus as corpus_mod
 from . import orders as orders_mod
-from .ageing import Convention, _Profiles, _hazard_ai_on_grid, profile
+from .ageing import Convention, _Profiles, _grid_points, _hazard_ai_on_grid, profile
 from .classify import (
     Grid,
     classify_hazard_ai,
@@ -96,10 +96,6 @@ def _parse_grid(text: str) -> Grid:
     return Grid(lo, hi, n, spacing)
 
 
-def _survival_column(dist, ts):
-    return dist._on_grid(ts, dist.survival, dist._survival, 1.0, 0.0)
-
-
 def _load_one_spec(path_or_json: str):
     text = path_or_json.strip()
     if text.startswith("{"):
@@ -147,9 +143,8 @@ def _output(args):
 def cmd_eval(args) -> int:
     dist = build(_load_one_spec(args.spec))
     conv = Convention(args.conv)
-    ts = _parse_grid(args.grid).points()
-    prof = profile(dist, ts, conv)
-    sv = _survival_column(dist, prof.grid)
+    prof = profile(dist, _grid_points(_parse_grid(args.grid)), conv)
+    sv = dist._column("survival", prof.grid)
     header = ["t", "survival", "mu", "mu_avg", "L"]
     columns = [prof.grid, sv, prof.mu, prof.mu_avg, prof.L]
     if dist.has_density:
@@ -245,12 +240,12 @@ def cmd_reproduce(args) -> int:
 
 def cmd_plotdata(args) -> int:
     conv = Convention(args.conv)
-    ts = _parse_grid(args.grid).points()
+    ts = _grid_points(_parse_grid(args.grid))
     series, values = [], []
     for spec_text in args.spec:
         dist = build(_load_one_spec(spec_text))
         if args.quantity == "survival":
-            vals = _survival_column(dist, ts)
+            vals = dist._column("survival", ts)
         elif args.quantity == "hazard_ai":
             vals = _hazard_ai_on_grid(dist, ts)[0]  # nan holes, as in eval
         else:

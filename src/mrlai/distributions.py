@@ -34,9 +34,11 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import BeyondSupport, Divergence, SpecError, UnsupportedCapability
 from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_finite, integrate_tail
+from .quadrature import _integrate_knots
 
 __all__ = [
     "Exponential",
@@ -991,6 +993,10 @@ class FormalExtension:
     double_tail: object = None
 
 
+# the least abs_tol of a tail quadrature: QuadConfig needs one above 0
+_TOL_FLOOR = 1e-280
+
+
 class Dist:
     """Evaluatable lifetime distribution.  Immutable after construction.
 
@@ -1002,12 +1008,14 @@ class Dist:
     fall back to quadrature where a closure is missing.
 
     These family closures hold the on-support formulas only and never test
-    t against the support [s0, s1).  The edges are decided by the methods
-    here, each in one place: below s0, S = 1, f = 0, T = mu = mean - t and
-    D = D(s0) + int_t^s0 (mean - u) du; at and past s1, S = f = T = D = 0
-    and mu is undefined.  The MRL integral is read on [s0, s1] by
-    ``ageing``, which adds the integral below s0 that its integration
-    convention asks for.  A composite reads a part's closures
+    t against the support [s0, s1).  Outside ``ops`` only the methods here
+    read them, and they decide the edges, each in one place: below s0,
+    S = 1, f = 0, T = mu = mean - t and D = D(s0) + int_t^s0 (mean - u) du;
+    at and past s1, S = f = T = D = 0 and mu is undefined.  A grid reads
+    each quantity as a column (``_column``), or mu with G from s0
+    (``_mrl_on_grid``; ``ageing`` adds the integral below s0 that its
+    convention asks for), or T with D (``_tails_on_grid``), each closed
+    or from one chained sweep.  A composite reads a part's closures
     directly only where the part's support is its own (``ops.mixture``,
     ``ops.order_statistic``): its own method has then decided the edges
     at the same t, and an OverflowError still reads as 0.  A convolution
@@ -1176,7 +1184,8 @@ class Dist:
     def mrl(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """Mean residual life mu(t) = T(t) / S(t): mean - t below the support
         start, and on the support the closed MRL where the family has one.
-        Raises BeyondSupport from the support end on and where S underflows."""
+        Raises BeyondSupport from the support end on, and where T is a
+        quadrature that S(t) leaves without a digit (``_check_resolved``)."""
         s0, s1 = self.support
         if t >= s1:
             raise BeyondSupport(f"{self.lineage}: mrl undefined at t={t!r} (past support end)")
@@ -1185,21 +1194,47 @@ class Dist:
         if self._mrl is not None:
             return self._mrl(t)
         sv = self.survival(t)
-        if sv <= 0.0:
-            raise BeyondSupport(f"{self.lineage}: survival underflowed to zero at t={t!r}")
+        self._check_resolved((t,), (sv,), cfg, numeric=self._tail is None)
         return self.tail(t, cfg) / sv
 
-    def _on_grid(self, ts, point, closure, below=None, above=None) -> list:
-        """The per-point method ``point`` at each of the increasing points
-        ``ts``, bit for bit, without a method call per point.
+    def _check_resolved(self, xs, svs, cfg: QuadConfig, numeric=True):
+        """Raise BeyondSupport at the first of the points ``xs`` below s1
+        where mu = T/S has no digit: S = ``svs`` there has underflowed to
+        zero, or, for a ``numeric`` T, abs_tol * S lies below ``_TOL_FLOOR``,
+        which every tail quadrature meets at least."""
+        least = _TOL_FLOOR / cfg.abs_tol if numeric else 0.0
+        if min(svs) > least:  # the common case: one test per panel
+            return
+        for x, sv in zip(xs, svs):
+            if x < self.support[1] and sv <= 0.0:
+                raise BeyondSupport(f"{self.lineage}: survival underflowed to zero at t={x!r}")
+            if x < self.support[1] and sv < least:
+                raise BeyondSupport(
+                    f"{self.lineage}: the tail quadrature cannot resolve S({x!r}) = {sv!r}"
+                )
 
-        The grid is split once at the support edges.  ``closure``, the
-        family formula ``point`` wraps (``_survival``, ``_tail``, ...), is
-        mapped over the points in [start, end); the points below and above
-        take the constants ``below`` and ``above``, or ``point``'s values
-        where those are None.  Where the closure is None or raises
-        OverflowError, ``point`` gives the inside values too.
+    # (value below s0, value from s1 on) of each quantity; None where its
+    # method works the value out
+    _OFF_SUPPORT = {
+        "survival": (1.0, 0.0),
+        "density": (0.0, 0.0),
+        "tail": (None, 0.0),
+        "double_tail": (None, 0.0),
+        "mrl": (None, None),
+    }
+
+    def _column(self, name: str, ts, cfg: QuadConfig = DEFAULT_CONFIG) -> list:
+        """The scalar method ``name`` (a key of ``_OFF_SUPPORT``) at each of
+        the increasing points ``ts``, bit for bit, without a method call per
+        point: its family closure is mapped over the points in [s0, s1), and
+        the points off it take the constants of ``_OFF_SUPPORT``.  Where a
+        constant is None, or the closure is missing or raises OverflowError,
+        the method gives the values, and raises where it raises: for mu
+        from s1 on, and at every point for a missing density.
         """
+        closure, method = getattr(self, "_" + name), getattr(self, name)
+        below, above = self._OFF_SUPPORT[name] if closure is not None else (None, None)
+        point = method if name in ("survival", "density") else (lambda t: method(t, cfg))
         s0, s1 = self.support
         i, j = bisect.bisect_left(ts, s0), bisect.bisect_left(ts, s1)
         inside = ts[i:j]
@@ -1211,12 +1246,107 @@ class Dist:
         hi = [above] * (len(ts) - j) if above is not None else list(map(point, ts[j:]))
         return lo + mid + hi
 
+    def _mrl_on_grid(self, ts, cfg: QuadConfig = DEFAULT_CONFIG, need_mu: bool = True):
+        """mu (None without ``need_mu``) and G(t) = int_s0^t mu at each of
+        the increasing points ``ts`` in [s0, s1].
+
+        A closed G is read as a column, as is mu then.  Otherwise one sweep
+        runs from s0 over the ``_knots`` of the points: of the closed mu
+        where the MRL or the tail is closed, else of mu = T/S with T chained
+        from T(top) (``_chained_sweep``).  At a finite support end mu takes
+        its limit 0 in the sweep (0 <= mu(x) <= s1 - x), so G(s1) is
+        defined although mu(s1), which raises BeyondSupport, is not.
+        """
+        if self._mrl_integral is not None:
+            mu = self._column("mrl", ts, cfg) if need_mu else None
+            return mu, list(map(self._mrl_integral, ts))
+        s0, s1 = self.support
+        mu_at, g_at = {}, {s0: 0.0}
+        if ts and ts[-1] > s0:
+            knots = self._knots(s0, ts)
+            if self._mrl is not None or self._tail is not None:
+                mu = lambda u: self.mrl(u, cfg) if u < s1 else 0.0
+                mu_on, seg = _integrate_knots(mu, knots, cfg)
+            else:
+                mu_on, seg = self._chained_sweep(knots, cfg, over_survival=True)
+            mu_at = {k: m for k, m in zip(knots, mu_on) if k < s1}
+            g_at = dict(zip(knots, accumulate(seg, initial=0.0)))
+        mu = [mu_at[t] if t in mu_at else self.mrl(t, cfg) for t in ts] if need_mu else None
+        return mu, [g_at[t] for t in ts]
+
+    def _tails_on_grid(self, ts, cfg: QuadConfig = DEFAULT_CONFIG, double: bool = True):
+        """T(t) = int_t^inf S at each of the increasing points ``ts`` and,
+        with ``double``, the double tail D(t) = int_t^inf T; D is None
+        without it.
+
+        A closed T, and a closed D, are read as columns.  Otherwise one
+        sweep runs over the ``_knots`` of the points below a finite support
+        end: of a closed T, or of T chained from T(top) (``_chained_sweep``),
+        and D adds each knot interval's integral of T to D(top) from the top
+        down.  Without ``double`` a numeric T adds the survival's interval
+        integrals to T(top).  Points from a finite support end on get
+        T = D = 0.
+        """
+        closed = self._tail is not None
+        if closed and (not double or self._double_tail is not None):
+            tails = self._column("tail", ts, cfg)
+            return tails, (self._column("double_tail", ts, cfg) if double else None)
+        s1 = self.support[1]
+        pts = [t for t in ts if t < s1]
+        t_at, d_at = {}, {}
+        if pts:
+            knots = self._knots(pts[0], pts)
+            top = knots[-1]
+            if double:
+                d_top = self.double_tail(top, cfg)
+                if closed:
+                    t_on, seg = _integrate_knots(lambda u: self.tail(u, cfg), knots, cfg)
+                else:
+                    t_on, seg = self._chained_sweep(knots, cfg)
+                t_at = dict(zip(knots, t_on))
+                d_at = dict(zip(reversed(knots), accumulate(reversed(seg), initial=d_top)))
+            else:
+                t_top, seg = self.tail(top, cfg), _integrate_knots(self.survival, knots, cfg)[1]
+                above = accumulate(reversed(seg), initial=0.0)
+                t_at = {k: t_top + c for k, c in zip(reversed(knots), above)}
+        tails = [t_at.get(t, 0.0) for t in ts]
+        return tails, ([d_at.get(t, 0.0) for t in ts] if double else None)
+
+    def _knots(self, lo: float, pts) -> list:
+        """The knots of a sweep from ``lo`` to the last of the increasing
+        points ``pts``, none below lo: lo, the points and the breakpoints
+        between them, so no panel straddles a kink of the survival function."""
+        return sorted({lo, *pts, *(b for b in self.breakpoints if lo < b < pts[-1])})
+
+    def _chained_sweep(self, knots, cfg: QuadConfig, over_survival=False):
+        """Values at the knots and integrals over the knot intervals of the
+        tail T(x) = T(top) + int_x^top S, or with ``over_survival`` of
+        mu = T/S (0 at a finite support end), from one quadrature T(top) and
+        one ``cheb_sweep`` of S down the knots.  Each panel chains T through
+        its survival samples, and is refined until the integrals of S and
+        of the chained values meet the tolerance: about one panel of samples
+        per grid point for smooth families.  mu raises BeyondSupport where
+        S leaves T without a digit (``_check_resolved``)."""
+        s1 = self.support[1]
+        top = knots[-1]
+        if over_survival:
+            self._check_resolved((top,), (self.survival(top),), cfg)
+        tail_top = self.tail(top, cfg)
+
+        def nodes(p):
+            tails = [tail_top + tail for tail in p.tails]
+            if not over_survival:
+                return tails
+            self._check_resolved(p.xs, p.fs, cfg)
+            return [tail / sv if x < s1 else 0.0 for x, sv, tail in zip(p.xs, p.fs, tails)]
+
+        return _integrate_knots(self.survival, knots, cfg, nodes)
+
     def _tail_config(self, t: float, cfg: QuadConfig) -> QuadConfig:
         """``cfg`` with abs_tol scaled by min(1, S(t)), for integrals of the
         tail from t whose callers divide by S(t) or compare values that
         shrink with it."""
-        # QuadConfig needs a positive abs_tol where S(t) underflows
-        return replace(cfg, abs_tol=max(cfg.abs_tol * min(1.0, self.survival(t)), 1e-280))
+        return replace(cfg, abs_tol=max(cfg.abs_tol * min(1.0, self.survival(t)), _TOL_FLOOR))
 
     def _integral_above(self, f, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """Integral of ``f`` from t to the support end, split first at the
@@ -1249,10 +1379,6 @@ class Dist:
             # survival is identically 1 below the support start
             return s0 + self.tail(s0)
         return self.tail(0.0)
-
-    @property
-    def has_closed_mrl(self) -> bool:
-        return self._mrl is not None
 
     def __repr__(self):
         return f"Dist({self.lineage})"

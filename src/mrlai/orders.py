@@ -167,8 +167,8 @@ def lr_order(
     if not (X.has_density and Y.has_density):
         raise UnsupportedCapability("lr order needs densities on both sides")
     points = _grid_points(grid)
-    fxs = X._on_grid(points, X.density, X._density, 0.0, 0.0)
-    fys = Y._on_grid(points, Y.density, Y._density, 0.0, 0.0)
+    fxs = X._column("density", points)
+    fys = Y._column("density", points)
     ts, ratios = [], []
     for t, fx, fy in zip(points, fxs, fys):
         if fy > 0.0 and fx > 0.0:

@@ -19,7 +19,7 @@ Improper upper limits are mapped onto (0, 1) by x = a + u/(1-u), with a
 stretched power of u/(1-u) as the fallback for slowly decaying tails.
 
 Where a caller needs the running integral of f at many points and
-quantities derived from it (the ageing sweep chains the tail integral
+quantities derived from it (``Dist``'s sweeps chain the tail integral
 of the survival function this way), ``cheb_sweep`` covers an interval
 with 33-point Chebyshev-Lobatto panels (N = 32) from right to left.
 Each panel returns its samples, the integral from every node to the
@@ -421,3 +421,19 @@ def cheb_sweep(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None):
             )
         stack.append((i, a, mid, depth + 1))
         stack.append((i, mid, b, depth + 1))
+
+
+def _integrate_knots(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None):
+    """Values at the knots and the integral over each knot interval of f,
+    or of the node values ``resolve`` derives from it, in one sweep."""
+    vals = [0.0] * len(knots)
+    seg = [0.0] * (len(knots) - 1)
+    last = None
+    for p in cheb_sweep(f, knots, cfg, resolve):
+        g, integral = (p.fs, p.integral) if resolve is None else (p.g, p.g_integral)
+        if p.interval != last:  # the rightmost panel of its knot interval
+            vals[p.interval + 1] = g[0]
+            last = p.interval
+        seg[p.interval] += integral
+        vals[0] = g[-1]
+    return vals, seg

@@ -73,8 +73,27 @@ class TestMrl:
         with pytest.raises(BeyondSupport):
             mrl(d, 2.0)
 
+    def test_weibull_before_the_tail_floor(self):
+        # Gamma(1/5, 3.6^5) / (5 e^(-3.6^5)) by mpmath (gammainc) at 30 digits
+        d = build(Weibull(5.0, 1.0))
+        want = 1.1891776057153633e-3
+        assert mrl(d, 3.6) == pytest.approx(want, rel=1e-12)
+        assert d.mrl(3.6) == pytest.approx(want, rel=1e-12)
+        assert profile(d, [1.0, 3.6]).mu[-1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [3.65, 3.7, 3.75])
+    def test_weibull_past_the_tail_floor_raises(self, t):
+        # S(t) is 4.5e-282, 7.0e-302 and 9e-323, so abs_tol * S(t) lies below
+        # the absolute floor of the tail quadrature: mu came out as 6.69e-4,
+        # 5.93e-4 and 0.0, where mpmath gives 1.1254e-3, 1.0659e-3, 1.0103e-3
+        d = build(Weibull(5.0, 1.0))
+        for call in (lambda: mrl(d, t), lambda: d.mrl(t), lambda: profile(d, [1.0, t])):
+            with pytest.raises(BeyondSupport, match="tail quadrature cannot resolve"):
+                call()
+
     @pytest.mark.xfail(strict=True, raises=BeyondSupport,
-                       reason="mu = T/S after S underflows: Weibull(5, 1) raises from t = 3.76")
+                       reason="mu = T/S where the tail quadrature cannot resolve S: "
+                       "Weibull(5, 1) raises from t = 3.62")
     def test_weibull_far_tail(self):
         # Gamma(1/5, t^5) / (5 e^(-t^5)) by mpmath (gammainc) at 30 digits
         d = build(Weibull(5.0, 1.0))
@@ -880,7 +899,7 @@ class TestSweep:
     def test_sweeps_split_at_breakpoints(self, monkeypatch):
         import mpmath
 
-        from mrlai import ageing
+        from mrlai import quadrature
         from mrlai.ageing import _tails_on_grid
         from mrlai.classify import Grid
         from mrlai.ops import mixture
@@ -891,9 +910,9 @@ class TestSweep:
         ts = Grid(0.05, 2.5, 64).points()
         assert 1.0 not in ts and ts[0] < 1.0 < ts[-1]
         swept = []
-        real = ageing.cheb_sweep
+        real = quadrature.cheb_sweep
         monkeypatch.setattr(
-            ageing, "cheb_sweep", lambda f, knots, *a: swept.append(knots) or real(f, knots, *a)
+            quadrature, "cheb_sweep", lambda f, knots, *a: swept.append(knots) or real(f, knots, *a)
         )
         prof = profile(d, ts, method="quadrature")
         dd = _tails_on_grid(d, ts, ZERO, QuadConfig())[1]

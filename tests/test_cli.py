@@ -335,6 +335,37 @@ class TestPlotdata:
         assert val == pytest.approx(math.exp(-0.5), rel=1e-10)
 
 
+class TestGridReadOnce:
+    """eval and plotdata read their grid into points once, and every column
+    takes those points as they are."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", ERLANG, "--grid", "0.5:4.5/64"],
+            ["eval", UNIFORM_LATE, "--grid", "0.1:2.9/64", "--format", "csv"],
+            ["plotdata", ERLANG, EXP_HALF, "--quantity", "L", "--grid", "0.5:2/64"],
+            ["plotdata", ERLANG, "--quantity", "survival", "--grid", "0.5:2/64"],
+            ["plotdata", UNIFORM_LATE, "--quantity", "hazard_ai", "--grid", "0.1:2.9/64"],
+        ],
+        ids=["eval", "eval-late", "plotdata-L", "plotdata-survival", "plotdata-hazard_ai"],
+    )
+    def test_one_full_grid_read_per_command(self, argv, capsys, monkeypatch):
+        from mrlai import ageing
+
+        reads = []
+
+        class Counted(ageing._Points):
+            def __new__(cls, ts):
+                reads.append(len(ts))
+                return super().__new__(cls, ts)
+
+        monkeypatch.setattr(ageing, "_Points", Counted)
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert reads == [64]
+
+
 MIXTURE_EXP = ('{"family":"mixture","weights":[0.5,0.5],"components":['
                '{"family":"exponential","rate":1},{"family":"exponential","rate":2}]}')
 MIXTURE_LATE = ('{"family":"mixture","weights":[0.5,0.5],"components":['

@@ -11,6 +11,7 @@ from scipy.special import gamma as gamma_fn
 from mrlai.ageing import mrl, mrl_average, mrlai, profile
 from mrlai.distributions import (
     Convolution,
+    Dist,
     Erlang,
     Exponential,
     Mixture,
@@ -601,7 +602,7 @@ class TestJsonGrammar:
 
 
 class TestOnGrid:
-    """``Dist._on_grid`` gives the per-point methods' values bit for bit."""
+    """``Dist._column`` gives the per-point methods' values bit for bit."""
 
     SPECS = VALID_SPECS + [
         Mixture((0.3, 0.7), (Exponential(1.0), Uniform(0.5, 2.0))),
@@ -610,24 +611,25 @@ class TestOnGrid:
     # straddles Uniform(0.5, 2)'s start and end and Pareto's start; 1e300
     # overflows the raw Weibull, Pareto and MRL formulas
     POINTS = (-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0, 40.0, 1e300)
+    QUANTITIES = ("survival", "density", "tail", "double_tail", "mrl")
 
     @staticmethod
     def _bits(values):
         return [float(v).hex() for v in values]
 
-    def _check(self, d, point, closure, below, above, ts):
-        got = d._on_grid(ts, point, closure, below, above)
-        assert self._bits(got) == self._bits(map(point, ts))
+    def _check(self, d, name, ts):
+        got = d._column(name, ts)
+        assert self._bits(got) == self._bits(map(getattr(d, name), ts))
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family + repr(s)[:24])
     def test_survival_density_and_closed_tail(self, spec):
         d = build(spec)
         for ts in (self.POINTS, list(self.POINTS[3:9]), (0.75,), ()):
-            self._check(d, d.survival, d._survival, 1.0, 0.0, ts)
+            self._check(d, "survival", ts)
             if d.has_density:
-                self._check(d, d.density, d._density, 0.0, 0.0, ts)
+                self._check(d, "density", ts)
             if d._tail is not None:
-                self._check(d, d.tail, d._tail, None, 0.0, ts)
+                self._check(d, "tail", ts)
 
     @pytest.mark.parametrize(
         "spec, method",
@@ -636,22 +638,61 @@ class TestOnGrid:
     )
     def test_a_closure_that_overflows_falls_back_to_the_method(self, spec, method):
         d = build(spec)
-        closure = getattr(d, "_" + method)
         with pytest.raises(OverflowError):
-            closure(1e300)
+            getattr(d, "_" + method)(1e300)
         ts = (0.5, 1.5, 3.0, 1e300)
-        self._check(d, getattr(d, method), closure, 1.0 if method == "survival" else 0.0, 0.0, ts)
-        assert d._on_grid(ts, getattr(d, method), closure, 0.0, 0.0)[-1] == 0.0
+        self._check(d, method, ts)
+        assert d._column(method, ts)[-1] == 0.0
 
     def test_uniform_edges(self):
         d = build(Uniform(0.5, 2.0))
         ts = (0.1, 0.5, 1.25, 2.0, 2.5)
-        assert d._on_grid(ts, d.survival, d._survival, 1.0, 0.0) == [1.0, 1.0, 0.5, 0.0, 0.0]
-        assert d._on_grid(ts, d.density, d._density, 0.0, 0.0) == [0.0, 2 / 3, 2 / 3, 0.0, 0.0]
+        assert d._column("survival", ts) == [1.0, 1.0, 0.5, 0.0, 0.0]
+        assert d._column("density", ts) == [0.0, 2 / 3, 2 / 3, 0.0, 0.0]
 
     def test_closure_runs_once_per_inside_point(self):
         d = build(Uniform(0.5, 2.0))
         calls = []
         closure = d._survival
-        self._check(d, d.survival, lambda t: calls.append(t) or closure(t), 1.0, 0.0, self.POINTS)
+        d._survival = lambda t: calls.append(t) or closure(t)
+        got = d._column("survival", self.POINTS)
         assert calls == [0.5, 0.75, 1.0, 1.5]
+        assert self._bits(got) == self._bits(map(d.survival, self.POINTS))
+
+    @pytest.mark.parametrize("name", QUANTITIES)
+    @pytest.mark.parametrize(
+        "spec",
+        [Uniform(0.5, 2.0), Pareto(2.5, 1.0), Weibull(2.5, 0.8), MrlLinear(1.0, 0.5),
+         Mixture((0.3, 0.7), (Exponential(1.0), Uniform(0.5, 2.0)))],
+        ids=lambda s: s.family,
+    )
+    def test_each_quantity_at_the_support_edges(self, spec, name):
+        # each finite edge and one ulp either side of it
+        d = build(spec)
+        s1 = d.support[1]
+        ts = sorted(
+            {u for e in d.support if math.isfinite(e)
+             for u in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))}
+        )
+        if name == "mrl":  # undefined from the support end on
+            for t in [t for t in ts if t >= s1]:
+                with pytest.raises(BeyondSupport):
+                    d.mrl(t)
+                with pytest.raises(BeyondSupport):
+                    d._column("mrl", [t])
+            ts = [t for t in ts if t < s1]
+        # bits, not floats: Weibull's density is NaN one ulp above 0
+        self._check(d, name, ts)
+
+    def test_a_dist_without_a_density_has_no_density_column(self):
+        u = build(Uniform(0.5, 2.0))
+        bare = Dist(u.spec, u._survival, u.support, lineage="bare")
+        for ts in ((0.1, 1.0), (0.1, 3.0)):
+            with pytest.raises(UnsupportedCapability, match="bare: no density"):
+                bare._column("density", ts)
+
+    def test_mrl_at_a_finite_support_end_raises(self):
+        d = build(Uniform(0.5, 2.0))
+        assert d._column("mrl", (0.25, 1.0)) == [d.mrl(0.25), d.mrl(1.0)]
+        with pytest.raises(BeyondSupport, match="past support end"):
+            d._column("mrl", (0.25, 1.0, 2.0))

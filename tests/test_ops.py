@@ -276,8 +276,8 @@ class TestPartsReadOnce:
     def test_closed_tails_give_a_closed_mrl(self):
         closed = mixture([0.4, 0.6], [build(Uniform(0.0, 1.0)), build(Exponential(1.0))])
         numeric = mixture([0.3, 0.7], [build(Weibull(1.5, 1.0)), build(Erlang(3, 2.0))])
-        assert closed.has_closed_mrl and not numeric.has_closed_mrl
-        assert not closed._quadrature_view.has_closed_mrl
+        assert closed._mrl is not None and numeric._mrl is None
+        assert closed._quadrature_view._mrl is None
 
     def test_overflow_reads_as_zero(self):
         # (t / 1)^2 overflows in the Weibull closures: the Pareto share is left
@@ -300,7 +300,7 @@ class TestPartsReadOnce:
     )
     def test_mrl_past_the_survival_underflow(self, comps):
         m = mixture([0.5, 0.5], [build(c) for c in comps])
-        assert m.has_closed_mrl
+        assert m._mrl is not None
         assert mrl(m, 10.0) > 0.0
         for call in (lambda: mrl(m, 800.0), lambda: profile(m, [1.0, 800.0]),
                      lambda: mrlai(m, 800.0)):
@@ -829,7 +829,7 @@ class TestExponentialSums:
     def test_against_mpmath(self, name):
         specs, parts = _SUMS[name]
         d = _summed(specs)
-        assert d._tail is not None and d.has_closed_mrl
+        assert d._tail is not None and d._mrl is not None
         for t in self.TS:
             S, f, T = _mp_values(parts, t)
             assert d.survival(t) == pytest.approx(S, rel=1e-12, abs=0.0), f"S at t={t}"
@@ -969,7 +969,7 @@ class TestExponentialSums:
     ])
     def test_out_of_reach_sums_stay_numeric(self, specs):
         d = _summed(specs)
-        assert d._tail is None and not d.has_closed_mrl
+        assert d._tail is None and d._mrl is None
 
     def test_one_rate_lands_in_the_erlang_family(self):
         d = build(Convolution((Exponential(1.0), Exponential(1.0), Exponential(1.0))))

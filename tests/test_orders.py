@@ -615,12 +615,12 @@ class TestClosedDoubleTails:
                 assert _mp_double_tail(spec, t) == pytest.approx(float(want), rel=1e-14)
 
     def test_grid_evaluates_the_closed_form_per_point(self, monkeypatch):
-        from mrlai import ageing
+        from mrlai import quadrature
 
         def no_sweep(*args, **kwargs):
             raise AssertionError("a closed double tail needs no sweep")
 
-        monkeypatch.setattr(ageing, "cheb_sweep", no_sweep)
+        monkeypatch.setattr(quadrature, "cheb_sweep", no_sweep)
         for _, spec, span in NEW_CLOSED_DOUBLE_TAILS:
             _double_tails(build(spec), ts(*span, 32))
 
@@ -635,12 +635,12 @@ class TestClosedDoubleTails:
         ids=["scaled", "series", "mrl_linear-b0", "exp-sum"],
     )
     def test_a_dist_landing_in_a_closed_family_keeps_its_column(self, landed, family, monkeypatch):
-        from mrlai import ageing
+        from mrlai import quadrature
 
         def no_sweep(*args, **kwargs):
             raise AssertionError("a closed double tail needs no sweep")
 
-        monkeypatch.setattr(ageing, "cheb_sweep", no_sweep)
+        monkeypatch.setattr(quadrature, "cheb_sweep", no_sweep)
         grid = ts(0.05, 10.0, 512)
         assert _double_tails(landed(), grid) == _double_tails(build(family), grid)
 
