@@ -167,6 +167,8 @@ class Weibull(_Family):
                     return 0.0
                 return 1.0 / beta if alpha == 1 else math.inf
             z = (t / beta) ** alpha
+            if math.isinf(alpha / t):  # subnormal t, where t / beta rounds coarsely
+                return alpha * t ** (alpha - 1.0) / beta**alpha * math.exp(-z)
             return alpha / t * z * math.exp(-z)
 
         return Dist(

@@ -132,7 +132,8 @@ def convolution(x: Dist, y: Dist, closed_forms: bool = True) -> Dist:
         return x.breakpoints + tuple(t - b for b in y.breakpoints)
 
     def survival(t):
-        lo = x.support[0]
+        # S_y(t - u) is 0 for u below t - y.support[1]
+        lo = max(x.support[0], t - y.support[1])
         hi = min(t, x.support[1])
         inner = 0.0
         if hi > lo:

@@ -133,6 +133,24 @@ class TestMeans:
         assert d.mean == pytest.approx(direct, rel=1e-8)
 
 
+class TestWeibullDensityNearZero:
+    # alpha / beta * (t / beta)^(alpha - 1) * exp(-(t / beta)^alpha) by mpmath
+    # at 30 digits, beta = 0.8; at 5e-324 alpha / t overflows
+    @pytest.mark.parametrize(
+        "shape, t, want",
+        [
+            (0.5, 5e-324, 2.5149692673775275e161),
+            (0.5, 1e-300, 5.590169943749474e149),
+            (1.0, 5e-324, 1.25),
+            (1.0, 1e-300, 1.25),
+            (2.5, 5e-324, 0.0),
+            (2.5, 1e-300, 0.0),
+        ],
+    )
+    def test_subnormal_and_tiny_t(self, shape, t, want):
+        assert build(Weibull(shape, 0.8)).density(t) == pytest.approx(want, rel=1e-15)
+
+
 class TestDensity:
     def test_erlang_density(self):
         d = build(Erlang(2, 2.0))

@@ -7,11 +7,15 @@ QUADPACK provides an independent second route for spot checks.
 import dataclasses
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from mrlai import quadrature
+from mrlai.ageing import mrl
+from mrlai.distributions import Convolution, Exponential, Uniform, build
 from mrlai.errors import Divergence, DomainError, GridError, NonConvergence
 from mrlai.quadrature import (
     QuadConfig,
@@ -157,9 +161,11 @@ class TestTail:
         got = integrate_tail(lambda u: math.exp(-2 * u), 1.0)
         assert got == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-10)
 
-    def test_divergent_tail_flagged(self):
+    # x^-3 from 0 grows past the divergence bound before a float overflows
+    @pytest.mark.parametrize("f, a", [(lambda u: 1.0 / u, 1.0), (lambda u: u**-3.0, 0.0)])
+    def test_divergent_tail_flagged(self, f, a):
         with pytest.raises(Divergence):
-            integrate_tail(lambda u: 1.0 / u, 1.0)
+            integrate_tail(f, a)
 
     @pytest.mark.parametrize("T", [0.5, 2.0, 7.3])
     def test_tail_consistency(self, T):
@@ -167,6 +173,98 @@ class TestTail:
         whole = integrate_tail(f, 0.0)
         split = integrate_finite(f, 0.0, T) + integrate_tail(f, T)
         assert whole == pytest.approx(split, rel=1e-9)
+
+
+def _within_tolerance(got, want):
+    return abs(got - want) <= max(CFG.abs_tol, CFG.rel_tol * abs(want))
+
+
+def _count_evals(monkeypatch):
+    """A list whose length counts every integrand evaluation from here on."""
+    calls = []
+    real = quadrature._eval
+    monkeypatch.setattr(quadrature, "_eval", lambda f, x: calls.append(x) or real(f, x))
+    return calls
+
+
+class TestExpSinhRule:
+    """The exp-sinh rule against closed forms and mpmath, and its cost."""
+
+    @pytest.mark.parametrize("rate", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 30.0])
+    def test_exponential_rates(self, rate, offset):
+        a = offset / rate
+        got = integrate_tail(lambda x: math.exp(-rate * x), a)
+        assert _within_tolerance(got, math.exp(-offset) / rate)
+
+    @pytest.mark.parametrize("shape", [1.2, 1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("t", [1.0, 4.0])
+    def test_pareto_shapes(self, shape, t):
+        # int_t^inf (1/x)^shape dx = t^(1 - shape) / (shape - 1)
+        got = integrate_tail(lambda x: (1.0 / x) ** shape, t)
+        assert _within_tolerance(got, t ** (1.0 - shape) / (shape - 1.0))
+
+    @pytest.mark.parametrize("shape", [0.3, 0.6, 1.2, 2.4, 4.5, 6.0])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 5.0])
+    def test_weibull_shapes(self, shape, t):
+        # int_t^inf exp(-(x/b)^k) dx = (b/k) Gamma(1/k, (t/b)^k), b = 2
+        with mpmath.workdps(30):
+            k = mpmath.mpf(shape)
+            want = float(2 / k * mpmath.gammainc(1 / k, (mpmath.mpf(t) / 2) ** k))
+        got = integrate_tail(lambda x: math.exp(-((x / 2.0) ** shape)), t)
+        assert _within_tolerance(got, want)
+
+    def test_mass_next_to_the_lower_limit(self):
+        # S = exp(-x^5) from 3.6 is 1e-263 and gone within 1e-3 of a: the
+        # sweeps must find the mass left of every zero term at a + 1
+        s = math.exp(-(3.6**5))
+        cfg = QuadConfig(abs_tol=1e-10 * s)
+        with mpmath.workdps(30):
+            want = float(mpmath.gammainc(mpmath.mpf(1) / 5, mpmath.mpf("3.6") ** 5) / 5)
+        got = integrate_tail(lambda x: math.exp(-(x**5)), 3.6, cfg)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_slow_power_tail_settles_through_the_fallback(self):
+        f = lambda x: x**-1.05
+        with pytest.raises(NonConvergence, match="do not decay"):
+            quadrature._exp_sinh(f, 1.0, CFG)
+        assert integrate_tail(f, 1.0) == pytest.approx(20.0, rel=1e-9)
+
+    # exact evaluation counts; the u/(1-u) Fejer substitution that the rule
+    # replaced spent 217, 465, 31, 1,395 and 403 on the tails, and 3,007,
+    # 2,015, 14,725 and 13,733 on the sums
+    TAILS = {
+        "exp(-x) from 0": (lambda x: math.exp(-x), 0.0, CFG, 94),
+        "exp(-1000x) from 0": (lambda x: math.exp(-1e3 * x), 0.0, CFG, 110),
+        "x^-2 from 1": (lambda x: x**-2.0, 1.0, CFG, 63),
+        "exp(-x^0.3) from 0": (lambda x: math.exp(-(x**0.3)), 0.0, CFG, 219),
+        "exp(-x^5) from 3.6": (
+            lambda x: math.exp(-(x**5)), 3.6, QuadConfig(abs_tol=1e-10 * math.exp(-(3.6**5))), 84
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TAILS))
+    def test_tail_evaluation_counts(self, name, monkeypatch):
+        f, a, cfg, want = self.TAILS[name]
+        calls = _count_evals(monkeypatch)
+        integrate_tail(f, a, cfg)
+        assert len(calls) == want
+
+    U01 = Uniform(0.0, 1.0)
+    SUMS = {
+        "U+U mrl(0.37)": (Convolution((U01, U01)), "mrl", 0.37, 2046),
+        "U+U tail(1.71)": (Convolution((U01, U01)), "tail", 1.71, 1023),
+        "E+U mrl(0.61)": (Convolution((Exponential(1.0), U01)), "mrl", 0.61, 3966),
+        "E+U tail(1.13)": (Convolution((Exponential(1.0), U01)), "tail", 1.13, 2943),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SUMS))
+    def test_kinked_sum_evaluation_counts(self, name, monkeypatch):
+        spec, what, t, want = self.SUMS[name]
+        d = build(spec)
+        calls = _count_evals(monkeypatch)
+        mrl(d, t) if what == "mrl" else d.tail(t)
+        assert len(calls) == want
 
 
 class TestProperties:
