@@ -25,8 +25,9 @@ For distributions supported from 0 the three conventions coincide.
 Each public evaluation takes ``method``: "auto" reads the closed tail, MRL
 and MRL integral where the family has them, and "quadrature" integrates
 the survival function instead, the library's own check of its closed
-forms.  The method is resolved once per call into the ``Dist`` that is
-evaluated (``_resolve``), so the code below it follows the ``Dist`` alone.
+forms.  Both switches are resolved once per call into the ``Dist`` that
+is evaluated (``_resolve``), FORMAL into its formal view, so the code
+below follows the ``Dist`` and the origin of G (``_origin``) alone.
 
 Scalar ``mrlai`` and ``mrl_average`` are one-point profiles, bit for bit,
 at every t above the convention origin.  Next to it G(t) meets
@@ -36,8 +37,8 @@ grid point (``_grid_points``): NaN, infinite and nonzero subnormal points
 raise GridError.
 
 The grid columns (S, f, mu with G from the support start, T with the
-double tail D) are the ``Dist``'s; ``_evaluate`` and ``_tails_on_grid``
-add what a convention asks for below the support start.
+double tail D) are the resolved ``Dist``'s; ``_evaluate`` adds G below
+the support start unless it starts there.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate
 from operator import lt, truediv
 
 from .distributions import Dist
@@ -58,7 +58,7 @@ from .errors import (
     NonPositiveMrl,
     UnsupportedCapability,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, _integrate_knots, integrate_finite
+from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_finite
 
 __all__ = [
     "Convention",
@@ -80,20 +80,33 @@ class Convention(enum.Enum):
     FORMAL = "formal"
 
 
-def _origin(d: Dist, conv: Convention) -> float:
-    return d.support[0] if conv is Convention.SUPPORT_START else 0.0
-
-
-def _resolve(d: Dist, method) -> Dist:
-    """The ``Dist`` that ``method`` evaluates: ``d`` for "auto", and for
-    "quadrature" its view without closed tail, MRL and MRL integral
-    (``Dist._quadrature_view``, built once per ``Dist``).  Any other
-    method raises ValueError."""
-    if method == "auto":
-        return d
-    if method != "quadrature":
+def _resolve(d: Dist, method="auto", conv: Convention = Convention.ZERO) -> Dist:
+    """The ``Dist`` that ``method`` and ``conv`` evaluate: for "quadrature"
+    the view without closed T, D, mu and G (``Dist._quadrature_view``),
+    then under FORMAL its formal view (``Dist._formal_view``), each built
+    once per ``Dist``.  Without a formal view it stays itself: its true T,
+    D and mu are read, and G from 0 is undefined (``_origin``).  Any other
+    method raises ValueError.  Only these two functions branch on FORMAL.
+    """
+    if method == "quadrature":
+        d = d._quadrature_view
+    elif method != "auto":
         raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
-    return d._quadrature_view
+    if conv is Convention.FORMAL:
+        return d._formal_view or d
+    return d
+
+
+def _origin(d: Dist, conv: Convention) -> float:
+    """Where G starts under ``conv``: s0 under SUPPORT_START, else 0, but
+    FORMAL raises UnsupportedCapability where ``d`` has no formal view."""
+    if conv is Convention.SUPPORT_START:
+        return d.support[0]
+    if conv is Convention.FORMAL and d._formal_view is None:
+        raise UnsupportedCapability(
+            f"{d.lineage}: no formal continuation below the support start is defined"
+        )
+    return 0.0
 
 
 def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto") -> float:
@@ -111,30 +124,6 @@ def mrl(d: Dist, t: float, cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto
     return _resolve(d, method).mrl(_grid_points((t,))[0], cfg)
 
 
-def _formal_parts(d: Dist):
-    if d.formal is not None:
-        return d.formal.mrl, d.formal.mrl_integral
-    if d.support[0] == 0.0:
-        return None, None  # formal coincides with zero convention
-    raise UnsupportedCapability(
-        f"{d.lineage}: no formal continuation below the support start is defined"
-    )
-
-
-def _mrl_point(d, t, conv, cfg):
-    """MRL value entering the MRLAI numerator under the given convention."""
-    if conv is Convention.FORMAL:
-        fm, _ = _formal_parts(d)
-        if fm is not None and t < d.support[0]:
-            return fm(t)
-    if conv is Convention.SUPPORT_START and t < d.support[0]:
-        raise BeyondSupport(
-            f"{d.lineage}: t={t!r} lies below the support start under the "
-            "support-start convention"
-        )
-    return d.mrl(t, cfg)
-
-
 def mrl_average(
     d: Dist,
     t: float,
@@ -145,12 +134,12 @@ def mrl_average(
     """Running average (1/t) * int mu over [origin, t] for the convention:
     a one-point ``profile`` (see the module docstring).  A t at or below
     the origin raises GridError."""
-    d = _resolve(d, method)
+    r = _resolve(d, method, conv)
     ts = _grid_points((t,))
     origin = _origin(d, conv)
     if ts[0] <= origin:
         raise GridError(f"mrl_average needs t above the convention origin {origin!r}")
-    return _evaluate(d, ts, conv, cfg, need_mu=False)[1][0] / ts[0]
+    return _evaluate(r, ts, conv, cfg, need_mu=False)[1][0] / ts[0]
 
 
 def mrlai(
@@ -165,12 +154,17 @@ def mrlai(
     A one-point ``profile`` (see the module docstring).  At or below the
     origin the numerator raises where it is undefined, else the average.
     """
-    d = _resolve(d, method)
-    ts = _grid_points((t,))
-    if ts[0] <= _origin(d, conv):
-        return _mrl_point(d, ts[0], conv, cfg) / mrl_average(d, ts[0], conv, cfg)
-    mu, g = _evaluate(d, ts, conv, cfg)
-    return mu[0] / (g[0] / ts[0])
+    r = _resolve(d, method, conv)
+    (t,) = ts = _grid_points((t,))
+    if t <= _origin(d, conv):
+        if conv is Convention.SUPPORT_START and t < d.support[0]:
+            raise BeyondSupport(
+                f"{d.lineage}: t={t!r} lies below the support start under the "
+                "support-start convention"
+            )
+        return r.mrl(t, cfg) / mrl_average(d, t, conv, cfg, method)
+    mu, g = _evaluate(r, ts, conv, cfg)
+    return mu[0] / (g[0] / t)
 
 
 def survival_from_mrl(mu, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -346,19 +340,21 @@ def profile(
 ) -> MrlProfile:
     """Evaluate the ageing quantities along a grid (``_grid_points``).
 
-    Closed forms are used where the ``Dist`` that ``method`` resolves to
-    has them (``_resolve``): "quadrature" drops them.  Otherwise mu and
-    G(t) = int mu come from one sweep (``Dist._mrl_on_grid``, below the
-    support start ``_evaluate``).  Scalar ``mrlai`` and ``mrl_average``
-    are one-point profiles, bit for bit, at every t above the origin.
+    Closed forms are used where the ``Dist`` that ``method`` and ``conv``
+    resolve to has them (``_resolve``): "quadrature" drops them.
+    Otherwise mu and G(t) = int mu come from one sweep
+    (``Dist._mrl_on_grid``, below the support start ``_evaluate``).
+    Scalar ``mrlai`` and ``mrl_average`` are one-point profiles, bit for
+    bit, at every t above the origin.  The hazard AI is ``d``'s, whatever
+    the convention.
     """
-    d = _resolve(d, method)
+    r = _resolve(d, method, conv)
     ts = _grid_points(grid)
     origin = _origin(d, conv)
     if ts[0] <= origin:
         raise GridError(f"grid must start above the convention origin {origin!r}")
 
-    mu_vals, g_vals = _evaluate(d, ts, conv, cfg)
+    mu_vals, g_vals = _evaluate(r, ts, conv, cfg)
     mu_vals = tuple(mu_vals)
     mu_avg = tuple(map(truediv, g_vals, ts))
     L = tuple(map(truediv, mu_vals, mu_avg))
@@ -374,26 +370,27 @@ class _Profiles:
     for it (``_profile_for``) and kept while this object lives: one command,
     or one corpus case.
 
-    A convention that coincides with ZERO, support from 0 and no formal
-    continuation (as in ``_formal_parts``), gets the ZERO profile
-    relabelled, not computed again.  A build that fails is not kept, so
-    each verdict raises the error it would raise alone.
+    Requests that resolve to one ``Dist`` and one origin of G (``_resolve``,
+    ``_origin``) share a profile, relabelled with each one's convention:
+    for a support from 0 all three conventions do.  A build that fails is
+    not kept, so each verdict raises the error it would raise alone.
     """
 
     def __init__(self, d: Dist):
         self.dist = d
-        self._built = {}
+        self._built = {}  # (points, convention, cfg, method) -> profile
+        self._same = {}  # (points, resolved Dist, origin, cfg) -> profile
 
     def get(self, ts, conv, cfg, method) -> MrlProfile:
         key = (ts, conv, cfg, method)
         p = self._built.get(key)
         if p is None:
             d = self.dist
-            if conv is not Convention.ZERO and d.support[0] == 0.0 and d.formal is None:
-                p = replace(self.get(ts, Convention.ZERO, cfg, method), convention=conv)
-            else:
-                p = profile(d, ts, conv, cfg, method)
-            self._built[key] = p
+            same = (ts, _resolve(d, method, conv), _origin(d, conv), cfg)
+            p = self._same.get(same)
+            if p is None:
+                p = self._same[same] = profile(d, ts, conv, cfg, method)
+            self._built[key] = p = p if p.convention is conv else replace(p, convention=conv)
         return p
 
 
@@ -416,61 +413,23 @@ def _source_dist(source) -> Dist:
 
 
 def _evaluate(d, ts, conv, cfg, need_mu=True):
-    """(mu, G) at the grid points, G(t) = int mu from the convention origin.
+    """(mu, G) at the grid points of the resolved ``Dist`` ``d``
+    (``_resolve``), G(t) = int mu from the convention origin.
 
     ``mu`` is None when ``need_mu`` is false.  G is defined up to the
     support end, mu below it; a point past the end raises BeyondSupport.
-    From s0 on the ``Dist`` gives mu and G (``Dist._mrl_on_grid``), and
-    G adds the convention's integral up to min(t, s0): of mean - u under
-    ZERO, 0 under SUPPORT_START, and under FORMAL of the continuation's mu,
-    whose closed integral, from 0, is G at every point where it has one.
+    From s0 on the ``Dist`` gives mu and G (``Dist._mrl_on_grid``), below
+    it mu (``Dist.mrl``), and G adds its integral from 0 up to min(t, s0)
+    (``Dist._integral_below``) unless G starts at s0 under SUPPORT_START.
     """
-    fm, fint = _formal_parts(d) if conv is Convention.FORMAL else (None, None)
     s0, s1 = d.support
     if ts[-1] > s1:
         raise BeyondSupport(f"{d.lineage}: mrl undefined at t={ts[-1]!r} (past support end)")
     i = bisect_left(ts, s0)
-    if fint is None:
-        mu, g = d._mrl_on_grid(ts[i:], cfg, need_mu)
-    else:  # a closed continuation integral runs from 0: G at every point
-        mu, g = d._column("mrl", ts[i:], cfg) if need_mu else None, list(map(fint, ts))
+    mu, g = d._mrl_on_grid(ts[i:], cfg, need_mu)
     if need_mu:
-        mu = [_mrl_point(d, t, conv, cfg) for t in ts[:i]] + mu
-    if fint is not None or s0 == 0.0:  # nothing to add below the support start
+        mu = [d.mrl(t, cfg) for t in ts[:i]] + mu
+    if s0 == 0.0 or conv is Convention.SUPPORT_START:
         return mu, g
-    if fm is not None:
-        knots = [0.0] + sorted({min(t, s0) for t in ts})
-        g_fm = dict(zip(knots, accumulate(_integrate_knots(fm, knots, cfg)[1], initial=0.0)))
-        below = g_fm.__getitem__
-    elif conv is Convention.SUPPORT_START:
-        below = lambda x: 0.0
-    else:
-        below = lambda x: d.mean * x - 0.5 * x * x
-    g_s0 = below(s0) if g else 0.0  # g_fm has s0 only where a point reaches it
-    return mu, [below(t) for t in ts[:i]] + [g_s0 + gt for gt in g]
-
-
-def _tails_on_grid(d, ts, conv, cfg, double=True):
-    """T(t) = int_t^inf S at each of the increasing points ``ts`` and, with
-    ``double``, the double tail D(t) = int_t^inf T; D is None without it.
-
-    The ``Dist``'s (``Dist._tails_on_grid``), but the formal continuation's
-    under FORMAL, which has no support end.  Without a closed D, the
-    continuation's T is integrated over the ``_knots`` of the points (and
-    s0, if they lie below it), each interval adding to D(top) from the top
-    down, ``Dist.double_tail``'s.
-    """
-    formal = d.formal if conv is Convention.FORMAL else None
-    if formal is None:
-        return d._tails_on_grid(ts, cfg, double)
-    tails = list(map(formal.tail, ts))
-    if not double:
-        return tails, None
-    if formal.double_tail is not None:
-        return tails, list(map(formal.double_tail, ts))
-    s0 = d.support[0]
-    knots = d._knots(ts[0], [*ts, s0] if ts[-1] < s0 else ts)
-    top = d.double_tail(knots[-1], cfg)
-    seg = _integrate_knots(formal.tail, knots, cfg)[1]
-    d_at = dict(zip(reversed(knots), accumulate(reversed(seg), initial=top)))
-    return tails, [d_at[t] for t in ts]
+    below = d._integral_below([*ts[:i], s0], cfg)
+    return mu, below[:i] + [below[-1] + gt for gt in g]

@@ -31,7 +31,7 @@ from . import orders
 from .ageing import (
     Convention,
     _Profiles,
-    _tails_on_grid,
+    _resolve,
     hazard,
     hazard_ai,
     mrl,
@@ -178,7 +178,7 @@ def _evaluate_check(
     if q == "density":
         return f"density[{check.target}]({t:g})", d.density(t)
     if q == "tail":
-        tails = _tails_on_grid(d, [t], conv, cfg, double=False)[0]
+        tails = _resolve(d, conv=conv)._tails_on_grid([t], cfg, double=False)[0]
         return f"tail[{check.target}]({t:g})", tails[0]
     if q == "mean":
         return f"mean[{check.target}]", d.mean
@@ -189,8 +189,8 @@ def _evaluate_check(
             num = mrl_average(x, t, conv, cfg) * t
             den = mrl_average(y, t, conv, cfg) * t
         elif kind == "double_tail":
-            num = _tails_on_grid(x, [t], conv, cfg)[1][0]
-            den = _tails_on_grid(y, [t], conv, cfg)[1][0]
+            num = _resolve(x, conv=conv)._tails_on_grid([t], cfg)[1][0]
+            den = _resolve(y, conv=conv)._tails_on_grid([t], cfg)[1][0]
         else:
             raise ValueError(f"unknown ratio kind {kind!r}")
         return f"ratio[{check.params['x']}/{check.params['y']}]({t:g})", num / den

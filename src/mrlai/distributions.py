@@ -980,13 +980,13 @@ def load_spec_file(path):
 class FormalExtension:
     """Analytic continuation of the on-support formulas below the support start.
 
-    Used by the 'formal' integration convention, which evaluates the
-    MRLAI denominator with the on-support MRL formula continued down to
-    zero (the treatment the Pareto characterisation implicitly applies),
-    and reads mu below the support start and the T and D of the icx and
-    vrl orders from it.  Unlike the family's own, its ``mrl_integral``
-    runs from 0.  ``double_tail`` is None where the continued double tail
-    diverges.
+    The 'formal' integration convention reads it through the ``Dist``'s
+    formal view (``Dist._formal_view``): the MRLAI denominator integrates
+    the on-support MRL formula continued down to zero (the treatment the
+    Pareto characterisation implicitly applies), and mu, T and D below the
+    support start are the continuation's.  Unlike the family's own, its
+    ``mrl_integral`` runs from 0.  ``double_tail`` is None where the
+    continued double tail diverges.
     """
 
     tail: object
@@ -1015,14 +1015,14 @@ class Dist:
     S = 1, f = 0, T = mu = mean - t and D = D(s0) + int_t^s0 (mean - u) du;
     at and past s1, S = f = T = D = 0 and mu is undefined.  A grid reads
     each quantity as a column (``_column``), or mu with G from s0
-    (``_mrl_on_grid``; ``ageing`` adds the integral below s0 that its
-    convention asks for), or T with D (``_tails_on_grid``), each closed
-    or from one chained sweep.  A composite reads a part's closures
-    directly only where the part's support is its own (``ops.mixture``,
-    ``ops.order_statistic``): its own method has then decided the edges
-    at the same t, and an OverflowError still reads as 0.  A convolution
-    and the generic rescaling call the methods, since t - u and t / a can
-    round across a part's edge.
+    (``_mrl_on_grid``; below s0 ``_integral_below``), or T with D
+    (``_tails_on_grid``), each closed or from one chained sweep.  The
+    formal convention reads the ``_formal_view`` instead.  A composite
+    reads a part's closures directly only where the part's support is its
+    own (``ops.mixture``, ``ops.order_statistic``): its own method has then
+    decided the edges at the same t, and an OverflowError still reads as
+    0.  A convolution and the generic rescaling call the methods, since
+    t - u and t / a can round across a part's edge.
 
     ``breakpoints`` holds the finite points where the survival function
     may lose smoothness: the finite support edges plus whatever the
@@ -1031,9 +1031,11 @@ class Dist:
     splits there first.  It is derived, never part of the spec.
 
     It keeps no per-call state: apart from the mean and the quadrature
-    view, each worked out once on first use, every call evaluates afresh,
-    whatever earlier calls and their ``QuadConfig`` were.
+    and formal views, each worked out once on first use, every call
+    evaluates afresh, whatever earlier calls and their ``QuadConfig`` were.
     """
+
+    _below_mrl = None  # mu below s0 on a ``_formal_view`` that keeps s0
 
     def __init__(
         self,
@@ -1152,7 +1154,7 @@ class Dist:
                 return self._tail(t)
             except OverflowError:
                 return 0.0
-        return self._integral_above(self.survival, t, self._tail_config(t, cfg))
+        return self._integral_above(self.survival, t, self.survival(t), cfg)
 
     def double_tail(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """D(t) = integral of the tail T over [t, infinity).
@@ -1176,7 +1178,7 @@ class Dist:
                 return 0.0
         f = self.tail if self._tail is not None else (lambda u: (u - t) * self.survival(u))
         try:
-            return self._integral_above(f, t, self._tail_config(t, cfg))
+            return self._integral_above(f, t, self.survival(t), cfg)
         except Divergence as exc:
             raise Divergence(
                 f"{self.lineage}: the double tail integral from t={t!r} diverges "
@@ -1185,19 +1187,22 @@ class Dist:
 
     def mrl(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """Mean residual life mu(t) = T(t) / S(t): mean - t below the support
-        start, and on the support the closed MRL where the family has one.
-        Raises BeyondSupport from the support end on, and where T is a
-        quadrature that S(t) leaves without a digit (``_check_resolved``)."""
+        start (or ``_below_mrl``), and on the support the closed MRL where
+        the family has one.  Raises BeyondSupport from the support end on,
+        and where T is a quadrature that S(t) leaves without a digit
+        (``_check_resolved``)."""
         s0, s1 = self.support
         if t >= s1:
             raise BeyondSupport(f"{self.lineage}: mrl undefined at t={t!r} (past support end)")
         if t < s0:
-            return self.mean - t
+            return self.mean - t if self._below_mrl is None else self._below_mrl(t)
         if self._mrl is not None:
             return self._mrl(t)
         sv = self.survival(t)
-        self._check_resolved((t,), (sv,), cfg, numeric=self._tail is None)
-        return self.tail(t, cfg) / sv
+        numeric = self._tail is None
+        self._check_resolved((t,), (sv,), cfg, numeric=numeric)
+        tail = self._integral_above(self.survival, t, sv, cfg) if numeric else self.tail(t, cfg)
+        return tail / sv
 
     def _check_resolved(self, xs, svs, cfg: QuadConfig, numeric=True):
         """Raise BeyondSupport at the first of the points ``xs`` below s1
@@ -1331,9 +1336,12 @@ class Dist:
         S leaves T without a digit (``_check_resolved``)."""
         s1 = self.support[1]
         top = knots[-1]
-        if over_survival:
-            self._check_resolved((top,), (self.survival(top),), cfg)
-        tail_top = self.tail(top, cfg)
+        if over_survival:  # top lies in (s0, s1]
+            sv = self.survival(top)
+            self._check_resolved((top,), (sv,), cfg)
+            tail_top = self._integral_above(self.survival, top, sv, cfg)
+        else:
+            tail_top = self.tail(top, cfg)
 
         def nodes(p):
             tails = [tail_top + tail for tail in p.tails]
@@ -1344,16 +1352,13 @@ class Dist:
 
         return _integrate_knots(self.survival, knots, cfg, nodes)
 
-    def _tail_config(self, t: float, cfg: QuadConfig) -> QuadConfig:
-        """``cfg`` with abs_tol scaled by min(1, S(t)), for integrals of the
-        tail from t whose callers divide by S(t) or compare values that
-        shrink with it."""
-        return replace(cfg, abs_tol=max(cfg.abs_tol * min(1.0, self.survival(t)), _TOL_FLOOR))
-
-    def _integral_above(self, f, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+    def _integral_above(self, f, t: float, sv: float, cfg: QuadConfig) -> float:
         """Integral of ``f`` from t to the support end, split first at the
         breakpoints above t; an infinite support end switches to the
-        improper substitution past the last of them."""
+        improper rule past the last of them.  abs_tol is scaled by
+        min(1, S(t) = ``sv``): callers divide by S(t) or compare values
+        that shrink with it."""
+        cfg = replace(cfg, abs_tol=max(cfg.abs_tol * min(1.0, sv), _TOL_FLOOR))
         kinks = self.breakpoints
         s1 = self.support[1]
         if math.isfinite(s1):
@@ -1371,6 +1376,36 @@ class Dist:
         once, so a mean the view has to work out is worked out once."""
         formal = None if self.formal is None else replace(self.formal, mrl_integral=None)
         return self._with(tail=None, double_tail=None, mrl=None, mrl_integral=None, formal=formal)
+
+    @cached_property
+    def _formal_view(self):
+        """This distribution under the formal convention, built once; None
+        for a support above 0 with no formal continuation, itself for a
+        support from 0.  A continuation with a closed G from 0 gives a view
+        from 0 whose T, D, mu and G are its closures, the family's formulas
+        continued.  Without one (the quadrature view drops it) the view
+        keeps s0 and S from it on, and reads only mu below s0 from the
+        continuation, with G its integral (``_integral_below``): no reader
+        of T or D takes a method."""
+        s0, s1 = self.support
+        f = self.formal
+        if s0 == 0.0:
+            return self
+        if f is None:
+            return None
+        if f.mrl_integral is None:
+            view = self._with()
+            view._below_mrl = f.mrl
+            return view
+        return self._with(support=(0.0, s1), formal=None, **vars(f))
+
+    def _integral_below(self, xs, cfg: QuadConfig = DEFAULT_CONFIG) -> list:
+        """G(x) = int_0^x mu at each of the increasing points ``xs`` in
+        (0, s0]: mean x - x^2 / 2 where mu = mean - u, else the integral of
+        the continuation's mu (``_formal_view``) over the knots 0 and xs."""
+        if self._below_mrl is None:
+            return [self.mean * x - 0.5 * x * x for x in xs]
+        return list(accumulate(_integrate_knots(self._below_mrl, [0.0, *xs], cfg)[1]))
 
     @cached_property
     def mean(self) -> float:

@@ -10,14 +10,14 @@ and the scale-transform preservation check.
 
 ``mrlai_order``, ``ratio_test``, ``mrl_order`` and
 ``sufficient_conditions`` read ``ageing.MrlProfile`` columns: under
-``conv`` for L and mu_avg, under ZERO for mu (FORMAL in ``mrl_order``
-under that convention when the distribution has a formal continuation),
-and for the shortcut on at least 16 points.  Each side of every check is
-a ``Dist``, or the ``ageing._Profiles`` of one, through which the CLI and
-the corpus share each profile among the checks that read it.
+``conv`` for L and mu_avg, under ZERO for mu (``mrl_order`` under
+``conv`` where it resolves to a formal view), and for the shortcut on at
+least 16 points.  Each side of every check is a ``Dist``, or the
+``ageing._Profiles`` of one, through which the CLI and the corpus share
+each profile among the checks that read it.
 
-``icx_order`` and ``vrl_order`` read the tails and double tails of
-``ageing._tails_on_grid``.
+``icx_order`` and ``vrl_order`` read the tails and double tails of the
+``Dist`` that ``conv`` resolves to (``ageing._resolve``).
 
 A grid, a ``Grid`` or a sequence of numbers, is read once into strictly
 increasing points (``ageing._grid_points``); any other raises GridError.
@@ -31,7 +31,7 @@ import enum
 from dataclasses import dataclass
 from operator import mul, sub, truediv
 
-from .ageing import Convention, _grid_points, _profile_for, _source_dist, _tails_on_grid, profile
+from .ageing import Convention, _grid_points, _profile_for, _resolve, _source_dist, profile
 from .classify import Grid, Kind, classify_mrl, classify_mrla, scan_monotonicity
 from .distributions import Dist
 from .errors import BeyondSupport, UnsupportedCapability
@@ -189,11 +189,11 @@ def icx_order(
 
     A closed tail is evaluated at each grid point; a numeric one costs one
     tail integral at the top point and one survival sweep down the grid
-    (see ``_tails_on_grid``).
+    (see ``Dist._tails_on_grid``).
     """
     ts = _grid_points(grid)
-    sx = _tails_on_grid(_source_dist(X), ts, conv, cfg, double=False)[0]
-    sy = _tails_on_grid(_source_dist(Y), ts, conv, cfg, double=False)[0]
+    sx = _resolve(_source_dist(X), conv=conv)._tails_on_grid(ts, cfg, double=False)[0]
+    sy = _resolve(_source_dist(Y), conv=conv)._tails_on_grid(ts, cfg, double=False)[0]
     return _pointwise_leq(ts, sx, sy, tol, "grid")
 
 
@@ -210,15 +210,15 @@ def vrl_order(
     The ratio of int_t^inf int_u^inf surv_X over the same for Y must be
     non-increasing.  A closed double tail (``Dist.double_tail``) is read
     at each grid point; any other costs one integral at the top grid
-    point and one Chebyshev sweep down the grid (see ``_tails_on_grid``),
+    point and one Chebyshev sweep down the grid (``Dist._tails_on_grid``),
     not an improper integral per point.  Where Y's double tail is 0, from
     its support end on or where it underflows, the ratio is undefined:
     BeyondSupport names Y and the first such point.
     """
     ts = _grid_points(grid)
-    Y = _source_dist(Y)
-    dx = _tails_on_grid(_source_dist(X), ts, conv, cfg)[1]
-    dy = _tails_on_grid(Y, ts, conv, cfg)[1]
+    Y = _resolve(_source_dist(Y), conv=conv)
+    dx = _resolve(_source_dist(X), conv=conv)._tails_on_grid(ts, cfg)[1]
+    dy = Y._tails_on_grid(ts, cfg)[1]
     for t, v in zip(ts, dy):
         if v <= 0.0:
             raise BeyondSupport(f"{Y.lineage}: double tail is 0 at t={t!r}, vrl ratio undefined")
@@ -235,15 +235,16 @@ def mrl_order(
 ) -> OrderVerdict:
     """Mean-residual-life order: mu_X <= mu_Y pointwise.
 
-    mu is the profile's: the FORMAL one under that convention where the
-    distribution has a formal continuation, else the ZERO one, whose mu
-    is mean - t below the support start.
+    mu is the profile's under ``conv`` where that resolves the ``Dist`` to
+    its formal view (``ageing._resolve``), else the ZERO one's, whose mu is
+    mean - t below the support start.
     """
     ts = _grid_points(grid)
 
     def mu(src):
-        formal = conv is Convention.FORMAL and _source_dist(src).formal is not None
-        return _profile_for(src, ts, Convention.FORMAL if formal else Convention.ZERO, cfg).mu
+        d = _source_dist(src)
+        view = _resolve(d, conv=conv) is not d
+        return _profile_for(src, ts, conv if view else Convention.ZERO, cfg).mu
 
     return _pointwise_leq(ts, mu(X), mu(Y), tol, "grid")
 

@@ -22,7 +22,7 @@ endpoint singularities at a and for tails decaying like a power or
 faster.  The step is halved level by level, adding only the new odd
 nodes, until two levels agree within max(abs_tol, rel_tol * |I|).  A tail
 the rule cannot settle inside the float range (x^-1.05 decays too slowly)
-falls back to the stretched substitution x = a + (u/(1-u))^16 on (0, 1).
+is probed for divergence, then integrated under x = a + (u/(1-u))^16.
 
 Where a caller needs the running integral of f at many points and
 quantities derived from it (``Dist``'s sweeps chain the tail integral
@@ -183,8 +183,9 @@ def integrate_tail(f, a: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     max(abs_tol, rel_tol * |I|).  It settles every tail whose terms vanish
     inside the float range.  A tail it cannot settle, such as x^-1.05,
     falls back to the stretched substitution x = a + (u/(1-u))^16 under
-    ``integrate_finite``.  If that fails too, a decay probe makes a
-    genuinely divergent tail raise Divergence instead of NonConvergence.
+    ``integrate_finite``.  A two-point decay probe runs first, so a
+    genuinely divergent tail raises Divergence after a few evaluations,
+    not after the fallback has spent its panel budget.
     """
     try:
         return _exp_sinh(f, a, cfg)
@@ -205,10 +206,6 @@ def integrate_tail(f, a: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         z = u / w
         return f(a + z**p) * p * z ** (p - 1) / (w * w)
 
-    try:
-        return integrate_finite(g_stretched, 0.0, 1.0, cfg)
-    except NonConvergence:
-        pass
     # an integrand still converging like w^{-1} or worse near the upper
     # limit has a divergent original integral; milder endpoint growth is
     # just slow convergence
@@ -219,9 +216,12 @@ def integrate_tail(f, a: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
             f"tail integrand from a={a!r} fails to decay "
             f"(transformed magnitude grows toward the upper limit)"
         )
-    raise NonConvergence(
-        f"tail integral from a={a!r} did not reach tolerance under either rule"
-    )
+    try:
+        return integrate_finite(g_stretched, 0.0, 1.0, cfg)
+    except NonConvergence:
+        raise NonConvergence(
+            f"tail integral from a={a!r} did not reach tolerance under either rule"
+        ) from None
 
 
 # The exp-sinh rule: x = a + e(tau), e = exp(pi/2 sinh tau), weight

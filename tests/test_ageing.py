@@ -323,11 +323,15 @@ class TestMethod:
 
         checked = []
         real = ageing._resolve
-        monkeypatch.setattr(ageing, "_resolve", lambda d, m: checked.append(m) or real(d, m))
+        monkeypatch.setattr(
+            ageing, "_resolve", lambda d, m, *conv: checked.append(m) or real(d, m, *conv)
+        )
+        # the method and the convention together, once per call
         for method in ("auto", "quadrature"):
-            checked.clear()
-            profile(build(Pareto(2.5, 1.0)), _linspace(0.5, 6.0, 64), method=method)
-            assert checked == [method]
+            for conv in (ZERO, FORMAL):
+                checked.clear()
+                profile(build(Pareto(2.5, 1.0)), _linspace(0.5, 6.0, 64), conv, method=method)
+                assert checked == [method]
             checked.clear()
             mrlai(build(Weibull(1.5, 1.0)), 2.0, method=method)
             assert checked == [method]
@@ -900,7 +904,6 @@ class TestSweep:
         import mpmath
 
         from mrlai import quadrature
-        from mrlai.ageing import _tails_on_grid
         from mrlai.classify import Grid
         from mrlai.ops import mixture
 
@@ -915,7 +918,7 @@ class TestSweep:
             quadrature, "cheb_sweep", lambda f, knots, *a: swept.append(knots) or real(f, knots, *a)
         )
         prof = profile(d, ts, method="quadrature")
-        dd = _tails_on_grid(d, ts, ZERO, QuadConfig())[1]
+        dd = d._tails_on_grid(ts, QuadConfig())[1]
         assert len(swept) == 2 and all(1.0 in knots for knots in swept)
 
         with mpmath.workdps(30):

@@ -373,10 +373,10 @@ class TestScalePreservation:
 
 
 def _double_tails(d, grid, conv=ZERO):
-    from mrlai.ageing import _tails_on_grid
+    from mrlai.ageing import _resolve
     from mrlai.quadrature import DEFAULT_CONFIG
 
-    return _tails_on_grid(d, grid, conv, DEFAULT_CONFIG)[1]
+    return _resolve(d, conv=conv)._tails_on_grid(grid, DEFAULT_CONFIG)[1]
 
 
 def _pareto_double_tail(a, b, t, formal):
@@ -445,8 +445,8 @@ class TestDoubleTail:
         assert _double_tails(pareto, [0.5])[0] == pytest.approx(43.0 / 24.0, rel=1e-15)
 
     def test_formal_sweep_below_the_support_start(self):
-        # a continuation without a closed D: the sweep runs up to s0, where
-        # the true D it starts from equals the continuation's
+        # a continuation without a closed D: the formal view integrates its
+        # closed T from the top point, across s0, where it equals the true T
         d = build(Pareto(2.5, 1.0))
         d = d._with(formal=replace(d.formal, double_tail=None))
         grid = [0.2, 0.5, 0.8]
@@ -491,30 +491,29 @@ class TestDoubleTail:
         from scipy.special import gamma as gamma_fn
         from scipy.special import gammaincc
 
-        from mrlai.ageing import _tails_on_grid
         from mrlai.quadrature import DEFAULT_CONFIG
 
         grid = ts(0.05, 5.0, 64)
-        T, D = _tails_on_grid(build(Weibull(1.5, 1.0)), grid, ZERO, DEFAULT_CONFIG, double=False)
+        T, D = build(Weibull(1.5, 1.0))._tails_on_grid(grid, DEFAULT_CONFIG, double=False)
         assert D is None
         for t, v in zip(grid, T):
             want = gamma_fn(1 / 1.5) * gammaincc(1 / 1.5, t**1.5) / 1.5
             assert v == pytest.approx(want, rel=1e-9, abs=0.0), t
 
     def test_closed_tails_for_icx_are_sampled_exactly(self):
-        from mrlai.ageing import _tails_on_grid
+        from mrlai.ageing import _resolve
         from mrlai.quadrature import DEFAULT_CONFIG
 
         grid = ts(0.1, 30.0, 100)
         X, Y = build(Exponential(0.5)), build(Pareto(2.0, 1.0))
-        assert _tails_on_grid(X, grid, FORMAL, DEFAULT_CONFIG, double=False)[0] == [
-            X.tail(t) for t in grid
-        ]
-        assert _tails_on_grid(Y, grid, FORMAL, DEFAULT_CONFIG, double=False)[0] == [
-            Y.formal.tail(t) for t in grid
-        ]
+
+        def tails(d, conv, double=False):
+            return _resolve(d, conv=conv)._tails_on_grid(grid, DEFAULT_CONFIG, double)[0]
+
+        assert tails(X, FORMAL) == [X.tail(t) for t in grid]
+        assert tails(Y, FORMAL) == [Y.formal.tail(t) for t in grid]
         # and with the double tail the sweep reads the same closed samples
-        assert _tails_on_grid(X, grid, ZERO, DEFAULT_CONFIG)[0] == [X.tail(t) for t in grid]
+        assert tails(X, ZERO, double=True) == [X.tail(t) for t in grid]
 
     def test_divergent_double_tail_names_the_distribution_and_t(self):
         from mrlai.errors import Divergence

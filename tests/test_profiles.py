@@ -8,7 +8,7 @@ import io
 import pytest
 
 from mrlai import ageing, cli
-from mrlai.ageing import Convention, _Profiles, _profile_for, profile
+from mrlai.ageing import Convention, _Profiles, _profile_for, mrl_average, mrlai, profile
 from mrlai.classify import (
     Grid,
     classify_hazard_ai,
@@ -30,7 +30,7 @@ from mrlai.distributions import (
     Weibull,
     build,
 )
-from mrlai.errors import ToolkitError
+from mrlai.errors import ToolkitError, UnsupportedCapability
 from mrlai.orders import (
     icx_order,
     lr_order,
@@ -86,9 +86,9 @@ def _verdicts(X, Y, conv, grid=GRID):
 
 
 def _coincide(d, conv):
-    """The ``conv`` profile of ``d`` is its ZERO profile relabelled: support
-    from 0 and no formal continuation."""
-    return conv is ZERO or (d.support[0] == 0.0 and d.formal is None)
+    """The ``conv`` profile of ``d`` is its ZERO profile relabelled: the
+    resolver gives ``d`` itself with G from 0 under both."""
+    return ageing._resolve(d, conv=conv) is d and ageing._origin(d, conv) == 0.0
 
 
 @pytest.mark.parametrize("conv", CONVENTIONS, ids=lambda c: c.value)
@@ -224,6 +224,38 @@ def test_given_profiles_are_never_recomputed(evaluations):
     for order in (mrlai_order, ratio_test, mrl_order, sufficient_conditions):
         order(sx, sy, GRID, FORMAL)
     assert evaluations == []
+
+
+# every reader under FORMAL for a support above 0 and no formal
+# continuation: the profile readers raise, while classify_mrl (a ZERO
+# reader) and icx, vrl and mrl read the true mu, T and D, as under ZERO
+# (README "Integration conventions").  The grid starts below s0 = 0.5.
+NO_CONTINUATION, EXP = build(Uniform(0.5, 2.0)), build(Exponential(1.0))
+BELOW = Grid(0.1, 1.9, 16)
+FORMAL_READERS = [
+    ("profile", lambda c: profile(NO_CONTINUATION, BELOW, c), UnsupportedCapability),
+    ("mrlai", lambda c: mrlai(NO_CONTINUATION, 1.0, c), UnsupportedCapability),
+    ("mrlai-at-0", lambda c: mrlai(NO_CONTINUATION, 0.0, c), UnsupportedCapability),
+    ("mrl_average", lambda c: mrl_average(NO_CONTINUATION, 1.0, c), UnsupportedCapability),
+    ("classify_mrl", lambda c: classify_mrl(NO_CONTINUATION, BELOW), None),
+    ("classify_mrla", lambda c: classify_mrla(NO_CONTINUATION, BELOW, c), UnsupportedCapability),
+    ("classify_mrlai", lambda c: classify_mrlai(NO_CONTINUATION, BELOW, c), UnsupportedCapability),
+    ("mrlai_order", lambda c: mrlai_order(NO_CONTINUATION, EXP, BELOW, c), UnsupportedCapability),
+    ("ratio_test", lambda c: ratio_test(EXP, NO_CONTINUATION, BELOW, c), UnsupportedCapability),
+    ("mrl_order", lambda c: mrl_order(NO_CONTINUATION, EXP, BELOW, c), None),
+    ("icx_order", lambda c: icx_order(EXP, NO_CONTINUATION, BELOW, c), None),
+    ("vrl_order", lambda c: vrl_order(EXP, NO_CONTINUATION, BELOW, c), None),
+]
+
+
+@pytest.mark.parametrize("read,raises", [r[1:] for r in FORMAL_READERS],
+                         ids=[r[0] for r in FORMAL_READERS])
+def test_formal_without_a_continuation(read, raises):
+    if raises is not None:
+        with pytest.raises(raises, match="no formal continuation"):
+            read(FORMAL)
+    else:
+        assert read(FORMAL) == read(ZERO)
 
 
 def test_a_profile_is_not_a_source():
