@@ -1142,7 +1142,8 @@ class Dist:
         the distribution without the closed tail).  The quadrature meets
         max(abs_tol * min(1, S(t)), rel_tol * T(t)) in one pass: callers
         divide T by S(t), and since T = S * mu the scaled floor bounds the
-        error of mu.
+        error of mu.  A closed T with a pole at t (a formal continuation at
+        0) raises Divergence.
         """
         s0, s1 = self.support
         if t >= s1:
@@ -1154,6 +1155,8 @@ class Dist:
                 return self._tail(t)
             except OverflowError:
                 return 0.0
+            except ZeroDivisionError:  # a continued formula's pole at 0
+                raise Divergence(f"{self.lineage}: the tail integral diverges at t={t!r}") from None
         return self._integral_above(self.survival, t, self.survival(t), cfg)
 
     def double_tail(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -1176,6 +1179,10 @@ class Dist:
                 return self._double_tail(t)
             except OverflowError:
                 return 0.0
+            except ZeroDivisionError:
+                raise Divergence(
+                    f"{self.lineage}: the double tail integral diverges at t={t!r}"
+                ) from None
         f = self.tail if self._tail is not None else (lambda u: (u - t) * self.survival(u))
         try:
             return self._integral_above(f, t, self.survival(t), cfg)
@@ -1247,7 +1254,7 @@ class Dist:
         inside = ts[i:j]
         try:
             mid = list(map(closure or point, inside))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             mid = list(map(point, inside))
         lo = [below] * i if below is not None else list(map(point, ts[:i]))
         hi = [above] * (len(ts) - j) if above is not None else list(map(point, ts[j:]))
@@ -1258,9 +1265,10 @@ class Dist:
         the increasing points ``ts`` in [s0, s1].
 
         A closed G is read as a column, as is mu then.  Otherwise one sweep
-        runs from s0 over the ``_knots`` of the points: of the closed mu
+        runs from s0: of the closed mu over the ``_knots`` of the points
         where the MRL or the tail is closed, else of mu = T/S with T chained
-        from T(top) (``_chained_sweep``).  At a finite support end mu takes
+        from T(top) (``_chained_sweep``), whose panels end only at the
+        breakpoints and read the points between.  At a finite support end mu takes
         its limit 0 in the sweep (0 <= mu(x) <= s1 - x), so G(s1) is
         defined although mu(s1), which raises BeyondSupport, is not.
         """
@@ -1270,14 +1278,15 @@ class Dist:
         s0, s1 = self.support
         mu_at, g_at = {}, {s0: 0.0}
         if ts and ts[-1] > s0:
-            knots = self._knots(s0, ts)
             if self._mrl is not None or self._tail is not None:
+                pts = self._knots(s0, ts)
                 mu = lambda u: self.mrl(u, cfg) if u < s1 else 0.0
-                mu_on, seg = _integrate_knots(mu, knots, cfg)
+                mu_on, seg = _integrate_knots(mu, pts, cfg)
             else:
-                mu_on, seg = self._chained_sweep(knots, cfg, over_survival=True)
-            mu_at = {k: m for k, m in zip(knots, mu_on) if k < s1}
-            g_at = dict(zip(knots, accumulate(seg, initial=0.0)))
+                pts = [s0, *(t for t in ts if t > s0)]
+                mu_on, seg = self._chained_sweep(pts, cfg, over_survival=True)
+            mu_at = {k: m for k, m in zip(pts, mu_on) if k < s1}
+            g_at = dict(zip(pts, accumulate(seg, initial=0.0)))
         mu = [mu_at[t] if t in mu_at else self.mrl(t, cfg) for t in ts] if need_mu else None
         return mu, [g_at[t] for t in ts]
 
@@ -1287,12 +1296,13 @@ class Dist:
         without it.
 
         A closed T, and a closed D, are read as columns.  Otherwise one
-        sweep runs over the ``_knots`` of the points below a finite support
-        end: of a closed T, or of T chained from T(top) (``_chained_sweep``),
-        and D adds each knot interval's integral of T to D(top) from the top
-        down.  Without ``double`` a numeric T adds the survival's interval
-        integrals to T(top).  Points from a finite support end on get
-        T = D = 0.
+        sweep runs over the points below a finite support end: of a closed
+        T over their ``_knots``, or of T chained from T(top)
+        (``_chained_sweep``), and D adds the integral of T between
+        consecutive points to D(top) from the top down.  Without ``double``
+        a numeric T adds the survival's integrals between the points to
+        T(top), from one sweep with knots only at the breakpoints.  Points
+        from a finite support end on get T = D = 0.
         """
         closed = self._tail is not None
         if closed and (not double or self._double_tail is not None):
@@ -1302,20 +1312,22 @@ class Dist:
         pts = [t for t in ts if t < s1]
         t_at, d_at = {}, {}
         if pts:
-            knots = self._knots(pts[0], pts)
-            top = knots[-1]
+            top = pts[-1]
             if double:
                 d_top = self.double_tail(top, cfg)
                 if closed:
-                    t_on, seg = _integrate_knots(lambda u: self.tail(u, cfg), knots, cfg)
+                    pts = self._knots(pts[0], pts)
+                    t_on, seg = _integrate_knots(lambda u: self.tail(u, cfg), pts, cfg)
                 else:
-                    t_on, seg = self._chained_sweep(knots, cfg)
-                t_at = dict(zip(knots, t_on))
-                d_at = dict(zip(reversed(knots), accumulate(reversed(seg), initial=d_top)))
+                    t_on, seg = self._chained_sweep(pts, cfg)
+                t_at = dict(zip(pts, t_on))
+                d_at = dict(zip(reversed(pts), accumulate(reversed(seg), initial=d_top)))
             else:
-                t_top, seg = self.tail(top, cfg), _integrate_knots(self.survival, knots, cfg)[1]
+                t_top = self.tail(top, cfg)
+                knots = self._knots(pts[0], [top])
+                seg = _integrate_knots(self.survival, knots, cfg, points=pts)[1]
                 above = accumulate(reversed(seg), initial=0.0)
-                t_at = {k: t_top + c for k, c in zip(reversed(knots), above)}
+                t_at = {k: t_top + c for k, c in zip(reversed(pts), above)}
         tails = [t_at.get(t, 0.0) for t in ts]
         return tails, ([d_at.get(t, 0.0) for t in ts] if double else None)
 
@@ -1325,17 +1337,21 @@ class Dist:
         between them, so no panel straddles a kink of the survival function."""
         return sorted({lo, *pts, *(b for b in self.breakpoints if lo < b < pts[-1])})
 
-    def _chained_sweep(self, knots, cfg: QuadConfig, over_survival=False):
-        """Values at the knots and integrals over the knot intervals of the
-        tail T(x) = T(top) + int_x^top S, or with ``over_survival`` of
-        mu = T/S (0 at a finite support end), from one quadrature T(top) and
-        one ``cheb_sweep`` of S down the knots.  Each panel chains T through
-        its survival samples, and is refined until the integrals of S and
-        of the chained values meet the tolerance: about one panel of samples
-        per grid point for smooth families.  mu raises BeyondSupport where
-        S leaves T without a digit (``_check_resolved``)."""
+    def _chained_sweep(self, pts, cfg: QuadConfig, over_survival=False):
+        """Values at the increasing points ``pts`` and integrals over the
+        intervals between them of the tail T(x) = T(top) + int_x^top S, or
+        with ``over_survival`` of mu = T/S (0 at a finite support end), from
+        one quadrature T(top) and one ``cheb_sweep`` of S from pts[0] down
+        from the top point, with knots only at the breakpoints between them
+        (``_knots``).  Each panel chains T through its survival samples, and
+        is refined until the integrals of S and of the chained values meet
+        the tolerance, and until the chained values are resolved to machine
+        precision where the panel holds points, which read its interpolant:
+        a few panels per sweep for smooth families, however many points.
+        mu raises BeyondSupport where S leaves T without a digit
+        (``_check_resolved``)."""
         s1 = self.support[1]
-        top = knots[-1]
+        top = pts[-1]
         if over_survival:  # top lies in (s0, s1]
             sv = self.survival(top)
             self._check_resolved((top,), (sv,), cfg)
@@ -1350,7 +1366,7 @@ class Dist:
             self._check_resolved(p.xs, p.fs, cfg)
             return [tail / sv if x < s1 else 0.0 for x, sv, tail in zip(p.xs, p.fs, tails)]
 
-        return _integrate_knots(self.survival, knots, cfg, nodes)
+        return _integrate_knots(self.survival, self._knots(pts[0], [top]), cfg, nodes, pts)
 
     def _integral_above(self, f, t: float, sv: float, cfg: QuadConfig) -> float:
         """Integral of ``f`` from t to the support end, split first at the

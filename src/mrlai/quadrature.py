@@ -41,6 +41,19 @@ coefficient test would split forever.
 Unlike ``integrate_finite``, the sweep samples both panel ends (k = 0
 and k = N), so f must be finite there.
 
+Panels need not end at the points where the caller wants values: a point
+strictly inside a panel is read from the panel's Chebyshev interpolant
+and its antiderivative, summed by Clenshaw's recurrence, so a smooth
+integrand costs a few panels however many points it is read at.  Such a
+panel must also be resolved to machine precision, Chebfun's chopping
+test (Aurentz & Trefethen, ACM TOMS 43(4), 2017): its trailing
+coefficients sum to at most ``_CHOP`` times its smallest |value|, not
+weighted by the width.  The smallest value, not the largest, keeps the
+reads relative to the value read where T or D falls by orders of
+magnitude across a panel.  A panel that meets the width-weighted test but
+not this one is split at the point nearest its middle, so a noisy or
+kinked integrand ends with its points at panel ends, as without reads.
+
 A NaN or infinity from the integrand at a sampled point is a hard
 DomainError; silently skipping bad samples hides bugs in the caller.
 """
@@ -49,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -359,14 +372,17 @@ def cumulative_on_grid(
 # right end of a panel (k = 0) to its left end (k = N).
 _N = 32
 _TRAILING = 4
+# a panel read between its ends is resolved to machine precision once its
+# trailing coefficients sum to at most this share of its smallest |value|
+_CHOP = 1e-14
 
 
 @lru_cache(maxsize=None)
 def _cheb_tables():
     """Node abscissae on [-1, 1], the spectral integration matrix Q with
     Q[i] . f = int_{x_i}^{1} p (p the interpolant of f at the nodes), and
-    the rows of the values-to-coefficients map for the trailing
-    coefficients.  The last row of Q holds the Clenshaw-Curtis weights.
+    the rows of the values-to-coefficients map: c_k = D[k] . f gives
+    p = sum_k c_k T_k.  The last row of Q holds the Clenshaw-Curtis weights.
 
     Built on first use from a table of cos(m pi / N), so importing the
     package stays cheap.
@@ -400,7 +416,7 @@ def _cheb_tables():
         q.append(tuple(sum(map(mul, e, col)) for col in cols))
     q[0] = (0.0,) * (n + 1)
     nodes = tuple(cos_m[j] for j in range(n + 1))
-    return nodes, tuple(q), tuple(tuple(row) for row in dct[n + 1 - _TRAILING :])
+    return nodes, tuple(q), tuple(map(tuple, dct))
 
 
 @lru_cache(maxsize=None)
@@ -444,15 +460,12 @@ class ChebPanel:
     ``xs[i]`` to the right end of the whole sweep.  ``g`` and
     ``g_integral`` hold the derived node values returned by the sweep's
     ``resolve`` hook and their integral over the panel (None without one).
-    ``interval`` is the index of the knot interval the panel lies in.
     """
 
-    __slots__ = (
-        "interval", "a", "b", "half", "xs", "fs", "integral", "carry", "_tails", "g", "g_integral"
-    )
+    __slots__ = ("a", "b", "half", "xs", "fs", "integral", "carry", "_tails", "g", "g_integral")
 
-    def __init__(self, interval, a, b, xs, fs, carry):
-        self.interval, self.a, self.b, self.xs, self.fs = interval, a, b, xs, fs
+    def __init__(self, a, b, xs, fs, carry):
+        self.a, self.b, self.xs, self.fs = a, b, xs, fs
         self.half = 0.5 * (b - a)
         self.carry = carry  # the integral from b to the right end of the sweep
         self._tails = self.integral = self.g = self.g_integral = None
@@ -466,13 +479,13 @@ class ChebPanel:
 
 
 def _cheb_estimate(half, vals, trailing, weights):
-    """(integral, error estimate) of the interpolant of ``vals`` on a panel."""
+    """(integral, sum of the |trailing coefficients|) of the interpolant
+    of ``vals`` on a panel."""
     integral = half * sum(map(mul, weights, vals))
-    err = half * sum(abs(sum(map(mul, row, vals))) for row in trailing)
-    return integral, err
+    return integral, sum(abs(sum(map(mul, row, vals))) for row in trailing)
 
 
-def cheb_sweep(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None):
+def cheb_sweep(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None, points=()):
     """Adaptive Clenshaw-Curtis cover of [knots[0], knots[-1]], yielded
     panel by panel from right to left.
 
@@ -484,6 +497,14 @@ def cheb_sweep(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None):
     is accepted.  Because every panel to the right of a candidate has
     already been accepted, its ``tails`` are final.
 
+    Panels need not end at the increasing ``points``.  A panel that holds
+    one of them strictly inside is read there from its interpolant, so it
+    is accepted only once the series of its derived values (of f without
+    ``resolve``) is resolved to machine precision as well: the sum of its
+    trailing coefficients, not weighted by the width, is at most
+    ``_CHOP`` times its smallest |value|.  A panel that fails only this
+    test is split at the point nearest its middle instead of bisected.
+
     Raises DomainError on a non-finite sample and NonConvergence when a
     panel would pass ``cfg.max_depth`` or the cover would exceed the
     panel budget.
@@ -491,24 +512,31 @@ def cheb_sweep(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None):
     pts = [float(k) for k in knots]
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValueError("knots must be strictly increasing")
-    nodes, q, trailing = _cheb_tables()
-    weights = q[-1]
-    # pending panels, the rightmost on top: (interval, a, b, depth)
-    stack = [(i, pts[i], pts[i + 1], 0) for i in range(len(pts) - 1)]
+    nodes, q, dct = _cheb_tables()
+    weights, trailing = q[-1], dct[_N + 1 - _TRAILING :]
+    # pending panels, the rightmost on top: (a, b, depth)
+    stack = [(a, b, 0) for a, b in zip(pts, pts[1:])]
     carry = 0.0
     accepted = 0
     while stack:
-        i, a, b, depth = stack.pop()
+        a, b, depth = stack.pop()
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         xs = (b,) + tuple(mid + half * x for x in nodes[1:-1]) + (a,)
-        p = ChebPanel(i, a, b, xs, tuple(_eval(f, x) for x in xs), carry)
-        p.integral, err = _cheb_estimate(p.half, p.fs, trailing, weights)
+        p = ChebPanel(a, b, xs, tuple(_eval(f, x) for x in xs), carry)
+        p.integral, tsum = _cheb_estimate(p.half, p.fs, trailing, weights)
+        err = half * tsum
         ok = err <= max(cfg.abs_tol, cfg.rel_tol * abs(p.integral))
         if ok and resolve is not None:
             p.g = tuple(resolve(p))
-            p.g_integral, err = _cheb_estimate(p.half, p.g, trailing, weights)
+            p.g_integral, tsum = _cheb_estimate(p.half, p.g, trailing, weights)
+            err = half * tsum
             ok = err <= max(cfg.abs_tol, cfg.rel_tol * abs(p.g_integral))
+        inside = points[bisect_right(points, a) : bisect_left(points, b)]
+        if ok and inside and tsum > _CHOP * min(map(abs, p.fs if p.g is None else p.g)):
+            # resolved for its integral but not where it is read: the point
+            # nearest its middle becomes a panel end
+            ok, mid = False, min(inside, key=lambda x: abs(x - mid))
         if ok:
             accepted += 1
             carry += p.integral
@@ -523,21 +551,63 @@ def cheb_sweep(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None):
             raise NonConvergence(
                 f"panel budget {_MAX_PANELS} exhausted on [{pts[0]!r}, {pts[-1]!r}]"
             )
-        stack.append((i, a, mid, depth + 1))
-        stack.append((i, mid, b, depth + 1))
+        stack.append((a, mid, depth + 1))
+        stack.append((mid, b, depth + 1))
 
 
-def _integrate_knots(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None):
-    """Values at the knots and the integral over each knot interval of f,
-    or of the node values ``resolve`` derives from it, in one sweep."""
-    vals = [0.0] * len(knots)
-    seg = [0.0] * (len(knots) - 1)
-    last = None
-    for p in cheb_sweep(f, knots, cfg, resolve):
+def _integrate_knots(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None, points=None):
+    """Values at the increasing ``points`` (by default the knots; they run
+    from knots[0] to knots[-1]) and the integral over each interval
+    between consecutive points, of f or of the node values ``resolve``
+    derives from it, in one ``cheb_sweep`` over the knots.  A point at a
+    panel end takes the sample there, so points that are knots read what
+    they would as knots; points strictly inside a panel are read from the
+    panel's interpolant and its antiderivative (``_interior``)."""
+    pts = knots if points is None else points
+    vals = [0.0] * len(pts)
+    seg = [0.0] * (len(pts) - 1)
+    k = len(pts) - 1  # the highest point not yet read
+    for p in cheb_sweep(f, knots, cfg, resolve, pts):
         g, integral = (p.fs, p.integral) if resolve is None else (p.g, p.g_integral)
-        if p.interval != last:  # the rightmost panel of its knot interval
-            vals[p.interval + 1] = g[0]
-            last = p.interval
-        seg[p.interval] += integral
+        if pts[k] == p.b:
+            vals[k] = g[0]
+            k -= 1
+        inside = range(k, bisect_right(pts, p.a, 0, k + 1) - 1, -1)
+        if inside:
+            values, pieces = _interior(p, g, [pts[i] for i in inside])
+            for i, v, piece in zip(inside, values, pieces):
+                vals[i] = v
+                seg[i] += piece
+            k = inside[-1] - 1
+            integral = pieces[-1]
+        seg[k] += integral
         vals[0] = g[-1]
     return vals, seg
+
+
+def _interior(p, g, xs):
+    """The interpolant of the node values ``g`` of the panel ``p`` at the
+    decreasing points ``xs`` inside it, and its integrals over the pieces
+    they cut the panel into, from b down to a.
+
+    The Chebyshev coefficients c = D g are worked out once per panel, with
+    the antiderivative series a_1 = c_0 - c_2 / 2, a_k = (c_{k-1} -
+    c_{k+1}) / (2k); each point sums both series by Clenshaw's recurrence,
+    and a piece is the difference of the antiderivative at its two ends.
+    """
+    c = [sum(map(mul, row, g)) for row in _cheb_tables()[2]] + [0.0, 0.0]
+    a = [0.0, c[0] - 0.5 * c[2]] + [(c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, _N + 2)]
+    mid, half = 0.5 * (p.a + p.b), p.half
+    ss = [(x - mid) / half for x in xs]
+    # the antiderivative at b, at each point and at a, where T_k is (-1)^k
+    anti = [sum(a), *(_clenshaw(a, s) for s in ss), sum(a[::2]) - sum(a[1::2])]
+    return [_clenshaw(c, s) for s in ss], [half * (u - v) for u, v in zip(anti, anti[1:])]
+
+
+def _clenshaw(c, s):
+    """sum_k c_k T_k(s) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    s2 = s + s
+    for ck in reversed(c[1:]):
+        b1, b2 = ck + s2 * b1 - b2, b1
+    return c[0] + s * b1 - b2

@@ -34,7 +34,7 @@ from mrlai.distributions import (
     spec_from_dict,
     validate,
 )
-from mrlai.errors import BeyondSupport, SpecError, UnsupportedCapability
+from mrlai.errors import BeyondSupport, Divergence, SpecError, UnsupportedCapability
 from mrlai.quadrature import QuadConfig, integrate_finite, integrate_tail
 
 E = math.e
@@ -661,6 +661,14 @@ class TestOnGrid:
         ts = (0.5, 1.5, 3.0, 1e300)
         self._check(d, method, ts)
         assert d._column(method, ts)[-1] == 0.0
+
+    def test_a_pole_of_a_continued_formula_is_a_divergence(self):
+        # Pareto's formal view continues T and D down to 0, where both diverge
+        view = build(Pareto(2.5, 1.0))._formal_view
+        for name in ("tail", "double_tail"):
+            for call in (lambda: getattr(view, name)(0.0), lambda: view._column(name, (0.0, 1.0))):
+                with pytest.raises(Divergence, match=r"^pareto: .* diverges at t=0\.0$"):
+                    call()
 
     def test_uniform_edges(self):
         d = build(Uniform(0.5, 2.0))
