@@ -34,11 +34,11 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .errors import BeyondSupport, Divergence, SpecError, UnsupportedCapability
 from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_finite, integrate_tail
-from .quadrature import _integrate_knots
+from .quadrature import _integrate_knots, _interior
 
 __all__ = [
     "Exponential",
@@ -1315,7 +1315,9 @@ class Dist:
             top = pts[-1]
             if double:
                 d_top = self.double_tail(top, cfg)
-                if closed:
+                if len(pts) == 1:  # no interval to sweep
+                    t_on, seg = [self.tail(top, cfg)], []
+                elif closed:
                     pts = self._knots(pts[0], pts)
                     t_on, seg = _integrate_knots(lambda u: self.tail(u, cfg), pts, cfg)
                 else:
@@ -1342,14 +1344,18 @@ class Dist:
         intervals between them of the tail T(x) = T(top) + int_x^top S, or
         with ``over_survival`` of mu = T/S (0 at a finite support end), from
         one quadrature T(top) and one ``cheb_sweep`` of S from pts[0] down
-        from the top point, with knots only at the breakpoints between them
-        (``_knots``).  Each panel chains T through its survival samples, and
-        is refined until the integrals of S and of the chained values meet
-        the tolerance, and until the chained values are resolved to machine
-        precision where the panel holds points, which read its interpolant:
-        a few panels per sweep for smooth families, however many points.
-        mu raises BeyondSupport where S leaves T without a digit
-        (``_check_resolved``)."""
+        from the top point.  Its knots are the breakpoints between them
+        (``_knots``) and, with ``over_survival``, the points that grade the
+        panels toward pts[0], from which G adds up.  Each panel chains T
+        through its survival samples, and is refined until the integrals of
+        S and of the chained values meet the tolerance, and until S and the
+        chained values are resolved to machine precision where the panel
+        holds points: a few panels per sweep for smooth families, however
+        many points.  A point inside a panel reads the interpolant of the
+        chained values, or with ``over_survival`` mu = T/S from the panel's
+        survival interpolant and its integral, as a panel end reads T/S
+        from the samples.  mu raises BeyondSupport where S leaves T
+        without a digit (``_check_resolved``)."""
         s1 = self.support[1]
         top = pts[-1]
         if over_survival:  # top lies in (s0, s1]
@@ -1366,7 +1372,22 @@ class Dist:
             self._check_resolved(p.xs, p.fs, cfg)
             return [tail / sv if x < s1 else 0.0 for x, sv, tail in zip(p.xs, p.fs, tails)]
 
-        return _integrate_knots(self.survival, self._knots(pts[0], [top]), cfg, nodes, pts)
+        def read(p, xs):  # mu at the points xs strictly inside the panel p
+            svs, pieces = _interior(p, p.fs, xs)
+            tails = accumulate(pieces[:-1], initial=tail_top + p.carry)
+            return [tail / sv for tail, sv in zip(islice(tails, 1, None), svs)]
+
+        ends = [top]
+        if over_survival:
+            # G adds up from s0 = pts[0] and a panel's pieces are good to
+            # about eps times its integral: every point read inside a panel
+            # lies at least a quarter of its knot interval from s0
+            for x in reversed(pts[1:-1]):
+                if x - pts[0] <= 0.25 * (ends[-1] - pts[0]):
+                    ends.append(x)
+        knots = self._knots(pts[0], ends[::-1])
+        read = read if over_survival else None
+        return _integrate_knots(self.survival, knots, cfg, nodes, pts, read)
 
     def _integral_above(self, f, t: float, sv: float, cfg: QuadConfig) -> float:
         """Integral of ``f`` from t to the support end, split first at the

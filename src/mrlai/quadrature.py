@@ -42,17 +42,21 @@ Unlike ``integrate_finite``, the sweep samples both panel ends (k = 0
 and k = N), so f must be finite there.
 
 Panels need not end at the points where the caller wants values: a point
-strictly inside a panel is read from the panel's Chebyshev interpolant
-and its antiderivative, summed by Clenshaw's recurrence, so a smooth
+strictly inside a panel is read from the panel's Chebyshev interpolants
+and their antiderivatives, summed by Clenshaw's recurrence, so a smooth
 integrand costs a few panels however many points it is read at.  Such a
 panel must also be resolved to machine precision, Chebfun's chopping
-test (Aurentz & Trefethen, ACM TOMS 43(4), 2017): its trailing
-coefficients sum to at most ``_CHOP`` times its smallest |value|, not
-weighted by the width.  The smallest value, not the largest, keeps the
-reads relative to the value read where T or D falls by orders of
-magnitude across a panel.  A panel that meets the width-weighted test but
-not this one is split at the point nearest its middle, so a noisy or
-kinked integrand ends with its points at panel ends, as without reads.
+test (Aurentz & Trefethen, ACM TOMS 43(4), 2017): the trailing
+coefficients of f, and of the values a ``resolve`` hook derives, sum to
+at most ``_CHOP`` times their smallest |value|, not weighted by the
+width.  The smallest value, not the largest, keeps the reads relative to
+the value read where S, T or D falls by orders of magnitude across a
+panel.  A panel that meets the width-weighted test but not this one is
+split at the point nearest its middle, so a noisy or kinked integrand
+ends with its points at panel ends, as without reads.  An integral
+between points is a difference of the panel's antiderivative, good to
+about eps times the panel's integral, so a caller that adds such pieces
+up from 0 places knots that keep them large against that.
 
 A NaN or infinity from the integrand at a sampled point is a hard
 DomainError; silently skipping bad samples hides bugs in the caller.
@@ -457,12 +461,19 @@ class ChebPanel:
     ``xs`` run from ``b`` down to ``a`` and include both ends exactly;
     ``fs`` are the samples there.  ``integral`` is the Clenshaw-Curtis
     integral over [a, b].  ``tails[i]`` is the integral of f from
-    ``xs[i]`` to the right end of the whole sweep.  ``g`` and
-    ``g_integral`` hold the derived node values returned by the sweep's
-    ``resolve`` hook and their integral over the panel (None without one).
+    ``xs[i]`` to the right end of the whole sweep, and ``carry`` the
+    integral from ``b``, each panel's share corrected to first order for
+    the rounding of its midpoint, which shifts its interior nodes.
+    ``g`` and ``g_integral`` hold the derived node values returned by the
+    sweep's ``resolve`` hook and their integral over the panel (None
+    without one).
+    ``inside`` is the range of indices of the sweep's ``points`` that lie
+    strictly inside the panel.
     """
 
-    __slots__ = ("a", "b", "half", "xs", "fs", "integral", "carry", "_tails", "g", "g_integral")
+    __slots__ = (
+        "a", "b", "half", "xs", "fs", "integral", "carry", "_tails", "g", "g_integral", "inside"
+    )
 
     def __init__(self, a, b, xs, fs, carry):
         self.a, self.b, self.xs, self.fs = a, b, xs, fs
@@ -498,12 +509,14 @@ def cheb_sweep(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None, points=
     already been accepted, its ``tails`` are final.
 
     Panels need not end at the increasing ``points``.  A panel that holds
-    one of them strictly inside is read there from its interpolant, so it
-    is accepted only once the series of its derived values (of f without
-    ``resolve``) is resolved to machine precision as well: the sum of its
+    one of them strictly inside is read there from its interpolants, so
+    it is accepted only once the series of f, and of the derived values,
+    are resolved to machine precision as well: the sum of each one's
     trailing coefficients, not weighted by the width, is at most
     ``_CHOP`` times its smallest |value|.  A panel that fails only this
-    test is split at the point nearest its middle instead of bisected.
+    test is split at the point nearest its middle instead of bisected;
+    such a split leaves fewer points inside each half, so it does not
+    count toward ``cfg.max_depth``.
 
     Raises DomainError on a non-finite sample and NonConvergence when a
     panel would pass ``cfg.max_depth`` or the cover would exceed the
@@ -527,60 +540,73 @@ def cheb_sweep(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None, points=
         p.integral, tsum = _cheb_estimate(p.half, p.fs, trailing, weights)
         err = half * tsum
         ok = err <= max(cfg.abs_tol, cfg.rel_tol * abs(p.integral))
+        series = [(tsum, p.fs)]
         if ok and resolve is not None:
             p.g = tuple(resolve(p))
             p.g_integral, tsum = _cheb_estimate(p.half, p.g, trailing, weights)
             err = half * tsum
             ok = err <= max(cfg.abs_tol, cfg.rel_tol * abs(p.g_integral))
-        inside = points[bisect_right(points, a) : bisect_left(points, b)]
-        if ok and inside and tsum > _CHOP * min(map(abs, p.fs if p.g is None else p.g)):
+            series.append((tsum, p.g))
+        p.inside = range(bisect_right(points, a), bisect_left(points, b))
+        if ok and p.inside and any(t > _CHOP * min(map(abs, v)) for t, v in series):
             # resolved for its integral but not where it is read: the point
             # nearest its middle becomes a panel end
-            ok, mid = False, min(inside, key=lambda x: abs(x - mid))
-        if ok:
+            mid = min((points[i] for i in p.inside), key=lambda x: abs(x - mid))
+        elif ok:
+            # the interior nodes sit off their places by the rounding of
+            # (a + b) / 2 (its exact error by Knuth's two-sum), which shifts
+            # the rule's integral by shift * (f(b) - f(a)) to first order;
+            # the carry, which chains T from panel to panel, takes that off
+            s = a + b
+            v = s - a
+            shift = 0.5 * ((s - v - a) + (v - b))
             accepted += 1
-            carry += p.integral
+            carry += p.integral - shift * (p.fs[0] - p.fs[-1])
             yield p
             continue
-        if depth >= cfg.max_depth:
+        elif depth >= cfg.max_depth:
             raise NonConvergence(
                 f"max_depth {cfg.max_depth} reached near [{a!r}, {b!r}] "
                 f"(panel error estimate {err:.3e})"
             )
+        else:
+            depth += 1
         if accepted + len(stack) + 2 > _MAX_PANELS:
             raise NonConvergence(
                 f"panel budget {_MAX_PANELS} exhausted on [{pts[0]!r}, {pts[-1]!r}]"
             )
-        stack.append((a, mid, depth + 1))
-        stack.append((mid, b, depth + 1))
+        stack.append((a, mid, depth))
+        stack.append((mid, b, depth))
 
 
-def _integrate_knots(f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None, points=None):
+def _integrate_knots(
+    f, knots, cfg: QuadConfig = DEFAULT_CONFIG, resolve=None, points=None, read=None
+):
     """Values at the increasing ``points`` (by default the knots; they run
     from knots[0] to knots[-1]) and the integral over each interval
     between consecutive points, of f or of the node values ``resolve``
     derives from it, in one ``cheb_sweep`` over the knots.  A point at a
     panel end takes the sample there, so points that are knots read what
     they would as knots; points strictly inside a panel are read from the
-    panel's interpolant and its antiderivative (``_interior``)."""
+    panel's interpolant and its antiderivative (``_interior``), or their
+    values from ``read(panel, xs)`` at the decreasing points xs."""
     pts = knots if points is None else points
     vals = [0.0] * len(pts)
     seg = [0.0] * (len(pts) - 1)
-    k = len(pts) - 1  # the highest point not yet read
     for p in cheb_sweep(f, knots, cfg, resolve, pts):
         g, integral = (p.fs, p.integral) if resolve is None else (p.g, p.g_integral)
-        if pts[k] == p.b:
-            vals[k] = g[0]
-            k -= 1
-        inside = range(k, bisect_right(pts, p.a, 0, k + 1) - 1, -1)
-        if inside:
-            values, pieces = _interior(p, g, [pts[i] for i in inside])
-            for i, v, piece in zip(inside, values, pieces):
+        above = p.inside.stop  # the first point from b up
+        if above < len(pts) and pts[above] == p.b:
+            vals[above] = g[0]
+        if p.inside:
+            down = p.inside[::-1]
+            xs = [pts[i] for i in down]
+            values, pieces = _interior(p, g, xs)
+            for i, v, piece in zip(down, values if read is None else read(p, xs), pieces):
                 vals[i] = v
                 seg[i] += piece
-            k = inside[-1] - 1
             integral = pieces[-1]
-        seg[k] += integral
+        seg[p.inside.start - 1] += integral
         vals[0] = g[-1]
     return vals, seg
 
@@ -598,10 +624,11 @@ def _interior(p, g, xs):
     c = [sum(map(mul, row, g)) for row in _cheb_tables()[2]] + [0.0, 0.0]
     a = [0.0, c[0] - 0.5 * c[2]] + [(c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, _N + 2)]
     mid, half = 0.5 * (p.a + p.b), p.half
-    ss = [(x - mid) / half for x in xs]
-    # the antiderivative at b, at each point and at a, where T_k is (-1)^k
-    anti = [sum(a), *(_clenshaw(a, s) for s in ss), sum(a[::2]) - sum(a[1::2])]
-    return [_clenshaw(c, s) for s in ss], [half * (u - v) for u, v in zip(anti, anti[1:])]
+    # the panel's own ends too are read where they lie in the frame of its
+    # nodes, which the rounding of mid shifts off +-1
+    ss = [(x - mid) / half for x in (p.b, *xs, p.a)]
+    anti = [_clenshaw(a, s) for s in ss]
+    return [_clenshaw(c, s) for s in ss[1:-1]], [half * (u - v) for u, v in zip(anti, anti[1:])]
 
 
 def _clenshaw(c, s):

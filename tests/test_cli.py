@@ -531,12 +531,7 @@ def _digest_argvs():
 # witness lost its commas ("t=0.05: 1.00497512; ..." for "(0.05,
 # 1.00497512), ..."); undoing that maps them back to the old bytes.  The
 # two composite outputs were recorded before mixtures and order
-# statistics read their parts through the family closures.  The ex3.5-os
-# output, whose T is numeric, was re-recorded when the sweep started to
-# read points between its panel ends: mu(0.900909...) printed
-# 0.0336143885317 and now 0.0336143885316, where the exact value
-# 0.03361438853165002 lies 6e-16 above the rounding edge and the new read
-# 2.4e-15 below it.
+# statistics read their parts through the family closures.
 DIGESTS = {
     "classify-erlang2-csv": "42b1e171d5259e9bdb4c28b372c4431ad5fbb56d198a225699bdae2748edb662",
     "classify-erlang2-json": "45831de00ee97881f0963b57f383d3c35994a5c55783cbd25a13ed2258cb07bc",
@@ -590,7 +585,7 @@ DIGESTS = {
     "eval-erlang2-json": "463c7f3da7817d6f8b250ad9c725c398cd41b2a21c555030c518f20aca642ded",
     "eval-erlang2-table": "8c1cea23f6bc55b7b3f9810fbbec29673db0673cfa86cd7cb9a65a50c5d8a20b",
     "eval-ex3.1-mixture-csv": "0f2234e4ca3c1b7e25e589b2858b46fca673a107eb87c65abc8110aa1c97fac9",
-    "eval-ex3.5-os-csv": "a22ae869cba6a4dbbbf0bf0523622761ec435e8f99ce0915f6de96b0ed1c5ed5",
+    "eval-ex3.5-os-csv": "5294c965678d0b680e3764ba0334f5a422a2bf704648114c998205c3453d734c",
     "eval-exponential-csv": "2276eb65b7150b61834615d1dcdfa29b5b87bd2d8f7557178d5bcc8d205dd750",
     "eval-exponential-json": "f532e18fa24579def0fd91c0d140989c6f1dbaabfb54f49e75d03478a1249c95",
     "eval-exponential-table": "456d1b257e5513f0d57cc4d29e9ac7f31b30e42e4c9615d7ac9c15f3cdd284ea",

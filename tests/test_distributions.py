@@ -670,6 +670,15 @@ class TestOnGrid:
                 with pytest.raises(Divergence, match=r"^pareto: .* diverges at t=0\.0$"):
                     call()
 
+    @pytest.mark.parametrize(
+        "spec", [OrderStatistic(Weibull(1.5, 1.0), 2, 3), MrlReciprocalLinear(1.0, 0.5)],
+        ids=["numeric-T", "closed-T-numeric-D"],
+    )
+    def test_tails_at_one_point(self, spec):
+        # one point leaves no interval to sweep: T and D are the scalar calls
+        d = build(spec)
+        assert d._tails_on_grid([1.0]) == ([d.tail(1.0)], [d.double_tail(1.0)])
+
     def test_uniform_edges(self):
         d = build(Uniform(0.5, 2.0))
         ts = (0.1, 0.5, 1.25, 2.0, 2.5)

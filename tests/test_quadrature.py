@@ -401,6 +401,16 @@ class TestChebSweep:
             step = lambda x: 0.0 if x < 1.0 / 3.0 else 1.0
             list(cheb_sweep(step, [0.0, 1.0], QuadConfig(max_depth=10)))
 
+    def test_splits_at_points_do_not_spend_max_depth(self):
+        # a ripple of 1e-12 meets the integral test but never the chopping
+        # test, so the panels split at the points down to one per interval:
+        # about 11 halvings of 1,200 intervals, under a max_depth of 10
+        f = lambda x: 1.0 + 1e-12 * math.sin(1e5 * x)
+        pts = [i / 1200 for i in range(1201)]
+        vals, seg = quadrature._integrate_knots(f, [0.0, 1.0], QuadConfig(max_depth=10), points=pts)
+        assert vals == list(map(f, pts))
+        assert math.fsum(seg) == pytest.approx(1.0, rel=1e-12)
+
 
 class TestConfig:
     def test_invalid_configs_rejected(self):
