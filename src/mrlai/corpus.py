@@ -178,8 +178,7 @@ def _evaluate_check(
     if q == "density":
         return f"density[{check.target}]({t:g})", d.density(t)
     if q == "tail":
-        tails = _resolve(d, conv=conv)._tails_on_grid([t], cfg, double=False)[0]
-        return f"tail[{check.target}]({t:g})", tails[0]
+        return f"tail[{check.target}]({t:g})", _resolve(d, conv=conv).tail(t, cfg)
     if q == "mean":
         return f"mean[{check.target}]", d.mean
     if q == "ratio":
@@ -189,8 +188,8 @@ def _evaluate_check(
             num = mrl_average(x, t, conv, cfg) * t
             den = mrl_average(y, t, conv, cfg) * t
         elif kind == "double_tail":
-            num = _resolve(x, conv=conv)._tails_on_grid([t], cfg)[1][0]
-            den = _resolve(y, conv=conv)._tails_on_grid([t], cfg)[1][0]
+            num = _resolve(x, conv=conv).double_tail(t, cfg)
+            den = _resolve(y, conv=conv).double_tail(t, cfg)
         else:
             raise ValueError(f"unknown ratio kind {kind!r}")
         return f"ratio[{check.params['x']}/{check.params['y']}]({t:g})", num / den

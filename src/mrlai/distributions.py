@@ -1014,9 +1014,9 @@ class Dist:
     read them, and they decide the edges, each in one place: below s0,
     S = 1, f = 0, T = mu = mean - t and D = D(s0) + int_t^s0 (mean - u) du;
     at and past s1, S = f = T = D = 0 and mu is undefined.  A grid reads
-    each quantity as a column (``_column``), or mu with G from s0
-    (``_mrl_on_grid``; below s0 ``_integral_below``), or T with D
-    (``_tails_on_grid``), each closed or from one chained sweep.  The
+    each quantity as a column (``_column``): closed, or for a numeric T
+    or D one sweep down the points.  mu with G from s0 is the one other
+    grid reader (``_mrl_on_grid``; below s0 ``_integral_below``).  The
     formal convention reads the ``_formal_view`` instead.  A composite
     reads a part's closures directly only where the part's support is its
     own (``ops.mixture``, ``ops.order_statistic``): its own method has then
@@ -1239,18 +1239,22 @@ class Dist:
 
     def _column(self, name: str, ts, cfg: QuadConfig = DEFAULT_CONFIG) -> list:
         """The scalar method ``name`` (a key of ``_OFF_SUPPORT``) at each of
-        the increasing points ``ts``, bit for bit, without a method call per
-        point: its family closure is mapped over the points in [s0, s1), and
-        the points off it take the constants of ``_OFF_SUPPORT``.  Where a
-        constant is None, or the closure is missing or raises OverflowError,
-        the method gives the values, and raises where it raises: for mu
-        from s1 on, and at every point for a missing density.
+        the increasing points ``ts``, without a method call per point: its
+        family closure is mapped over the points in [s0, s1), bit for bit,
+        and the points off it take the constants of ``_OFF_SUPPORT``.  Where
+        a constant is None, or the closure is missing or raises
+        OverflowError, the method gives the values, and raises where it
+        raises: for mu from s1 on, and at every point for a missing density.
+        A T or D without a closure, at two or more points below s1, is one
+        sweep instead (``_tail_sweep``).
         """
         closure, method = getattr(self, "_" + name), getattr(self, name)
-        below, above = self._OFF_SUPPORT[name] if closure is not None else (None, None)
-        point = method if name in ("survival", "density") else (lambda t: method(t, cfg))
         s0, s1 = self.support
         i, j = bisect.bisect_left(ts, s0), bisect.bisect_left(ts, s1)
+        if closure is None and name in ("tail", "double_tail") and j > 1:
+            return self._tail_sweep(name, ts[:j], cfg) + [0.0] * (len(ts) - j)
+        below, above = self._OFF_SUPPORT[name] if closure is not None else (None, None)
+        point = method if name in ("survival", "density") else (lambda t: method(t, cfg))
         inside = ts[i:j]
         try:
             mid = list(map(closure or point, inside))
@@ -1290,48 +1294,24 @@ class Dist:
         mu = [mu_at[t] if t in mu_at else self.mrl(t, cfg) for t in ts] if need_mu else None
         return mu, [g_at[t] for t in ts]
 
-    def _tails_on_grid(self, ts, cfg: QuadConfig = DEFAULT_CONFIG, double: bool = True):
-        """T(t) = int_t^inf S at each of the increasing points ``ts`` and,
-        with ``double``, the double tail D(t) = int_t^inf T; D is None
-        without it.
-
-        A closed T, and a closed D, are read as columns.  Otherwise one
-        sweep runs over the points below a finite support end: of a closed
-        T over their ``_knots``, or of T chained from T(top)
-        (``_chained_sweep``), and D adds the integral of T between
-        consecutive points to D(top) from the top down.  Without ``double``
-        a numeric T adds the survival's integrals between the points to
-        T(top), from one sweep with knots only at the breakpoints.  Points
-        from a finite support end on get T = D = 0.
-        """
-        closed = self._tail is not None
-        if closed and (not double or self._double_tail is not None):
-            tails = self._column("tail", ts, cfg)
-            return tails, (self._column("double_tail", ts, cfg) if double else None)
-        s1 = self.support[1]
-        pts = [t for t in ts if t < s1]
-        t_at, d_at = {}, {}
-        if pts:
-            top = pts[-1]
-            if double:
-                d_top = self.double_tail(top, cfg)
-                if len(pts) == 1:  # no interval to sweep
-                    t_on, seg = [self.tail(top, cfg)], []
-                elif closed:
-                    pts = self._knots(pts[0], pts)
-                    t_on, seg = _integrate_knots(lambda u: self.tail(u, cfg), pts, cfg)
-                else:
-                    t_on, seg = self._chained_sweep(pts, cfg)
-                t_at = dict(zip(pts, t_on))
-                d_at = dict(zip(reversed(pts), accumulate(reversed(seg), initial=d_top)))
-            else:
-                t_top = self.tail(top, cfg)
-                knots = self._knots(pts[0], [top])
-                seg = _integrate_knots(self.survival, knots, cfg, points=pts)[1]
-                above = accumulate(reversed(seg), initial=0.0)
-                t_at = {k: t_top + c for k, c in zip(reversed(pts), above)}
-        tails = [t_at.get(t, 0.0) for t in ts]
-        return tails, ([d_at.get(t, 0.0) for t in ts] if double else None)
+    def _tail_sweep(self, name: str, pts, cfg: QuadConfig) -> list:
+        """T (``name`` "tail") or D ("double_tail") at the increasing points
+        ``pts`` below s1, two or more, from one sweep down from the top
+        point: the method's value there plus the integrals between the
+        points of the quantity one order below, S for T, and for D the
+        closed T or T chained from T(top) (``_chained_sweep``).  Knots sit
+        only at pts[0], the top and the breakpoints between (``_knots``);
+        the points between are read from the panels."""
+        top = pts[-1]
+        start = getattr(self, name)(top, cfg)
+        if name == "double_tail" and self._tail is None:
+            seg = self._chained_sweep(pts, cfg)[1]
+        else:
+            f = self.survival if name == "tail" else (lambda u: self.tail(u, cfg))
+            seg = _integrate_knots(f, self._knots(pts[0], [top]), cfg, points=pts)[1]
+        if name == "tail":  # T(top) plus the integrals of S summed from the top
+            return [start + c for c in accumulate(reversed(seg), initial=0.0)][::-1]
+        return list(accumulate(reversed(seg), initial=start))[::-1]
 
     def _knots(self, lo: float, pts) -> list:
         """The knots of a sweep from ``lo`` to the last of the increasing
@@ -1340,19 +1320,19 @@ class Dist:
         return sorted({lo, *pts, *(b for b in self.breakpoints if lo < b < pts[-1])})
 
     def _chained_sweep(self, pts, cfg: QuadConfig, over_survival=False):
-        """Values at the increasing points ``pts`` and integrals over the
-        intervals between them of the tail T(x) = T(top) + int_x^top S, or
-        with ``over_survival`` of mu = T/S (0 at a finite support end), from
-        one quadrature T(top) and one ``cheb_sweep`` of S from pts[0] down
-        from the top point.  Its knots are the breakpoints between them
-        (``_knots``) and, with ``over_survival``, the points that grade the
-        panels toward pts[0], from which G adds up.  Each panel chains T
-        through its survival samples, and is refined until the integrals of
-        S and of the chained values meet the tolerance, and until S and the
-        chained values are resolved to machine precision where the panel
-        holds points: a few panels per sweep for smooth families, however
-        many points.  A point inside a panel reads the interpolant of the
-        chained values, or with ``over_survival`` mu = T/S from the panel's
+        """Integrals over the intervals between the increasing points
+        ``pts`` of the tail T(x) = T(top) + int_x^top S or, with
+        ``over_survival``, of mu = T/S (0 at a finite support end) and mu at
+        the points, from one quadrature T(top) and one ``cheb_sweep`` of S
+        from pts[0] down from the top point, as ``_integrate_knots`` returns
+        them.  Its knots are the breakpoints between them (``_knots``) and,
+        with ``over_survival``, the points that grade the panels toward
+        pts[0], from which G adds up.  Each panel chains T through its
+        survival samples, and is refined until the integrals of S and of the
+        chained values meet the tolerance, and until S and the chained
+        values are resolved to machine precision where the panel holds
+        points: a few panels per sweep for smooth families, however many
+        points.  A point inside a panel reads mu = T/S from the panel's
         survival interpolant and its integral, as a panel end reads T/S
         from the samples.  mu raises BeyondSupport where S leaves T
         without a digit (``_check_resolved``)."""
@@ -1373,7 +1353,7 @@ class Dist:
             return [tail / sv if x < s1 else 0.0 for x, sv, tail in zip(p.xs, p.fs, tails)]
 
         def read(p, xs):  # mu at the points xs strictly inside the panel p
-            svs, pieces = _interior(p, p.fs, xs)
+            svs, pieces = _interior(p, p.fs, xs, values=True)
             tails = accumulate(pieces[:-1], initial=tail_top + p.carry)
             return [tail / sv for tail, sv in zip(islice(tails, 1, None), svs)]
 

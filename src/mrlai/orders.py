@@ -187,13 +187,13 @@ def icx_order(
 ) -> OrderVerdict:
     """Increasing-convex order: int_t^inf surv_X <= int_t^inf surv_Y for all t.
 
-    A closed tail is evaluated at each grid point; a numeric one costs one
-    tail integral at the top point and one survival sweep down the grid
-    (see ``Dist._tails_on_grid``).
+    Each T is a column (``Dist._column``): a closed tail evaluated at each
+    grid point, a numeric one one tail integral at the top point and one
+    survival sweep down the grid.
     """
     ts = _grid_points(grid)
-    sx = _resolve(_source_dist(X), conv=conv)._tails_on_grid(ts, cfg, double=False)[0]
-    sy = _resolve(_source_dist(Y), conv=conv)._tails_on_grid(ts, cfg, double=False)[0]
+    sx = _resolve(_source_dist(X), conv=conv)._column("tail", ts, cfg)
+    sy = _resolve(_source_dist(Y), conv=conv)._column("tail", ts, cfg)
     return _pointwise_leq(ts, sx, sy, tol, "grid")
 
 
@@ -208,17 +208,17 @@ def vrl_order(
     """Variance-residual-life order via the ratio of double tail integrals.
 
     The ratio of int_t^inf int_u^inf surv_X over the same for Y must be
-    non-increasing.  A closed double tail (``Dist.double_tail``) is read
-    at each grid point; any other costs one integral at the top grid
-    point and one Chebyshev sweep down the grid (``Dist._tails_on_grid``),
-    not an improper integral per point.  Where Y's double tail is 0, from
-    its support end on or where it underflows, the ratio is undefined:
-    BeyondSupport names Y and the first such point.
+    non-increasing.  Each D is a column (``Dist._column``): a closed
+    double tail read at each grid point, any other one integral at the top
+    grid point and one Chebyshev sweep of T down the grid, not an improper
+    integral per point.  Where Y's double tail is 0, from its support end
+    on or where it underflows, the ratio is undefined: BeyondSupport names
+    Y and the first such point.
     """
     ts = _grid_points(grid)
     Y = _resolve(_source_dist(Y), conv=conv)
-    dx = _resolve(_source_dist(X), conv=conv)._tails_on_grid(ts, cfg)[1]
-    dy = Y._tails_on_grid(ts, cfg)[1]
+    dx = _resolve(_source_dist(X), conv=conv)._column("double_tail", ts, cfg)
+    dy = Y._column("double_tail", ts, cfg)
     for t, v in zip(ts, dy):
         if v <= 0.0:
             raise BeyondSupport(f"{Y.lineage}: double tail is 0 at t={t!r}, vrl ratio undefined")

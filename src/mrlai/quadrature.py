@@ -587,11 +587,12 @@ def _integrate_knots(
     between consecutive points, of f or of the node values ``resolve``
     derives from it, in one ``cheb_sweep`` over the knots.  A point at a
     panel end takes the sample there, so points that are knots read what
-    they would as knots; points strictly inside a panel are read from the
-    panel's interpolant and its antiderivative (``_interior``), or their
-    values from ``read(panel, xs)`` at the decreasing points xs."""
+    they would as knots.  The integrals over pieces of a panel come from
+    its interpolant's antiderivative (``_interior``); the value at a
+    point strictly inside a panel is ``read(panel, xs)``'s at the
+    decreasing points xs, or None without ``read``."""
     pts = knots if points is None else points
-    vals = [0.0] * len(pts)
+    vals = [None] * len(pts)
     seg = [0.0] * (len(pts) - 1)
     for p in cheb_sweep(f, knots, cfg, resolve, pts):
         g, integral = (p.fs, p.integral) if resolve is None else (p.g, p.g_integral)
@@ -601,25 +602,29 @@ def _integrate_knots(
         if p.inside:
             down = p.inside[::-1]
             xs = [pts[i] for i in down]
-            values, pieces = _interior(p, g, xs)
-            for i, v, piece in zip(down, values if read is None else read(p, xs), pieces):
-                vals[i] = v
+            pieces = _interior(p, g, xs)
+            for i, piece in zip(down, pieces):
                 seg[i] += piece
+            if read is not None:
+                for i, v in zip(down, read(p, xs)):
+                    vals[i] = v
             integral = pieces[-1]
         seg[p.inside.start - 1] += integral
         vals[0] = g[-1]
     return vals, seg
 
 
-def _interior(p, g, xs):
-    """The interpolant of the node values ``g`` of the panel ``p`` at the
-    decreasing points ``xs`` inside it, and its integrals over the pieces
-    they cut the panel into, from b down to a.
+def _interior(p, g, xs, values=False):
+    """The integrals of the interpolant of the node values ``g`` of the
+    panel ``p`` over the pieces that the decreasing points ``xs`` inside it
+    cut the panel into, from b down to a; with ``values``, (the
+    interpolant at xs, those integrals).
 
-    The Chebyshev coefficients c = D g are worked out once per panel, with
+    The Chebyshev coefficients c = D g are worked out once per call, with
     the antiderivative series a_1 = c_0 - c_2 / 2, a_k = (c_{k-1} -
-    c_{k+1}) / (2k); each point sums both series by Clenshaw's recurrence,
-    and a piece is the difference of the antiderivative at its two ends.
+    c_{k+1}) / (2k); each point sums the antiderivative, and with
+    ``values`` the interpolant, by Clenshaw's recurrence, and a piece is
+    the difference of the antiderivative at its two ends.
     """
     c = [sum(map(mul, row, g)) for row in _cheb_tables()[2]] + [0.0, 0.0]
     a = [0.0, c[0] - 0.5 * c[2]] + [(c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, _N + 2)]
@@ -628,7 +633,8 @@ def _interior(p, g, xs):
     # nodes, which the rounding of mid shifts off +-1
     ss = [(x - mid) / half for x in (p.b, *xs, p.a)]
     anti = [_clenshaw(a, s) for s in ss]
-    return [_clenshaw(c, s) for s in ss[1:-1]], [half * (u - v) for u, v in zip(anti, anti[1:])]
+    pieces = [half * (u - v) for u, v in zip(anti, anti[1:])]
+    return ([_clenshaw(c, s) for s in ss[1:-1]], pieces) if values else pieces
 
 
 def _clenshaw(c, s):

@@ -189,8 +189,8 @@ def test_criterion_8_order_theory():
     from mrlai.ageing import _resolve
 
     for t, want in [(0.2, 0.067032), (0.6, 0.09035826), (1.0, 0.06766764)]:
-        dx = _resolve(X, conv=FORMAL)._tails_on_grid([t], QuadConfig())[1][0]
-        got = dx / _resolve(Y, conv=FORMAL)._tails_on_grid([t], QuadConfig())[1][0]
+        dx = _resolve(X, conv=FORMAL)._column("double_tail", [t], QuadConfig())[0]
+        got = dx / _resolve(Y, conv=FORMAL)._column("double_tail", [t], QuadConfig())[0]
         assert _rel(got, want) < 1e-5
     assert vrl_order(X, Y, _linspace(0.05, 5.0, 64), FORMAL).relation is Relation.FAILS
     assert mrlai_order(X, Y, _linspace(0.1, 20.0, 80), FORMAL).relation is Relation.HOLDS

@@ -920,7 +920,7 @@ class TestSweep:
             quadrature, "cheb_sweep", lambda f, knots, *a: swept.append(knots) or real(f, knots, *a)
         )
         prof = profile(d, ts, method="quadrature")
-        dd = d._tails_on_grid(ts, QuadConfig())[1]
+        dd = d._column("double_tail", ts, QuadConfig())
         assert len(swept) == 2 and all(1.0 in knots for knots in swept)
 
         with mpmath.workdps(30):
@@ -1077,16 +1077,14 @@ class TestInteriorReads:
         r = _resolve(d, method)
         ts = _linspace(lo, hi, n)
         prof = profile(d, ts, method=method)
-        tails, doubles = r._tails_on_grid(ts)
-        singles = r._tails_on_grid(ts, double=False)[0]
+        tails, doubles = r._column("tail", ts), r._column("double_tail", ts)
         close = lambda want: pytest.approx(float(want), rel=1e-13, abs=0.0)
         with mpmath.workdps(30):
             S, T, D = forms(mpmath)
-            for t, mu, tail, single, double in zip(ts, prof.mu, tails, singles, doubles):
+            for t, mu, tail, double in zip(ts, prof.mu, tails, doubles):
                 x = mpmath.mpf(t)
                 assert mu == close(r.mrl(t)) and mu == close(T(x) / S(x)), t
                 assert tail == close(r.tail(t)) and tail == close(T(x)), t
-                assert single == close(r.tail(t)) and single == close(T(x)), t
                 assert double == close(r.double_tail(t)) and double == close(D(x)), t
         # G from the first point on, against mpmath's integral of the exact
         # mu: the one-point G is only as good as rel_tol where S is small

@@ -250,9 +250,10 @@ class TestCompare:
         assert err.startswith("error: pareto: ") and "t=3.0" in err
         assert "[0.0, 1.0]" not in err  # the substituted variable's interval
 
-    @pytest.mark.parametrize("order", ["icx", "vrl"])
-    def test_formal_tail_at_zero_is_an_error(self, order, capsys):
-        # the continued tail b^a t^(1-a) / (a-1) of Pareto has a pole at 0
+    @pytest.mark.parametrize("order, tail", [("icx", "tail"), ("vrl", "double tail")])
+    def test_formal_tail_at_zero_is_an_error(self, order, tail, capsys):
+        # the continued tail b^a t^(1-a) / (a-1) of Pareto has a pole at 0,
+        # as does its double tail; each order names the one it reads
         code, out, err = run(
             ["compare", '{"family":"exponential","rate":1}',
              '{"family":"pareto","shape":2.5,"scale":1}', "--conv", "formal",
@@ -260,7 +261,7 @@ class TestCompare:
             capsys,
         )
         assert (code, out) == (2, "")
-        assert err == "error: pareto: the tail integral diverges at t=0.0\n"
+        assert err == f"error: pareto: the {tail} integral diverges at t=0.0\n"
 
 
 # sha256 of the full text report and of the dumped corpus; every byte of
@@ -497,13 +498,24 @@ COMPOSITES = {
         "0.01:0.99/100",
     ),
 }
+# the Exp(1)/Exp(2) mixture, a closed T with a numeric D, against Erlang(2, 1)
+PAIRS = {
+    "exp-mixture-erlang2": (
+        '{"family":"mixture","weights":[0.5,0.5],"components":['
+        '{"family":"exponential","rate":1},{"family":"exponential","rate":2}]}',
+        '{"family":"erlang","k":2,"rate":1}',
+        "icx,vrl",
+        "0.1:10/512",
+    ),
+}
 FORMATS = ("table", "csv", "json")
 QUANTITIES = ("survival", "mu", "mu_avg", "L", "hazard_ai")
 
 
 def _digest_argvs():
     """Output id -> argv: every command, in every format it offers, on each
-    closed family; ``compare`` runs all six orders against Exp(1)."""
+    closed family; ``compare`` runs all six orders against Exp(1), and the
+    ``PAIRS`` their own orders."""
     out = {}
     for name, (spec, grid, conv) in CLOSED.items():
         common = ["--grid", grid, "--conv", conv]
@@ -522,6 +534,10 @@ def _digest_argvs():
             out[f"plotdata-{name}-{q}"] = ["plotdata", spec, "--quantity", q, *common]
     for name, (spec, grid) in COMPOSITES.items():
         out[f"eval-{name}-csv"] = ["eval", spec, "--grid", grid, "--format", "csv"]
+    for name, (x, y, orders, grid) in PAIRS.items():
+        out[f"compare-{name}-csv"] = [
+            "compare", x, y, "--orders", orders, "--grid", grid, "--format", "csv"
+        ]
     return out
 
 
@@ -531,7 +547,9 @@ def _digest_argvs():
 # witness lost its commas ("t=0.05: 1.00497512; ..." for "(0.05,
 # 1.00497512), ..."); undoing that maps them back to the old bytes.  The
 # two composite outputs were recorded before mixtures and order
-# statistics read their parts through the family closures.
+# statistics read their parts through the family closures, and the
+# mixture pair's before its numeric D put a knot only at the first point,
+# the top and the breakpoints.
 DIGESTS = {
     "classify-erlang2-csv": "42b1e171d5259e9bdb4c28b372c4431ad5fbb56d198a225699bdae2748edb662",
     "classify-erlang2-json": "45831de00ee97881f0963b57f383d3c35994a5c55783cbd25a13ed2258cb07bc",
@@ -560,6 +578,7 @@ DIGESTS = {
     "compare-erlang2-csv": "e87a904ff589d214bf73ec8d1a53760b8e2c426b58d704f1c5e8927d9ad3909c",
     "compare-erlang2-json": "768e815043f77d7ecf5df5c83d535aed1fa2457044adc8ae0898b2d50021fbb1",
     "compare-erlang2-table": "831ba1865387c3396da68587ef72c2b982e8ecce417c6b030611f8a63dba17ca",
+    "compare-exp-mixture-erlang2-csv": "514d2cc4cf9589c7dad22d4785bc8372890449b12ec1ed71b45f55c3fa51274d",
     "compare-exponential-csv": "79490f2511aced849d1e757d988ba50252be1bc8395d165f52ed455e26a70555",
     "compare-exponential-json": "86225ed8cfef44c5b8dbb24d288bdc3236325dfc7e5b38a0d2e31d7cfde77008",
     "compare-exponential-table": "d2b90eb8e86278686093bd79bb429fd289c9a9a06c8a1d4451103ec3bbf5ba0e",

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from scipy.special import gammaincc
@@ -620,7 +621,9 @@ class TestJsonGrammar:
 
 
 class TestOnGrid:
-    """``Dist._column`` gives the per-point methods' values bit for bit."""
+    """``Dist._column`` gives the per-point methods' values bit for bit,
+    but for a numeric T or D at two or more points below s1, which is a
+    sweep (``TestTailColumns``)."""
 
     SPECS = VALID_SPECS + [
         Mixture((0.3, 0.7), (Exponential(1.0), Uniform(0.5, 2.0))),
@@ -677,7 +680,8 @@ class TestOnGrid:
     def test_tails_at_one_point(self, spec):
         # one point leaves no interval to sweep: T and D are the scalar calls
         d = build(spec)
-        assert d._tails_on_grid([1.0]) == ([d.tail(1.0)], [d.double_tail(1.0)])
+        assert d._column("tail", [1.0]) == [d.tail(1.0)]
+        assert d._column("double_tail", [1.0]) == [d.double_tail(1.0)]
 
     def test_uniform_edges(self):
         d = build(Uniform(0.5, 2.0))
@@ -716,6 +720,11 @@ class TestOnGrid:
                 with pytest.raises(BeyondSupport):
                     d._column("mrl", [t])
             ts = [t for t in ts if t < s1]
+        if name in ("tail", "double_tail") and getattr(d, "_" + name) is None:
+            # one sweep down the points: the methods' values to rounding
+            want = [getattr(d, name)(t) for t in ts]
+            assert d._column(name, ts) == pytest.approx(want, rel=1e-15, abs=0.0)
+            return
         # bits, not floats: Weibull's density is NaN one ulp above 0
         self._check(d, name, ts)
 
@@ -731,3 +740,56 @@ class TestOnGrid:
         assert d._column("mrl", (0.25, 1.0)) == [d.mrl(0.25), d.mrl(1.0)]
         with pytest.raises(BeyondSupport, match="past support end"):
             d._column("mrl", (0.25, 1.0, 2.0))
+
+
+# T and D columns of a closed family, of numeric tails (Weibull and an
+# order statistic of it), across a finite support (Uniform(1, 3), closed
+# and under method="quadrature") and at one point, as float.hex strings.
+# Recorded when T and D had a grid reader of their own beside ``_column``;
+# every column keeps those bits.
+TAIL_COLUMNS = json.loads((Path(__file__).parent / "data" / "tail_columns.json").read_text())
+
+
+class TestTailColumns:
+    @pytest.mark.parametrize("name", sorted(TAIL_COLUMNS))
+    def test_pinned_columns(self, name):
+        from mrlai.ageing import _resolve
+
+        case = TAIL_COLUMNS[name]
+        d = _resolve(build(spec_from_dict(case["spec"])), case["method"])
+        for grid in case["grids"]:
+            ts = [float.fromhex(t) for t in grid["ts"]]
+            for q in ("tail", "double_tail"):
+                assert [v.hex() for v in d._column(q, ts)] == grid[q], (q, len(ts))
+
+    # closed T, numeric D: (spec, D by mpmath)
+    CLOSED_T = {
+        "exp-mixture": (Mixture((0.5, 0.5), (Exponential(1.0), Exponential(2.0))),
+                        lambda mp, t: mp.exp(-t) / 2 + mp.exp(-2 * t) / 8),
+        "exp+exp": (Convolution((Exponential(1.0), Exponential(2.0))),
+                    lambda mp, t: 2 * mp.exp(-t) - mp.exp(-2 * t) / 4),
+        # T = exp(-(t + t^2/4)), so D = e sqrt(pi) erfc((t + 2) / 2)
+        "reciprocal-linear": (MrlReciprocalLinear(1.0, 0.5),
+                              lambda mp, t: mp.e * mp.sqrt(mp.pi) * mp.erfc((t + 2) / 2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_T))
+    def test_closed_tail_double_tail_column(self, name, monkeypatch):
+        import mpmath
+
+        from mrlai import quadrature
+        from mrlai.ageing import Grid
+
+        spec, exact = self.CLOSED_T[name]
+        d = build(spec)
+        assert d._tail is not None and d._double_tail is None
+        ts = Grid(0.1, 10.0, 4096).points()
+        calls = []
+        real = quadrature._eval
+        monkeypatch.setattr(quadrature, "_eval", lambda f, x: calls.append(x) or real(f, x))
+        column = d._column("double_tail", ts)
+        # panels placed by T, not a knot per point (135,225 evaluations)
+        assert len(calls) <= 2000
+        with mpmath.workdps(30):
+            for t, v in zip(ts, column):
+                assert v == pytest.approx(float(exact(mpmath, mpmath.mpf(t))), rel=1e-13, abs=0.0), t

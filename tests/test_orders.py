@@ -376,7 +376,7 @@ def _double_tails(d, grid, conv=ZERO):
     from mrlai.ageing import _resolve
     from mrlai.quadrature import DEFAULT_CONFIG
 
-    return _resolve(d, conv=conv)._tails_on_grid(grid, DEFAULT_CONFIG)[1]
+    return _resolve(d, conv=conv)._column("double_tail", grid, DEFAULT_CONFIG)
 
 
 def _pareto_double_tail(a, b, t, formal):
@@ -494,8 +494,7 @@ class TestDoubleTail:
         from mrlai.quadrature import DEFAULT_CONFIG
 
         grid = ts(0.05, 5.0, 64)
-        T, D = build(Weibull(1.5, 1.0))._tails_on_grid(grid, DEFAULT_CONFIG, double=False)
-        assert D is None
+        T = build(Weibull(1.5, 1.0))._column("tail", grid, DEFAULT_CONFIG)
         for t, v in zip(grid, T):
             want = gamma_fn(1 / 1.5) * gammaincc(1 / 1.5, t**1.5) / 1.5
             assert v == pytest.approx(want, rel=1e-9, abs=0.0), t
@@ -507,13 +506,13 @@ class TestDoubleTail:
         grid = ts(0.1, 30.0, 100)
         X, Y = build(Exponential(0.5)), build(Pareto(2.0, 1.0))
 
-        def tails(d, conv, double=False):
-            return _resolve(d, conv=conv)._tails_on_grid(grid, DEFAULT_CONFIG, double)[0]
+        def column(name, d, conv):
+            return _resolve(d, conv=conv)._column(name, grid, DEFAULT_CONFIG)
 
-        assert tails(X, FORMAL) == [X.tail(t) for t in grid]
-        assert tails(Y, FORMAL) == [Y.formal.tail(t) for t in grid]
-        # and with the double tail the sweep reads the same closed samples
-        assert tails(X, ZERO, double=True) == [X.tail(t) for t in grid]
+        assert column("tail", X, FORMAL) == [X.tail(t) for t in grid]
+        assert column("tail", Y, FORMAL) == [Y.formal.tail(t) for t in grid]
+        # and a closed double tail is sampled the same way
+        assert column("double_tail", X, ZERO) == [X.double_tail(t) for t in grid]
 
     def test_divergent_double_tail_names_the_distribution_and_t(self):
         from mrlai.errors import Divergence
