@@ -36,9 +36,9 @@ Their t, and that of ``mrl``, ``hazard`` and ``hazard_ai``, is read as a
 grid point (``_grid_points``): NaN, infinite and nonzero subnormal points
 raise GridError.
 
-The grid columns (S, f, mu with G from the support start, T with the
-double tail D) are the resolved ``Dist``'s; ``_evaluate`` adds G below
-the support start unless it starts there.
+The grid columns (S, f, T, the double tail D, and mu with G from the
+convention origin) are the resolved ``Dist``'s, which also decides the
+support edges.
 """
 
 from __future__ import annotations
@@ -136,9 +136,6 @@ def mrl_average(
     the origin raises GridError."""
     r = _resolve(d, method, conv)
     ts = _grid_points((t,))
-    origin = _origin(d, conv)
-    if ts[0] <= origin:
-        raise GridError(f"mrl_average needs t above the convention origin {origin!r}")
     return _evaluate(r, ts, conv, cfg, need_mu=False)[1][0] / ts[0]
 
 
@@ -151,18 +148,17 @@ def mrlai(
 ) -> float:
     """Ageing intensity L(t) = mu(t) / mrl_average(t) under the convention.
 
-    A one-point ``profile`` (see the module docstring).  At or below the
-    origin the numerator raises where it is undefined, else the average.
+    A one-point ``profile`` (see the module docstring).  A t at or below
+    the origin raises GridError, but BeyondSupport below the support start
+    under SUPPORT_START.
     """
     r = _resolve(d, method, conv)
     (t,) = ts = _grid_points((t,))
-    if t <= _origin(d, conv):
-        if conv is Convention.SUPPORT_START and t < d.support[0]:
-            raise BeyondSupport(
-                f"{d.lineage}: t={t!r} lies below the support start under the "
-                "support-start convention"
-            )
-        return r.mrl(t, cfg) / mrl_average(d, t, conv, cfg, method)
+    if conv is Convention.SUPPORT_START and t < d.support[0]:
+        raise BeyondSupport(
+            f"{d.lineage}: t={t!r} lies below the support start under the "
+            "support-start convention"
+        )
     mu, g = _evaluate(r, ts, conv, cfg)
     return mu[0] / (g[0] / t)
 
@@ -342,18 +338,14 @@ def profile(
 
     Closed forms are used where the ``Dist`` that ``method`` and ``conv``
     resolve to has them (``_resolve``): "quadrature" drops them.
-    Otherwise mu and G(t) = int mu come from one sweep
-    (``Dist._mrl_on_grid``, below the support start ``_evaluate``).
-    Scalar ``mrlai`` and ``mrl_average`` are one-point profiles, bit for
-    bit, at every t above the origin.  The hazard AI is ``d``'s, whatever
-    the convention.
+    Otherwise mu and G(t) = int mu from the convention origin come from
+    one sweep, and below the support start from mu there
+    (``Dist._mrl_on_grid``, through ``_evaluate``).  Scalar ``mrlai`` and
+    ``mrl_average`` are one-point profiles, bit for bit, at every t above
+    the origin.  The hazard AI is ``d``'s, whatever the convention.
     """
     r = _resolve(d, method, conv)
     ts = _grid_points(grid)
-    origin = _origin(d, conv)
-    if ts[0] <= origin:
-        raise GridError(f"grid must start above the convention origin {origin!r}")
-
     mu_vals, g_vals = _evaluate(r, ts, conv, cfg)
     mu_vals = tuple(mu_vals)
     mu_avg = tuple(map(truediv, g_vals, ts))
@@ -414,22 +406,11 @@ def _source_dist(source) -> Dist:
 
 def _evaluate(d, ts, conv, cfg, need_mu=True):
     """(mu, G) at the grid points of the resolved ``Dist`` ``d``
-    (``_resolve``), G(t) = int mu from the convention origin.
-
-    ``mu`` is None when ``need_mu`` is false.  G is defined up to the
-    support end, mu below it; a point past the end raises BeyondSupport.
-    From s0 on the ``Dist`` gives mu and G (``Dist._mrl_on_grid``), below
-    it mu (``Dist.mrl``), and G adds its integral from 0 up to min(t, s0)
-    (``Dist._integral_below``) unless G starts at s0 under SUPPORT_START.
+    (``_resolve``), G(t) = int mu from the convention origin (``_origin``),
+    from one ``Dist._mrl_on_grid`` read.  ``mu`` is None when ``need_mu``
+    is false.  A first point at or below the origin raises GridError.
     """
-    s0, s1 = d.support
-    if ts[-1] > s1:
-        raise BeyondSupport(f"{d.lineage}: mrl undefined at t={ts[-1]!r} (past support end)")
-    i = bisect_left(ts, s0)
-    mu, g = d._mrl_on_grid(ts[i:], cfg, need_mu)
-    if need_mu:
-        mu = [d.mrl(t, cfg) for t in ts[:i]] + mu
-    if s0 == 0.0 or conv is Convention.SUPPORT_START:
-        return mu, g
-    below = d._integral_below([*ts[:i], s0], cfg)
-    return mu, below[:i] + [below[-1] + gt for gt in g]
+    origin = _origin(d, conv)
+    if ts[0] <= origin:
+        raise GridError(f"t must lie above the convention origin {origin!r}")
+    return d._mrl_on_grid(ts, origin, cfg, need_mu)

@@ -1015,8 +1015,9 @@ class Dist:
     S = 1, f = 0, T = mu = mean - t and D = D(s0) + int_t^s0 (mean - u) du;
     at and past s1, S = f = T = D = 0 and mu is undefined.  A grid reads
     each quantity as a column (``_column``): closed, or for a numeric T
-    or D one sweep down the points.  mu with G from s0 is the one other
-    grid reader (``_mrl_on_grid``; below s0 ``_integral_below``).  The
+    or D one sweep down the points.  mu with G = int mu from the
+    convention origin, 0 or s0, is the one other grid reader
+    (``_mrl_on_grid``), and G below s0 is its integral of mu there.  The
     formal convention reads the ``_formal_view`` instead.  A composite
     reads a part's closures directly only where the part's support is its
     own (``ops.mixture``, ``ops.order_statistic``): its own method has then
@@ -1035,7 +1036,7 @@ class Dist:
     evaluates afresh, whatever earlier calls and their ``QuadConfig`` were.
     """
 
-    _below_mrl = None  # mu below s0 on a ``_formal_view`` that keeps s0
+    _below_mrl = None  # mu below s0 on a ``_formal_view`` that keeps s0 (``_mrl_on_grid``)
 
     def __init__(
         self,
@@ -1194,15 +1195,14 @@ class Dist:
 
     def mrl(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """Mean residual life mu(t) = T(t) / S(t): mean - t below the support
-        start (or ``_below_mrl``), and on the support the closed MRL where
-        the family has one.  Raises BeyondSupport from the support end on,
-        and where T is a quadrature that S(t) leaves without a digit
-        (``_check_resolved``)."""
+        start, and on the support the closed MRL where the family has one.
+        Raises BeyondSupport from the support end on, and where T is a
+        quadrature that S(t) leaves without a digit (``_check_resolved``)."""
         s0, s1 = self.support
         if t >= s1:
             raise BeyondSupport(f"{self.lineage}: mrl undefined at t={t!r} (past support end)")
         if t < s0:
-            return self.mean - t if self._below_mrl is None else self._below_mrl(t)
+            return self.mean - t
         if self._mrl is not None:
             return self._mrl(t)
         sv = self.survival(t)
@@ -1264,35 +1264,56 @@ class Dist:
         hi = [above] * (len(ts) - j) if above is not None else list(map(point, ts[j:]))
         return lo + mid + hi
 
-    def _mrl_on_grid(self, ts, cfg: QuadConfig = DEFAULT_CONFIG, need_mu: bool = True):
-        """mu (None without ``need_mu``) and G(t) = int_s0^t mu at each of
-        the increasing points ``ts`` in [s0, s1].
+    def _mrl_on_grid(self, ts, origin: float, cfg: QuadConfig = DEFAULT_CONFIG, need_mu=True):
+        """mu (None without ``need_mu``) and G(t) = int_origin^t mu at each
+        of the increasing points ``ts``, none below ``origin`` (0 or s0).
 
-        A closed G is read as a column, as is mu then.  Otherwise one sweep
-        runs from s0: of the closed mu over the ``_knots`` of the points
-        where the MRL or the tail is closed, else of mu = T/S with T chained
-        from T(top) (``_chained_sweep``), whose panels end only at the
-        breakpoints and read the points between.  At a finite support end mu takes
-        its limit 0 in the sweep (0 <= mu(x) <= s1 - x), so G(s1) is
-        defined although mu(s1), which raises BeyondSupport, is not.
+        G is defined up to s1, mu below it; a point past s1 raises
+        BeyondSupport.  From s0 on, a closed G is read as a column, as is mu
+        then.  Otherwise one sweep runs from s0: of the closed mu over the
+        ``_knots`` of the points where the MRL or the tail is closed, else
+        of mu = T/S with T chained from T(top) (``_chained_sweep``), whose
+        panels end only at the breakpoints and read the points between.  At
+        a finite support end mu takes its limit 0 in the sweep
+        (0 <= mu(x) <= s1 - x), so G(s1) is defined although mu(s1), which
+        raises BeyondSupport, is not.  Below s0, mu is mean - t, or on a
+        ``_formal_view`` that keeps s0 the continuation's (``_below_mrl``),
+        and G from 0 adds its integral up to min(t, s0): mean x - x^2 / 2,
+        or the integral of ``_below_mrl`` over the knots 0, the points and s0.
         """
+        s0, s1 = self.support
+        if ts[-1] > s1:
+            raise BeyondSupport(f"{self.lineage}: mrl undefined at t={ts[-1]!r} (past support end)")
+        i = bisect.bisect_left(ts, s0)
+        below, ts = ts[:i], ts[i:]
         if self._mrl_integral is not None:
             mu = self._column("mrl", ts, cfg) if need_mu else None
-            return mu, list(map(self._mrl_integral, ts))
-        s0, s1 = self.support
-        mu_at, g_at = {}, {s0: 0.0}
-        if ts and ts[-1] > s0:
-            if self._mrl is not None or self._tail is not None:
-                pts = self._knots(s0, ts)
-                mu = lambda u: self.mrl(u, cfg) if u < s1 else 0.0
-                mu_on, seg = _integrate_knots(mu, pts, cfg)
-            else:
-                pts = [s0, *(t for t in ts if t > s0)]
-                mu_on, seg = self._chained_sweep(pts, cfg, over_survival=True)
-            mu_at = {k: m for k, m in zip(pts, mu_on) if k < s1}
-            g_at = dict(zip(pts, accumulate(seg, initial=0.0)))
-        mu = [mu_at[t] if t in mu_at else self.mrl(t, cfg) for t in ts] if need_mu else None
-        return mu, [g_at[t] for t in ts]
+            g = list(map(self._mrl_integral, ts))
+        else:
+            mu_at, g_at = {}, {s0: 0.0}
+            if ts and ts[-1] > s0:
+                if self._mrl is not None or self._tail is not None:
+                    pts = self._knots(s0, ts)
+                    mu = lambda u: self.mrl(u, cfg) if u < s1 else 0.0
+                    mu_on, seg = _integrate_knots(mu, pts, cfg)
+                else:
+                    pts = [s0, *(t for t in ts if t > s0)]
+                    mu_on, seg = self._chained_sweep(pts, cfg, over_survival=True)
+                mu_at = {k: m for k, m in zip(pts, mu_on) if k < s1}
+                g_at = dict(zip(pts, accumulate(seg, initial=0.0)))
+            mu = [mu_at[t] if t in mu_at else self.mrl(t, cfg) for t in ts] if need_mu else None
+            g = [g_at[t] for t in ts]
+        below_mrl = self._below_mrl
+        if need_mu:
+            mu = [self.mean - t if below_mrl is None else below_mrl(t) for t in below] + mu
+        if origin == s0:
+            return mu, g
+        xs = [*below, s0]
+        if below_mrl is None:
+            g_below = [self.mean * x - 0.5 * x * x for x in xs]
+        else:
+            g_below = list(accumulate(_integrate_knots(below_mrl, [0.0, *xs], cfg)[1]))
+        return mu, g_below[:i] + [g_below[-1] + gt for gt in g]
 
     def _tail_sweep(self, name: str, pts, cfg: QuadConfig) -> list:
         """T (``name`` "tail") or D ("double_tail") at the increasing points
@@ -1398,12 +1419,12 @@ class Dist:
     def _formal_view(self):
         """This distribution under the formal convention, built once; None
         for a support above 0 with no formal continuation, itself for a
-        support from 0.  A continuation with a closed G from 0 gives a view
+        support from 0 and for a formal view.  A continuation with a closed G from 0 gives a view
         from 0 whose T, D, mu and G are its closures, the family's formulas
         continued.  Without one (the quadrature view drops it) the view
         keeps s0 and S from it on, and reads only mu below s0 from the
-        continuation, with G its integral (``_integral_below``): no reader
-        of T or D takes a method."""
+        continuation, with G its integral (``_mrl_on_grid``): no reader of T
+        or D takes a method."""
         s0, s1 = self.support
         f = self.formal
         if s0 == 0.0:
@@ -1412,17 +1433,9 @@ class Dist:
             return None
         if f.mrl_integral is None:
             view = self._with()
-            view._below_mrl = f.mrl
+            view._below_mrl, view._formal_view = f.mrl, view
             return view
         return self._with(support=(0.0, s1), formal=None, **vars(f))
-
-    def _integral_below(self, xs, cfg: QuadConfig = DEFAULT_CONFIG) -> list:
-        """G(x) = int_0^x mu at each of the increasing points ``xs`` in
-        (0, s0]: mean x - x^2 / 2 where mu = mean - u, else the integral of
-        the continuation's mu (``_formal_view``) over the knots 0 and xs."""
-        if self._below_mrl is None:
-            return [self.mean * x - 0.5 * x * x for x in xs]
-        return list(accumulate(_integrate_knots(self._below_mrl, [0.0, *xs], cfg)[1]))
 
     @cached_property
     def mean(self) -> float:

@@ -198,6 +198,23 @@ class TestMrlai:
         with pytest.raises(BeyondSupport):
             mrlai(d, 0.5, SUPPORT)
 
+    def test_at_or_below_the_origin_reads_no_mu(self, monkeypatch):
+        from mrlai.distributions import Dist
+
+        calls = []
+        real = Dist.mrl
+        monkeypatch.setattr(Dist, "mrl", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+        pareto = build(Pareto(2.5, 1.0))
+        cases = [(build(Exponential(1.0)), ZERO, 0.0, GridError)]
+        cases += [(pareto, ZERO, t, GridError) for t in (-1.0, 0.0)]
+        cases += [(pareto, FORMAL, 0.0, GridError), (pareto, SUPPORT, 1.0, GridError)]
+        cases += [(pareto, SUPPORT, 0.5, BeyondSupport)]
+        for method in ("auto", "quadrature"):
+            for d, conv, t, error in cases:
+                with pytest.raises(error):
+                    mrlai(d, t, conv, method=method)
+        assert calls == []
+
     def test_conventions_coincide_at_zero_support_start(self):
         d = build(Erlang(2, 2.0))
         for t in (0.4, 2.0):
@@ -370,7 +387,7 @@ class TestOnePoint:
     def test_scalar_calls_equal_the_one_point_profile(self, name, conv, method):
         d = build({**self.NUMERIC, **self.CLOSED}[name])
         offset = d.support[0] if conv is SUPPORT else 0.0
-        for frac in (1e-9, 1e-7, 1e-5, 9e-5, 1e-3, 0.3, 1.0):
+        for frac in (0.0, 1e-9, 1e-7, 1e-5, 9e-5, 1e-3, 0.3, 1.0):
             t = offset + frac * d.mean
             prof = self._outcome(lambda: profile(d, [t], conv, method=method))
             L = self._outcome(lambda: mrlai(d, t, conv, method=method))
@@ -1026,6 +1043,60 @@ def _exp_uniform_forms(mp):
 
 def _erlang2_forms(mp):
     return tuple(lambda t, j=j: (j + t) * mp.exp(-t) for j in (1, 2, 3))
+
+
+class TestReader:
+    """``Dist._mrl_on_grid``, the one reader of mu and of G = int mu from
+    the convention origin, on either side of the support start s0."""
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize(
+        "spec",
+        [Pareto(2.5, 1.0), Uniform(0.5, 2.0), OrderStatistic(Uniform(1.0, 3.0), 2, 3)],
+        ids=lambda s: s.family,
+    )
+    def test_wholly_below_the_support_start(self, spec, method):
+        from mrlai.ageing import _resolve
+
+        r = _resolve(build(spec), method)
+        ts = [0.1 * r.support[0], 0.5 * r.support[0], 0.9 * r.support[0]]
+        mu, g = r._mrl_on_grid(ts, 0.0)
+        assert mu == [r.mean - t for t in ts]
+        assert g == [r.mean * t - 0.5 * t * t for t in ts]
+
+    @pytest.mark.parametrize("shape", [1.5, 2.5, 3.0])
+    def test_pareto_quadrature_formal_view_against_the_continuation(self, shape):
+        from mrlai.ageing import _resolve
+
+        # the view integrates the continued mu = t/(a - 1) below s0 = 1 and
+        # S above it; the continuation's closed G from 0 is t^2/(2(a - 1))
+        r = _resolve(build(Pareto(shape, 1.0)), "quadrature", FORMAL)
+        ts = [0.1, 0.3, 0.7, 1.0, 1.5, 4.0, 20.0]
+        g = r._mrl_on_grid(ts, 0.0, need_mu=False)[1]
+        assert g == pytest.approx([t * t / (2.0 * (shape - 1.0)) for t in ts], rel=1e-13)
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_g_up_to_the_support_end_under_each_convention(self, method):
+        from mrlai.ageing import _evaluate, _resolve
+        from mrlai.distributions import FormalExtension
+        from mrlai.quadrature import DEFAULT_CONFIG
+
+        # U(0.5, 2) with mu = (2 - t)/2 continued below s0: G(2) is
+        # int_0^0.5 (mean - u) + int_0.5^2 mu = 0.5 + 0.5625 under ZERO,
+        # int_0.5^2 mu under SUPPORT_START, int_0^2 (2 - u)/2 = 1 under FORMAL
+        formal = FormalExtension(
+            tail=lambda t: (2.0 - t) ** 2 / 3.0,
+            mrl=lambda t: (2.0 - t) / 2.0,
+            mrl_integral=lambda t: t - t * t / 4.0,
+        )
+        d = build(Uniform(0.5, 2.0))._with(formal=formal)
+        for conv, ts, want in (
+            (ZERO, [0.25, 0.5, 1.0, 2.0], [0.28125, 0.5, 0.8125, 1.0625]),
+            (SUPPORT, [0.75, 1.0, 2.0], [0.171875, 0.3125, 0.5625]),
+            (FORMAL, [0.25, 0.5, 1.0, 2.0], [0.234375, 0.4375, 0.75, 1.0]),
+        ):
+            g = _evaluate(_resolve(d, method, conv), ts, conv, DEFAULT_CONFIG, need_mu=False)[1]
+            assert g == pytest.approx(want, rel=1e-13), conv
 
 
 class TestInteriorReads:
