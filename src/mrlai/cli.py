@@ -208,6 +208,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if not 0.0 <= args.tol_scale < float("inf"):  # inf passes every check, NaN fails every one
+        raise SystemExit(f"error: --tol-scale must be a finite number >= 0, got {args.tol_scale!r}")
     if args.dump_corpus:
         with open(args.dump_corpus, "w", encoding="utf-8") as fh:
             json.dump(corpus_mod.corpus_to_dict(), fh, indent=2, sort_keys=True)

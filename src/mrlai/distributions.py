@@ -1017,8 +1017,13 @@ class Dist:
     each quantity as a column (``_column``): closed, or for a numeric T
     or D one sweep down the points.  mu with G = int mu from the
     convention origin, 0 or s0, is the one other grid reader
-    (``_mrl_on_grid``), and G below s0 is its integral of mu there.  The
-    formal convention reads the ``_formal_view`` instead.  A composite
+    (``_mrl_on_grid``), and G below s0 is its integral of mu there.
+    Each of those sweeps is one ``_sweep`` of S, T or mu, the one place
+    that picks a closed integrand or T chained through the survival
+    samples, with knots at the first point, the top and the breakpoints
+    between, and for mu at every point (closed) or at the points that
+    grade the panels by quarters (chained).  The formal convention reads
+    the ``_formal_view`` instead.  A composite
     reads a part's closures directly only where the part's support is its
     own (``ops.mixture``, ``ops.order_statistic``): its own method has then
     decided the edges at the same t, and an OverflowError still reads as
@@ -1270,10 +1275,10 @@ class Dist:
 
         G is defined up to s1, mu below it; a point past s1 raises
         BeyondSupport.  From s0 on, a closed G is read as a column, as is mu
-        then.  Otherwise one sweep runs from s0: of the closed mu over the
-        ``_knots`` of the points where the MRL or the tail is closed, else
-        of mu = T/S with T chained from T(top) (``_chained_sweep``), whose
-        panels end only at the breakpoints and read the points between.  At
+        then.  Otherwise one ``_sweep`` of mu runs from s0, which picks the
+        closed mu, knotted at every point, or mu = T/S with T chained from
+        T(top), knotted at the breakpoints and the points that grade its
+        panels, and gives mu at the points and the pieces of G between.  At
         a finite support end mu takes its limit 0 in the sweep
         (0 <= mu(x) <= s1 - x), so G(s1) is defined although mu(s1), which
         raises BeyondSupport, is not.  Below s0, mu is mean - t, or on a
@@ -1292,13 +1297,7 @@ class Dist:
         else:
             mu_at, g_at = {}, {s0: 0.0}
             if ts and ts[-1] > s0:
-                if self._mrl is not None or self._tail is not None:
-                    pts = self._knots(s0, ts)
-                    mu = lambda u: self.mrl(u, cfg) if u < s1 else 0.0
-                    mu_on, seg = _integrate_knots(mu, pts, cfg)
-                else:
-                    pts = [s0, *(t for t in ts if t > s0)]
-                    mu_on, seg = self._chained_sweep(pts, cfg, over_survival=True)
+                pts, mu_on, seg = self._sweep("mrl", [s0, *(t for t in ts if t > s0)], cfg)
                 mu_at = {k: m for k, m in zip(pts, mu_on) if k < s1}
                 g_at = dict(zip(pts, accumulate(seg, initial=0.0)))
             mu = [mu_at[t] if t in mu_at else self.mrl(t, cfg) for t in ts] if need_mu else None
@@ -1319,76 +1318,65 @@ class Dist:
         """T (``name`` "tail") or D ("double_tail") at the increasing points
         ``pts`` below s1, two or more, from one sweep down from the top
         point: the method's value there plus the integrals between the
-        points of the quantity one order below, S for T, and for D the
-        closed T or T chained from T(top) (``_chained_sweep``).  Knots sit
-        only at pts[0], the top and the breakpoints between (``_knots``);
-        the points between are read from the panels."""
-        top = pts[-1]
-        start = getattr(self, name)(top, cfg)
-        if name == "double_tail" and self._tail is None:
-            seg = self._chained_sweep(pts, cfg)[1]
-        else:
-            f = self.survival if name == "tail" else (lambda u: self.tail(u, cfg))
-            seg = _integrate_knots(f, self._knots(pts[0], [top]), cfg, points=pts)[1]
+        points of the quantity one order below, S for T and T for D, from
+        one ``_sweep``, which picks the closed T or T chained from T(top)
+        and knots only pts[0], the top and the breakpoints between."""
+        start = getattr(self, name)(pts[-1], cfg)
+        seg = self._sweep("survival" if name == "tail" else "tail", pts, cfg)[2]
         if name == "tail":  # T(top) plus the integrals of S summed from the top
             return [start + c for c in accumulate(reversed(seg), initial=0.0)][::-1]
         return list(accumulate(reversed(seg), initial=start))[::-1]
 
-    def _knots(self, lo: float, pts) -> list:
-        """The knots of a sweep from ``lo`` to the last of the increasing
-        points ``pts``, none below lo: lo, the points and the breakpoints
-        between them, so no panel straddles a kink of the survival function."""
-        return sorted({lo, *pts, *(b for b in self.breakpoints if lo < b < pts[-1])})
-
-    def _chained_sweep(self, pts, cfg: QuadConfig, over_survival=False):
-        """Integrals over the intervals between the increasing points
-        ``pts`` of the tail T(x) = T(top) + int_x^top S or, with
-        ``over_survival``, of mu = T/S (0 at a finite support end) and mu at
-        the points, from one quadrature T(top) and one ``cheb_sweep`` of S
-        from pts[0] down from the top point, as ``_integrate_knots`` returns
-        them.  Its knots are the breakpoints between them (``_knots``) and,
-        with ``over_survival``, the points that grade the panels toward
-        pts[0], from which G adds up.  Each panel chains T through its
-        survival samples, and is refined until the integrals of S and of the
-        chained values meet the tolerance, and until S and the chained
-        values are resolved to machine precision where the panel holds
-        points: a few panels per sweep for smooth families, however many
-        points.  A point inside a panel reads mu = T/S from the panel's
-        survival interpolant and its integral, as a panel end reads T/S
-        from the samples.  mu raises BeyondSupport where S leaves T
-        without a digit (``_check_resolved``)."""
-        s1 = self.support[1]
-        top = pts[-1]
-        if over_survival:  # top lies in (s0, s1]
-            sv = self.survival(top)
+    def _sweep(self, name: str, pts, cfg: QuadConfig):
+        """One ``cheb_sweep`` of S (``name`` "survival"), T ("tail") or mu
+        ("mrl") over the increasing points ``pts``: (the points, the values
+        at them, the integrals between them), as ``_integrate_knots``
+        returns them.  The one place that picks a closed integrand or a
+        chained one.  S, and a T or mu with a closure (a closed T gives
+        mu = T/S), is read through its method at each node, mu as 0 at a
+        finite support end.  Otherwise T is chained from one quadrature
+        T(top) through the survival samples, and mu = T/S, which a point
+        inside a panel reads from the panel's survival interpolant and its
+        integral; mu raises BeyondSupport where S leaves T without a digit
+        (``_check_resolved``).  Knots sit at pts[0], the top and the
+        breakpoints between, so no panel straddles a kink of S, and for mu
+        at every point (closed; its points are then the knots) or at the
+        points that grade the panels toward pts[0] (chained)."""
+        s1, lo, top = self.support[1], pts[0], pts[-1]
+        closed = (getattr(self, "_" + name) or self._tail) is not None  # S always is
+        ends = [top]
+        if name == "mrl":
+            # G adds up from pts[0] and a panel's pieces are good to about
+            # eps times its integral: every point read inside a panel lies
+            # at least a quarter of its knot interval from pts[0]
+            for x in reversed(pts[1:-1]):
+                if closed or x - lo <= 0.25 * (ends[-1] - lo):
+                    ends.append(x)
+        knots = sorted({*ends, lo, *(b for b in self.breakpoints if lo < b < top)})
+        if closed:
+            method = getattr(self, name)
+            f = method if name == "survival" else (lambda u: method(u, cfg) if u < s1 else 0.0)
+            pts = knots if name == "mrl" else pts
+            return pts, *_integrate_knots(f, knots, cfg, points=pts)
+        if name == "tail":
+            tail_top = self.tail(top, cfg)
+            nodes, read = (lambda p: [tail_top + tail for tail in p.tails]), None
+        else:
+            sv = self.survival(top)  # top lies in (s0, s1]
             self._check_resolved((top,), (sv,), cfg)
             tail_top = self._integral_above(self.survival, top, sv, cfg)
-        else:
-            tail_top = self.tail(top, cfg)
 
-        def nodes(p):
-            tails = [tail_top + tail for tail in p.tails]
-            if not over_survival:
-                return tails
-            self._check_resolved(p.xs, p.fs, cfg)
-            return [tail / sv if x < s1 else 0.0 for x, sv, tail in zip(p.xs, p.fs, tails)]
+            def nodes(p):
+                tails = [tail_top + tail for tail in p.tails]
+                self._check_resolved(p.xs, p.fs, cfg)
+                return [tail / sv if x < s1 else 0.0 for x, sv, tail in zip(p.xs, p.fs, tails)]
 
-        def read(p, xs):  # mu at the points xs strictly inside the panel p
-            svs, pieces = _interior(p, p.fs, xs, values=True)
-            tails = accumulate(pieces[:-1], initial=tail_top + p.carry)
-            return [tail / sv for tail, sv in zip(islice(tails, 1, None), svs)]
+            def read(p, xs):  # mu at the points xs strictly inside the panel p
+                svs, pieces = _interior(p, p.fs, xs, values=True)
+                tails = accumulate(pieces[:-1], initial=tail_top + p.carry)
+                return [tail / sv for tail, sv in zip(islice(tails, 1, None), svs)]
 
-        ends = [top]
-        if over_survival:
-            # G adds up from s0 = pts[0] and a panel's pieces are good to
-            # about eps times its integral: every point read inside a panel
-            # lies at least a quarter of its knot interval from s0
-            for x in reversed(pts[1:-1]):
-                if x - pts[0] <= 0.25 * (ends[-1] - pts[0]):
-                    ends.append(x)
-        knots = self._knots(pts[0], ends[::-1])
-        read = read if over_survival else None
-        return _integrate_knots(self.survival, knots, cfg, nodes, pts, read)
+        return pts, *_integrate_knots(self.survival, knots, cfg, nodes, pts, read)
 
     def _integral_above(self, f, t: float, sv: float, cfg: QuadConfig) -> float:
         """Integral of ``f`` from t to the support end, split first at the

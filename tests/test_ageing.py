@@ -986,31 +986,6 @@ class TestSweep:
         profile(d, ts)
         assert calls[0] <= 150 * len(ts)
 
-    # exact survival calls of a numeric-T profile, T(top) included; with
-    # every grid point a knot they were 3,992 and 3,061.  Panels end at the
-    # support edges, the breakpoints and the points that grade them toward
-    # s0 by quarters, and a panel that holds points has S and mu resolved
-    # to machine precision; os(2:2) of Erlang(2, 1) spans S from 1 to
-    # 6e-12, which that needs narrow panels for
-    CALLS = {
-        "os(2:3) of U(0, 1), 120 points": (
-            lambda: build(OrderStatistic(Uniform(0.0, 1.0), 2, 3)), (0.02, 0.98, 120, "linear"), 395
-        ),
-        "os(2:2) of Erlang(2, 1), 90 log points": (
-            lambda: build(OrderStatistic(Erlang(2, 1.0), 2, 2)), (0.005, 30.0, 90, "log"), 751
-        ),
-    }
-
-    @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_sweep_panels_follow_the_integrand(self, name):
-        from mrlai.ageing import Grid
-
-        make, grid, want = self.CALLS[name]
-        d = make()
-        calls = _counted(d)
-        profile(d, Grid(*grid).points())
-        assert calls[0] == want
-
 
 def _weibull_forms(mp, k, b):
     """S, T and D of Weibull(k, b) in mpmath: T = b/k Gamma(1/k, z) and

@@ -289,10 +289,20 @@ class TestReproduce:
         assert code == 0
         assert "no corpus cases" in err
 
-    def test_tight_tolerance_trips_exit_one(self, capsys):
-        code, out, _ = run(["reproduce", "--filter", "ex2.4", "--tol-scale", "1e-9"], capsys)
+    @pytest.mark.parametrize("scale", ["1e-9", "0"])  # 0 asks for an exact match
+    def test_tight_tolerance_trips_exit_one(self, capsys, scale):
+        code, out, _ = run(["reproduce", "--filter", "ex2.4", "--tol-scale", scale], capsys)
         assert code == 1
         assert "MISMATCH" in out
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
+    def test_unusable_tolerance_scale_is_usage_error(self, capsys, scale):
+        # inf would pass every numeric check, nan and -1 would fail every one
+        code, out, err = run(["reproduce", "--filter", "thm2.7", "--tol-scale", scale], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol-scale must be a finite number >= 0")
+        assert "Traceback" not in err
 
     def test_json_report(self, capsys):
         code, out, _ = run(["reproduce", "--filter", "thm2.7", "--format", "json"], capsys)

@@ -793,3 +793,28 @@ class TestTailColumns:
         with mpmath.workdps(30):
             for t, v in zip(ts, column):
                 assert v == pytest.approx(float(exact(mpmath, mpmath.mpf(t))), rel=1e-13, abs=0.0), t
+
+
+# mu and G from ``Dist._mrl_on_grid`` as float.hex strings, with G from
+# the convention origin: closed-mu mixtures (one with a uniform part whose
+# breakpoint 1 lies between grid points), chained sweeps of os(2:3) of
+# U(0, 1) (one grid ends at s1, where only G is read) and of Weibull(1.5, 1),
+# and the method="quadrature" view of Pareto(3, 1) from 0 under FORMAL,
+# across s0, and from s0 under SUPPORT_START.  Recorded when the closed
+# and the chained sweeps were still apart; every column keeps those bits.
+MRL_COLUMNS = json.loads((Path(__file__).parent / "data" / "mrl_columns.json").read_text())
+
+
+class TestMrlColumns:
+    @pytest.mark.parametrize("name", sorted(MRL_COLUMNS))
+    def test_pinned_columns(self, name):
+        from mrlai.ageing import Convention, _origin, _resolve
+
+        case = MRL_COLUMNS[name]
+        conv = Convention(case["conv"])
+        d = _resolve(build(spec_from_dict(case["spec"])), case["method"], conv)
+        for grid in case["grids"]:
+            ts = [float.fromhex(t) for t in grid["ts"]]
+            mu, g = d._mrl_on_grid(ts, _origin(d, conv), need_mu=grid["mu"] is not None)
+            assert [v.hex() for v in g] == grid["g"], len(ts)
+            assert mu is None or [v.hex() for v in mu] == grid["mu"], len(ts)
